@@ -22,18 +22,16 @@ from starparadox import (
     TLogPrior,
     UniformPrior,
     check_tempered,
-    g_function,
-    h_function,
 )
 
 t = 0.1
 
 print("== the section function H and conditional CDF G ==")
 spec = UniformPrior(1.0)
-print(f"uniform Ti: H(2, 0.2) = {h_function(spec, 2.0, 0.2):.6f} = log(2/1.8)")
-print(f"            G(2, 0.2) = {g_function(spec, 2.0, 0.2):.6f}")
+print(f"uniform Ti: H(2, 0.2) = {spec.h(2.0, 0.2):.6f} = log(2/1.8)")
+print(f"            G(2, 0.2) = {spec.g(2.0, 0.2):.6f}")
 disc = DiscretePrior(0.1, 0.5)
-print(f"discrete Ti: H is an exact step n(z,s)^-b; H(1.5, 1.2) = {h_function(disc, 1.5, 1.2):.6e}")
+print(f"discrete Ti: H is an exact step n(z,s)^-b; H(1.5, 1.2) = {disc.h(1.5, 1.2):.6e}")
 
 print("\n== full catalog verdicts ==")
 catalog = [

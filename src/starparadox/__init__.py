@@ -35,14 +35,10 @@ from .priors import (
     TamePrior,
     TLogPrior,
     UniformPrior,
-    g_function,
     h_aux,
-    h_function,
     parse_prior,
     prior_from_json,
     prior_to_json,
-    q_n_probability,
-    sample_prior,
 )
 from .tempering import (
     Condition2Result,

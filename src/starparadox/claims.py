@@ -36,7 +36,7 @@ from .model import (
     star_probs,
     zeta,
 )
-from .posterior import kernel_log_values
+from .posterior import _finish, _partials, kernel_log_values
 from .priors import Prior
 
 __all__ = [
@@ -124,17 +124,6 @@ def corner_draws(t: float, n: int, rng: np.random.Generator, size: int):
 # stratified estimators
 # ---------------------------------------------------------------------------
 
-def _log_mean_se(logs: np.ndarray) -> tuple[float, float]:
-    m = float(np.max(logs))
-    if m == -math.inf:
-        return -math.inf, math.inf
-    a = np.exp(logs - m)
-    n = a.size
-    mu = a.mean()
-    var = max(float((a * a).mean()) - mu * mu, 0.0) * (n / max(n - 1, 1))
-    return m + math.log(mu), math.sqrt(var / n) / mu
-
-
 def _paired_log_ratio_se(l1: np.ndarray, l2: np.ndarray) -> float:
     """Delta-method s.e. of log(sum e^l1 / sum e^l2) with shared draws."""
     m1, m2 = float(np.max(l1)), float(np.max(l2))
@@ -192,8 +181,8 @@ def in_band_advantage(
     if not np.any(~inside):
         raise EmptyStratum("no draw fell outside the band interval")
     logs = kernel_log_values(counts, lp0, lp1, lp2, j)
-    lm_in, se_in = _log_mean_se(logs[inside])
-    lm_out, se_out = _log_mean_se(logs[~inside])
+    est_in = _finish(_partials(logs[inside]))
+    est_out = _finish(_partials(logs[~inside]))
 
     n = counts.n
     q = star_probs(t)
@@ -207,16 +196,16 @@ def in_band_advantage(
     ell = band_half_width(t)
     env_high = n * log_mu(t) - n * ell * ell / 32.0
     out_ok = bool(np.all(logs[~inside] <= env_high + 1e-9 * abs(env_high)))
-    log_ratio = lm_in - lm_out
-    se_ratio = math.hypot(se_in, se_out)
+    log_ratio = est_in.log_mean - est_out.log_mean
+    se_ratio = math.hypot(est_in.stderr, est_out.stderr)
     return Claim1Report(
         j=j,
         n_in=int(inside.sum()),
         n_out=int((~inside).sum()),
-        log_mean_in=lm_in,
-        log_mean_out=lm_out,
-        se_in=se_in,
-        se_out=se_out,
+        log_mean_in=est_in.log_mean,
+        log_mean_out=est_out.log_mean,
+        se_in=est_in.stderr,
+        se_out=est_out.stderr,
         log_ratio=log_ratio,
         se_ratio=se_ratio,
         significant=bool(log_ratio > 3.0 * se_ratio),
@@ -279,8 +268,7 @@ def conditional_ratio_scan(
         band_n[k] = int(mask.sum())
         if band_n[k] == 0:
             raise EmptyStratum(f"z band {k} around {centers[k]:.4f} is empty")
-        m1, _ = _log_mean_se(l1[mask])
-        mj, _ = _log_mean_se(lj[mask])
+        m1, mj = (_finish(_partials(logs[mask])).log_mean for logs in (l1, lj))
         log_ratio[k] = m1 - mj
         se_ratio[k] = _paired_log_ratio_se(l1[mask], lj[mask])
     gap = log_ratio - 2.0 * math.log(c)

@@ -12,11 +12,13 @@ Subcommands:
 
 Priors are given either as shorthand (``uniform:1.0``, ``power:0.5``,
 ``discrete:0.1,0.5``, ``logti``, ``tlogti``, ``tame``) via --spec, or as a
-JSON file via --spec-file.  Every command writes a ``manifest.json`` next
-to its outputs; ``replay --manifest ...`` reproduces the output files byte
-for byte, for any --jobs.  Exit codes: 0 success, 2 invalid usage or
-arguments, 3 runtime failure.  The environment variable STARPARADOX_SEED
-supplies the default seed.
+JSON file via --spec-file, never both.  --jobs (worker processes) exists
+only on posterior, scan and replay, the commands that split their work into
+chunks.  Every command writes a ``manifest.json`` next to its outputs;
+``replay --manifest ...`` reproduces the output files byte for byte, for
+any --jobs.  Exit codes: 0 success, 2 invalid usage or arguments, 3
+runtime failure.  The environment variable STARPARADOX_SEED supplies the
+default seed.
 """
 
 from __future__ import annotations
@@ -55,13 +57,14 @@ def _default_seed() -> int:
     return int(os.environ.get(_ENV_SEED, "0"))
 
 
-def _load_prior(args) -> object:
+def _load_prior(args):
+    """The prior named by --spec or --spec-file, or None when neither is given."""
     if getattr(args, "spec_file", None):
         with open(args.spec_file, "r", encoding="utf-8") as fh:
             return prior_from_json(fh.read())
     if getattr(args, "spec", None):
         return parse_prior(args.spec)
-    raise ValueError("a prior is required: pass --spec or --spec-file")
+    return None
 
 
 def _json_default(obj):
@@ -110,15 +113,14 @@ def _cmd_simulate(args, out: Path) -> list[Path]:
 
 
 def _cmd_posterior(args, out: Path) -> list[Path]:
-    prior = _load_prior(args)
     counts = _parse_counts(args.counts)
     weights = tuple(float(v) for v in args.weights.split(","))
-    est = tree_posterior(prior, counts, weights, args.samples, args.seed, jobs=args.jobs)
+    est = tree_posterior(args.prior, counts, weights, args.samples, args.seed, jobs=args.jobs)
     path = out / "posterior.json"
     _write_json(
         path,
         {
-            "prior": prior.to_dict(),
+            "prior": args.prior.to_dict(),
             "counts": counts.array.tolist(),
             "weights": list(weights),
             "posterior": est.posterior.tolist(),
@@ -131,10 +133,9 @@ def _cmd_posterior(args, out: Path) -> list[Path]:
 
 
 def _cmd_scan(args, out: Path) -> list[Path]:
-    prior = _load_prior(args)
     n_list = [int(v) for v in args.n_list.split(",")]
     results = paradox_scan(
-        prior, args.t, args.epsilon, n_list, args.trials, args.samples, args.seed,
+        args.prior, args.t, args.epsilon, n_list, args.trials, args.samples, args.seed,
         jobs=args.jobs,
     )
     path = out / "scan.csv"
@@ -147,10 +148,9 @@ def _cmd_scan(args, out: Path) -> list[Path]:
 
 
 def _cmd_prior_check(args, out: Path) -> list[Path]:
-    prior = _load_prior(args)
-    verdict = check_tempered(prior, args.t)
+    verdict = check_tempered(args.prior, args.t)
     path = out / "verdict.json"
-    _write_json(path, {"prior": prior.to_dict(), "t": args.t, **verdict.summary()})
+    _write_json(path, {"prior": args.prior.to_dict(), "t": args.t, **verdict.summary()})
     return [path]
 
 
@@ -163,10 +163,11 @@ def _cmd_moments(args, out: Path) -> list[Path]:
     elif args.dist.startswith("beta:"):
         dist = BetaTailV(float(args.dist.split(":", 1)[1]))
     elif args.dist == "zeta":
-        prior = _load_prior(args)
+        if args.prior is None:
+            raise ValueError("--dist zeta needs a prior: pass --spec or --spec-file")
         if args.z is None:
             raise ValueError("--z is required for --dist zeta")
-        dist = ConditionalZetaV(prior, args.z)
+        dist = ConditionalZetaV(args.prior, args.z)
     else:
         raise ValueError(
             f"unknown distribution {args.dist!r}; known: "
@@ -187,15 +188,21 @@ def _cmd_moments(args, out: Path) -> list[Path]:
 
 
 def _cmd_claims(args, out: Path) -> list[Path]:
-    prior = _load_prior(args)
+    """Band-advantage and conditional-dominance reports for j = 2 and 3.
+
+    All four estimators draw from the same ``--seed``, so the reports share
+    one set of prior draws on purpose (common random numbers): differences
+    between j = 2 and j = 3, and between the two claims, are free of
+    sampling noise between draw sets.
+    """
     counts = counts_in_band(args.n, args.t, args.c)
     r1 = {
-        j: in_band_advantage(prior, args.t, counts, args.c, j, args.samples, args.seed)
+        j: in_band_advantage(args.prior, args.t, counts, args.c, j, args.samples, args.seed)
         for j in (2, 3)
     }
     r2 = {
         j: conditional_ratio_scan(
-            prior, args.t, counts, args.c, j, args.z_points, args.samples, args.seed
+            args.prior, args.t, counts, args.c, j, args.z_points, args.samples, args.seed
         )
         for j in (2, 3)
     }
@@ -224,7 +231,7 @@ def _cmd_claims(args, out: Path) -> list[Path]:
     _write_json(
         path,
         {
-            "prior": prior.to_dict(),
+            "prior": args.prior.to_dict(),
             "t": args.t, "c": args.c, "n": args.n,
             "counts": counts.array.tolist(),
             "band_advantage": {str(j): claim1_dict(r) for j, r in r1.items()},
@@ -250,17 +257,10 @@ def _cmd_replay(args, out: Path) -> list[Path]:
         raise ValueError(f"manifest names unknown command {manifest.command!r}")
     params = dict(manifest.params)
     params["seed"] = manifest.seed
-    if args.jobs is not None:
+    if args.jobs is not None and "jobs" in params:
         params["jobs"] = args.jobs
     replay_args = argparse.Namespace(**params)
-    if manifest.prior is not None:
-        # materialize the stored prior as a spec file for the rerun
-        prior = prior_from_dict(manifest.prior)
-        tmp_spec = out / "_replayed_spec.json"
-        with open(tmp_spec, "w", encoding="utf-8") as fh:
-            json.dump(prior.to_dict(), fh)
-        replay_args.spec = None
-        replay_args.spec_file = str(tmp_spec)
+    replay_args.prior = None if manifest.prior is None else prior_from_dict(manifest.prior)
     outputs = _COMMANDS[manifest.command](replay_args, out)
     _emit_manifest(manifest.command, replay_args, out, outputs)
     return outputs
@@ -270,17 +270,11 @@ def _emit_manifest(command: str, args, out: Path, outputs: list[Path]) -> None:
     params = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("func", "out", "manifest", "command") and not k.startswith("_")
+        if k not in ("func", "out", "manifest", "command", "prior", "spec", "spec_file")
+        and not k.startswith("_")
     }
-    prior_dict = None
-    try:
-        if params.get("spec") or params.get("spec_file"):
-            prior_dict = _load_prior(args).to_dict()
-    except (ValueError, OSError):
-        prior_dict = None
+    prior_dict = None if args.prior is None else args.prior.to_dict()
     seed = params.pop("seed", 0)
-    params.pop("spec", None)
-    params.pop("spec_file", None)
     manifest = RunManifest(
         command=command, params=params, seed=seed, version=__version__, prior=prior_dict
     )
@@ -299,14 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, prior=False, sampling=False):
+    def common(p, prior=None, sampling=False, jobs=False):
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--seed", type=int, default=_default_seed(),
                        help=f"RNG seed (default: ${_ENV_SEED} or 0)")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=1, help="worker processes")
         if prior:
-            p.add_argument("--spec", help="prior shorthand, e.g. uniform:1.0")
-            p.add_argument("--spec-file", help="path to a prior spec JSON file")
+            group = p.add_mutually_exclusive_group(required=prior == "required")
+            group.add_argument("--spec", help="prior shorthand, e.g. uniform:1.0")
+            group.add_argument("--spec-file", help="path to a prior spec JSON file")
         if sampling:
             p.add_argument("--samples", type=int, default=8192,
                            help="prior draws per estimate")
@@ -320,18 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("posterior", help="posterior over the three resolved trees")
     p.add_argument("--counts", required=True, help="n0,n1,n2,n3")
     p.add_argument("--weights", default="1,1,1", help="tree prior weights w1,w2,w3")
-    common(p, prior=True, sampling=True)
+    common(p, prior="required", sampling=True, jobs=True)
 
     p = sub.add_parser("scan", help="paradox scan over sequence lengths")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--n-list", required=True, help="ascending lengths, e.g. 100,1000")
     p.add_argument("--trials", type=int, default=200)
-    common(p, prior=True, sampling=True)
+    common(p, prior="required", sampling=True, jobs=True)
 
     p = sub.add_parser("prior-check", help="tempered-prior verdict")
     p.add_argument("--t", type=float, required=True)
-    common(p, prior=True)
+    common(p, prior="required")
 
     p = sub.add_parser("moments", help="moment curve and 2tR_t threshold scan")
     p.add_argument("--dist", required=True,
@@ -341,14 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-hi", type=float, default=1000.0)
     p.add_argument("--per-decade", type=int, default=64)
     p.add_argument("--z", type=float, help="conditioning point for --dist zeta")
-    common(p, prior=True)
+    common(p, prior="optional")
 
     p = sub.add_parser("claims", help="band-advantage / conditional-dominance checks")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--c", type=float, default=1.5)
     p.add_argument("--n", type=int, default=10000)
     p.add_argument("--z-points", type=int, default=8)
-    common(p, prior=True, sampling=True)
+    common(p, prior="required", sampling=True)
 
     p = sub.add_parser("replay", help="rerun a command from its manifest")
     p.add_argument("--manifest", required=True)
@@ -367,6 +363,7 @@ def main(argv=None) -> int:
         if args.command == "replay":
             _cmd_replay(args, out)
         else:
+            args.prior = _load_prior(args)
             outputs = _COMMANDS[args.command](args, out)
             _emit_manifest(args.command, args, out, outputs)
     except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:

@@ -228,7 +228,8 @@ def band_interval(t: float) -> Interval:
     The endpoints simplify to 3 exp(-8t) and 3 exp(-4t)(2 - exp(-4t)),
     which are used directly (the subtractive form cancels at large t).
     They sit strictly inside (0, 3), equivalently 1 < 4q0 - l and
-    4q0 + l < 4.
+    4q0 + l < 4.  Where floating point cannot keep them there (t above
+    about 93, or exp(-4t) rounding to 1) a ValueError is raised.
     """
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
@@ -236,7 +237,9 @@ def band_interval(t: float) -> Interval:
     x = math.exp(-4.0 * t)
     iv = Interval(3.0 * x * x, 3.0 * x * (2.0 - x))
     if not (0.0 < iv.lo and iv.hi < 3.0):
-        raise AssertionError("band interval escaped (0, 3)")
+        raise ValueError(
+            f"t={t!r} is too extreme: the band interval is not representable inside (0, 3)"
+        )
     return iv
 
 

@@ -38,7 +38,6 @@ __all__ = [
     "deflation_product",
     "deflation_log_bounds",
     "rising_factor",
-    "kappa_poly",
     "chi_weighted_sum",
     "series_moment_closed",
     "series_moment_quad",
@@ -113,17 +112,6 @@ def rising_factor(t: float, alpha: float) -> float:
     """(t+alpha)(t+alpha-1)...(t+{alpha}) / Gamma(alpha+1)."""
     fa, _ = _frac(alpha)
     return math.exp(gammaln(t + alpha + 1.0) - gammaln(t + fa) - gammaln(alpha + 1.0))
-
-
-def kappa_poly(params: "TailParams", t: float) -> float:
-    """Diagnostic polynomial v0 Q_a(t+1) + g Q_a(t) from the ratio bound.
-
-    Appears only in an intermediate bound of the threshold derivation; it
-    drives no decision and is exposed for inspection.
-    """
-    return params.v0 * rising_factor(t + 1.0, params.alpha) + params.gamma_total * rising_factor(
-        t, params.alpha
-    )
 
 
 # ---------------------------------------------------------------------------

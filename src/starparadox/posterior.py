@@ -179,6 +179,20 @@ def _finish(p) -> LogMeanResult:
     return LogMeanResult(m + math.log(mu), se_log, n)
 
 
+def _run_chunks(fn, fixed: tuple, total: int, chunk: int, jobs: int, chunksize: int) -> list:
+    """fn(*fixed, index, size) over consecutive chunks of ``total`` items, in chunk order.
+
+    With jobs > 1 the chunks run in a process pool; the results, and their
+    order, do not depend on the worker count.
+    """
+    n_chunks = (total + chunk - 1) // chunk
+    args = [(*fixed, i, min(chunk, total - i * chunk)) for i in range(n_chunks)]
+    if jobs > 1 and n_chunks > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, *zip(*args), chunksize=chunksize))
+    return [fn(*a) for a in args]
+
+
 def _kernel_chunk(prior: Prior, counts: PatternCounts, trees, seed: int, index: int, size: int):
     rng = _chunk_rng(seed, _TAG_KERNEL, index)
     te, ti = prior.sample(rng, size)
@@ -187,22 +201,13 @@ def _kernel_chunk(prior: Prior, counts: PatternCounts, trees, seed: int, index: 
 
 
 def _accumulate_kernels(prior, counts, trees, n_samples, seed, jobs):
-    n_chunks = (n_samples + DRAW_CHUNK - 1) // DRAW_CHUNK
-    sizes = [min(DRAW_CHUNK, n_samples - i * DRAW_CHUNK) for i in range(n_chunks)]
-    args = [(prior, counts, trees, seed, i, sizes[i]) for i in range(n_chunks)]
-    if jobs > 1 and n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_kernel_chunk_star, args, chunksize=4))
-    else:
-        results = [_kernel_chunk(*a) for a in args]
+    results = _run_chunks(
+        _kernel_chunk, (prior, counts, trees, seed), n_samples, DRAW_CHUNK, jobs, chunksize=4
+    )
     totals = results[0]
     for part in results[1:]:
         totals = [_merge(a, b) for a, b in zip(totals, part)]
     return totals
-
-
-def _kernel_chunk_star(args):
-    return _kernel_chunk(*args)
 
 
 def expected_kernel(
@@ -222,6 +227,22 @@ def expected_kernel(
     return _finish(totals[0])
 
 
+def _log_weights(tree_weights) -> np.ndarray:
+    """Normalized log tree weights; rejects anything but three finite positive numbers."""
+    w = np.asarray(tree_weights, dtype=float)
+    if w.shape != (3,) or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+        raise ValueError("tree_weights must be three finite, strictly positive numbers")
+    return np.log(w / w.sum())
+
+
+def _posterior_probs(log_w: np.ndarray, log_epi: np.ndarray) -> np.ndarray:
+    """Probability vector proportional to w_i E[K_i], from log w and log E[K]."""
+    log_post = log_w + log_epi
+    log_post -= np.max(log_post)
+    post = np.exp(log_post)
+    return post / post.sum()
+
+
 def tree_posterior(
     prior: Prior,
     counts: PatternCounts,
@@ -235,40 +256,19 @@ def tree_posterior(
     Weights must be strictly positive; they are normalized internally, so
     common rescaling changes nothing.  All trees share the same draws.
     """
-    w = np.asarray(tree_weights, dtype=float)
-    if w.shape != (3,) or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("tree_weights must be three strictly positive numbers")
+    log_w = _log_weights(tree_weights)
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
-    w = w / w.sum()
     totals = _accumulate_kernels(prior, counts, (1, 2, 3), n_samples, seed, jobs)
     results = [_finish(p) for p in totals]
     log_epi = np.array([r.log_mean for r in results])
     stderr = np.array([r.stderr for r in results])
-    log_post = np.log(w) + log_epi
-    log_post -= np.max(log_post)
-    post = np.exp(log_post)
-    post /= post.sum()
-    return PosteriorEstimate(log_epi, stderr, post, n_samples)
+    return PosteriorEstimate(log_epi, stderr, _posterior_probs(log_w, log_epi), n_samples)
 
 
 # ---------------------------------------------------------------------------
 # the paradox scan
 # ---------------------------------------------------------------------------
-
-def _posterior_block(counts, lp0, lp1, lp2, log_w):
-    log_means = np.empty(3)
-    for tree in (1, 2, 3):
-        logs = kernel_log_values(counts, lp0, lp1, lp2, tree)
-        m = float(np.max(logs))
-        if m == -math.inf:
-            raise DegenerateEstimate("all kernel samples vanished")
-        log_means[tree - 1] = m + math.log(np.mean(np.exp(logs - m)))
-    lp = log_w + log_means
-    lp -= lp.max()
-    p = np.exp(lp)
-    return p / p.sum()
-
 
 def _scan_chunk(prior, t, epsilon, n, n_samples, log_w, seed, n_index, chunk, n_trials):
     rng = _chunk_rng(seed, _TAG_SCAN, n_index * 1_000_003 + chunk)
@@ -278,14 +278,14 @@ def _scan_chunk(prior, t, epsilon, n, n_samples, log_w, seed, n_index, chunk, n_
         counts = PatternCounts(*map(int, rng.multinomial(n, q)))
         te, ti = prior.sample(rng, n_samples)
         lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
-        post = _posterior_block(counts, lp0, lp1, lp2, log_w)
+        log_epi = np.array([
+            _finish(_partials(kernel_log_values(counts, lp0, lp1, lp2, tree))).log_mean
+            for tree in (1, 2, 3)
+        ])
+        post = _posterior_probs(log_w, log_epi)
         if post[0] >= 1.0 - epsilon:
             hits += 1
     return hits
-
-
-def _scan_chunk_star(args):
-    return _scan_chunk(*args)
 
 
 def paradox_scan(
@@ -313,24 +313,12 @@ def paradox_scan(
     n_list = [int(v) for v in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or any(v < 1 for v in n_list):
         raise ValueError("n_list must be ascending positive integers")
-    w = np.asarray(tree_weights, dtype=float)
-    if w.shape != (3,) or np.any(w <= 0.0):
-        raise ValueError("tree_weights must be three strictly positive numbers")
-    log_w = np.log(w / w.sum())
+    log_w = _log_weights(tree_weights)
 
     results = []
     for n_index, n in enumerate(n_list):
-        n_chunks = (trials + TRIAL_CHUNK - 1) // TRIAL_CHUNK
-        sizes = [min(TRIAL_CHUNK, trials - i * TRIAL_CHUNK) for i in range(n_chunks)]
-        args = [
-            (prior, t, epsilon, n, n_samples, log_w, seed, n_index, i, sizes[i])
-            for i in range(n_chunks)
-        ]
-        if jobs > 1 and n_chunks > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                hits = sum(pool.map(_scan_chunk_star, args, chunksize=1))
-        else:
-            hits = sum(_scan_chunk(*a) for a in args)
+        fixed = (prior, t, epsilon, n, n_samples, log_w, seed, n_index)
+        hits = sum(_run_chunks(_scan_chunk, fixed, trials, TRIAL_CHUNK, jobs, chunksize=1))
         lo, hi = wilson_interval(hits, trials)
         results.append(ParadoxResult(n, epsilon, hits / trials, lo, hi, trials))
     return results

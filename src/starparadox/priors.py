@@ -38,8 +38,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
-from .model import BranchLengths
-
 __all__ = [
     "QuadratureError",
     "Prior",
@@ -51,10 +49,6 @@ __all__ = [
     "DiscretePrior",
     "PRIOR_KINDS",
     "h_aux",
-    "sample_prior",
-    "h_function",
-    "g_function",
-    "q_n_probability",
     "prior_to_json",
     "prior_from_json",
     "parse_prior",
@@ -671,30 +665,8 @@ PRIOR_KINDS: dict[str, type[Prior]] = {
 
 
 # ---------------------------------------------------------------------------
-# operation surface
+# serialization
 # ---------------------------------------------------------------------------
-
-def sample_prior(spec: Prior, seed: int, count: int) -> list[BranchLengths]:
-    """IID draws from the joint branch-length law; deterministic given seed."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    te, ti = spec.sample(rng, count)
-    return [BranchLengths(float(a), float(b)) for a, b in zip(te, ti)]
-
-
-def h_function(spec: Prior, z: float, s: float, method: str = "auto") -> float:
-    return spec.h(z, s, method=method)
-
-
-def g_function(spec: Prior, z: float, s: float, method: str = "auto") -> float:
-    return spec.g(z, s, method=method)
-
-
-def q_n_probability(spec: Prior, t: float, n: int) -> float:
-    """P(Ti <= 1/n, t <= Te <= t + 1/n); exact product for the independent catalog."""
-    return math.exp(spec.log_q_n(t, n))
-
 
 def prior_to_json(spec: Prior) -> str:
     return json.dumps(spec.to_dict(), sort_keys=True)

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args, env_extra=None, cwd=None):
     import os
@@ -51,6 +53,17 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 3
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--t", "0.1", "--n", "10"),
+        ("prior-check", "--spec", "uniform:1.0", "--t", "0.1"),
+        ("moments", "--dist", "uniform01", "--alpha", "1"),
+        ("claims", "--spec", "uniform:1.0", "--t", "0.1"),
+    ], ids=lambda argv: argv[0])
+    def test_jobs_only_where_used(self, tmp_path, argv):
+        r = run_cli(*argv, "--jobs", "2", "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert "unrecognized arguments: --jobs" in r.stderr
+
     def test_env_seed_default(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -76,6 +89,14 @@ class TestPosterior:
         r = run_cli("posterior", "--spec-file", str(bad), "--counts", "7,1,1,1",
                     "--out", str(tmp_path))
         assert r.returncode == 2
+
+    def test_spec_and_spec_file_exclusive(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"kind": "tame", "params": {}}')
+        r = run_cli("posterior", "--spec", "uniform:1.0", "--spec-file", str(spec),
+                    "--counts", "7,1,1,1", "--out", str(tmp_path))
+        assert r.returncode == 2
+        assert "not allowed with" in r.stderr
 
     def test_unknown_prior_kind(self, tmp_path):
         r = run_cli("posterior", "--spec", "levy:1.0", "--counts", "7,1,1,1",
@@ -116,6 +137,9 @@ class TestScan:
         m1 = json.loads((out / "manifest.json").read_text())
         m2 = json.loads((replayed / "manifest.json").read_text())
         assert m1["outputs"]["scan.csv"] == m2["outputs"]["scan.csv"]
+        assert m2["prior"] == m1["prior"] == {"kind": "uniform", "params": {"theta": 1.0}}
+        # the stored prior is passed straight through: nothing else lands in --out
+        assert sorted(p.name for p in replayed.iterdir()) == ["manifest.json", "scan.csv"]
 
 
 class TestPriorCheck:
@@ -125,6 +149,12 @@ class TestPriorCheck:
         assert r.returncode == 0, r.stderr
         d = json.loads((tmp_path / "verdict.json").read_text())
         assert d["tempered"] is True
+
+    def test_large_t_rejected_naming_t(self, tmp_path):
+        # 3 exp(-8t) underflows for t above about 93: the band interval is unusable
+        r = run_cli("prior-check", "--spec", "uniform:1.0", "--t", "100", "--out", str(tmp_path))
+        assert r.returncode == 2, r.stderr
+        assert "t=100.0" in r.stderr
 
     def test_logti_not_tempered(self, tmp_path):
         r = run_cli("prior-check", "--spec", "logti", "--t", "0.1", "--out", str(tmp_path))

@@ -275,13 +275,3 @@ class TestTailParamsValidation:
     def test_expansion_tail_must_be_monotone(self):
         with pytest.raises(ValueError):
             ExpansionTailV(TailParams(1.0, (0.0, 1.0, 1.5), (2.0, -1.5, 0.0)))
-
-
-class TestKappaDiagnostic:
-    def test_polynomial_value(self):
-        from starparadox.moments import kappa_poly
-
-        params = TailParams(1.0, (0.0, 1.0, 3.0), (1.0, 0.5, 0.2), v0=0.5)
-        t = 4.0
-        expected = 0.5 * rising_factor(5.0, 1.0) + params.gamma_total * rising_factor(4.0, 1.0)
-        assert kappa_poly(params, t) == pytest.approx(expected, rel=1e-14)

@@ -210,6 +210,14 @@ class TestParadoxScan:
             paradox_scan(prior, 0.1, 0.05, [100], 0, 2000, 1)
         with pytest.raises(ValueError):
             paradox_scan(prior, 0.1, 0.05, [100, 100], 10, 2000, 1)
+        for weights in ((1.0, 1.0, math.inf), (1.0, math.nan, 1.0), (1.0, 0.0, 1.0)):
+            with pytest.raises(ValueError, match="tree_weights"):
+                paradox_scan(prior, 0.1, 0.05, [100], 5, 1000, 1, tree_weights=weights)
+
+    def test_degenerate_trial_reported(self):
+        # P1 = P2 = 0 at te = ti = 0, so every star count vector has zero likelihood
+        with pytest.raises(DegenerateEstimate):
+            paradox_scan(_DegeneratePrior(), 0.1, 0.05, [100], 3, 1000, 1)
 
     def test_vacuous_threshold(self):
         prior = UniformPrior(1.0)

@@ -5,7 +5,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from starparadox.model import BranchLengths
 from starparadox.priors import (
     DiscretePrior,
     LogPrior,
@@ -14,13 +13,9 @@ from starparadox.priors import (
     TLogPrior,
     UniformPrior,
     h_aux,
-    g_function,
-    h_function,
     parse_prior,
     prior_from_json,
     prior_to_json,
-    q_n_probability,
-    sample_prior,
 )
 
 ALL_PRIORS = [
@@ -62,18 +57,13 @@ class TestSerialization:
 class TestSampling:
     @pytest.mark.parametrize("spec", ALL_PRIORS, ids=lambda s: s.kind)
     def test_deterministic(self, spec):
-        a = sample_prior(spec, 42, 50)
-        b = sample_prior(spec, 42, 50)
-        assert a == b
-        assert all(isinstance(x, BranchLengths) for x in a)
-
-    def test_count_validated(self):
-        with pytest.raises(ValueError):
-            sample_prior(UniformPrior(1.0), 1, 0)
+        te_a, ti_a = spec.sample(np.random.default_rng(42), 50)
+        te_b, ti_b = spec.sample(np.random.default_rng(42), 50)
+        assert np.array_equal(te_a, te_b) and np.array_equal(ti_a, ti_b)
+        assert te_a.shape == ti_a.shape == (50,)
 
     def test_exponential_external_mean(self):
-        draws = sample_prior(UniformPrior(1.0), 7, 10**6)
-        te = np.array([d.te for d in draws])
+        te, _ = UniformPrior(1.0).sample(np.random.default_rng(7), 10**6)
         se = 0.25 / math.sqrt(len(te))
         assert abs(te.mean() - 0.25) < 3 * se
 
@@ -109,8 +99,8 @@ class TestSampling:
 class TestHFunction:
     def test_uniform_closed_form(self):
         spec = UniformPrior(1.0)
-        assert h_function(spec, 2.0, 0.2) == pytest.approx(math.log(2.0 / 1.8), rel=1e-14)
-        assert h_function(spec, 2.0, 0.2) == pytest.approx(0.105361, abs=5e-7)
+        assert spec.h(2.0, 0.2) == pytest.approx(math.log(2.0 / 1.8), rel=1e-14)
+        assert spec.h(2.0, 0.2) == pytest.approx(0.105361, abs=5e-7)
 
     def test_uniform_quadrature_matches_closed(self):
         spec = UniformPrior(1.0)
@@ -142,7 +132,7 @@ class TestHFunction:
         ids=lambda s: s.kind,
     )
     def test_density_kinds_vanish_at_zero(self, spec):
-        assert h_function(spec, 2.0, 0.0) == 0.0
+        assert spec.h(2.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("spec", ALL_PRIORS, ids=lambda s: s.kind)
     def test_constant_past_saturation(self, spec):
@@ -198,7 +188,7 @@ class TestGFunction:
     def test_range_monotone_saturation(self, spec):
         for z in (1.4, 2.0, 2.6):
             s_grid = np.linspace(0.0, max(z, (3 - z) / 2) + 0.1, 40)
-            vals = [g_function(spec, z, s) for s in s_grid]
+            vals = [spec.g(z, s) for s in s_grid]
             assert all(0.0 <= v <= 1.0 for v in vals)
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
             assert vals[-1] == pytest.approx(1.0, abs=1e-12)
@@ -207,7 +197,7 @@ class TestGFunction:
         spec = UniformPrior(1.0)
         z = 2.0
         expected = math.log(2.0 / 1.8) / spec.h_sat(z)
-        assert g_function(spec, z, 0.2) == pytest.approx(expected, rel=1e-12)
+        assert spec.g(z, 0.2) == pytest.approx(expected, rel=1e-12)
 
     def test_uniform_monte_carlo_conditional(self):
         # P(Se (3 - Si) <= 2s | Se Si in z +- delta) vs G(z, s)
@@ -221,7 +211,7 @@ class TestGFunction:
         hits = se_[sel] * (3 - si[sel]) <= 2 * s
         phat = hits.mean()
         se_mc = math.sqrt(phat * (1 - phat) / hits.size)
-        assert g_function(spec, z, s) == pytest.approx(phat, abs=3 * se_mc + 2e-4)
+        assert spec.g(z, s) == pytest.approx(phat, abs=3 * se_mc + 2e-4)
 
     @pytest.mark.parametrize(
         "spec,gv",
@@ -292,7 +282,7 @@ class TestCornerProbability:
         spec = UniformPrior(1.0)
         for n in (1, 4, 100):
             expected = (1 / n) * (math.exp(-0.4) - math.exp(-4 * (0.1 + 1 / n)))
-            assert q_n_probability(spec, 0.1, n) == pytest.approx(expected, rel=1e-12)
+            assert math.exp(spec.log_q_n(0.1, n)) == pytest.approx(expected, rel=1e-12)
 
     def test_power_ti_marginal(self):
         spec = PowerPrior(0.5)
@@ -321,9 +311,9 @@ class TestCornerProbability:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            q_n_probability(UniformPrior(1.0), 0.1, 0)
+            UniformPrior(1.0).log_q_n(0.1, 0)
         with pytest.raises(ValueError):
-            q_n_probability(UniformPrior(1.0), -0.1, 4)
+            UniformPrior(1.0).log_q_n(-0.1, 4)
 
 
 class TestTameGeneralRates:
