@@ -44,7 +44,7 @@ from .moments import (
     UniformV,
     geometric_grid,
     moment_curve,
-    threshold_scan,
+    threshold_from_gap,
 )
 from .posterior import paradox_scan, simulate_counts, tree_posterior
 from .priors import parse_prior, prior_from_dict, prior_from_json
@@ -175,7 +175,7 @@ def _cmd_moments(args, out: Path) -> list[Path]:
         )
     grid = geometric_grid(args.t_lo, args.t_hi, args.per_decade)
     curve = moment_curve(dist, grid)
-    scan = threshold_scan(dist, args.alpha, grid)
+    scan = threshold_from_gap(curve[:, 4], args.alpha, grid)
     curve_path = out / "moments.csv"
     write_csv_rows(curve_path, ("t", "m_t", "m_t_plus_1", "r_t", "two_t_r_t"), curve)
     thr_path = out / "threshold.json"

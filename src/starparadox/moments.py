@@ -46,6 +46,7 @@ __all__ = [
     "moment_curve",
     "ScanResult",
     "threshold_scan",
+    "threshold_from_gap",
     "certified_gap_curve",
     "ChiCheckReport",
     "lemma_chi_check",
@@ -266,6 +267,11 @@ class ScanResult:
 
 
 def geometric_grid(lo: float, hi: float, per_decade: int = 64) -> np.ndarray:
+    """Points from lo to hi, evenly spaced in log t, per_decade to a decade."""
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+        raise ValueError(f"grid needs finite 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
+    if per_decade < 1:
+        raise ValueError(f"per_decade must be >= 1, got {per_decade!r}")
     decades = math.log10(hi / lo)
     return lo * 10.0 ** np.linspace(0.0, decades, int(round(decades * per_decade)) + 1)
 
@@ -273,24 +279,39 @@ def geometric_grid(lo: float, hi: float, per_decade: int = 64) -> np.ndarray:
 _SCAN_SLACK = 1e-9
 
 
-def threshold_scan(dist_or_params, alpha: float, t_grid) -> ScanResult:
-    """Smallest grid t* with 2 t R_t >= alpha at every grid point t >= t*.
-
-    Accepts either a distribution handle (empirical curve) or
-    :class:`TailParams` (certified lower-bound curve; enlarging the
-    remainder coefficient can only push t* up).  Grids must be ascending
-    and span at least three decades.  ``NotReached`` is expressed as
-    ``reached=False``, not an error.
-    """
+def _check_scan(alpha: float, t_grid) -> np.ndarray:
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha!r}")
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0.0):
         raise ValueError("t_grid must be ascending")
     if t_grid[-1] / t_grid[0] < 10.0**3 * (1.0 - 1e-12):
         raise ValueError("t_grid must span at least three decades")
+    return t_grid
+
+
+def threshold_scan(dist_or_params, alpha: float, t_grid) -> ScanResult:
+    """Smallest grid t* with 2 t R_t >= alpha at every grid point t >= t*.
+
+    Accepts either a distribution handle (empirical curve, the 2 t R_t
+    column of :func:`moment_curve`) or :class:`TailParams` (certified
+    lower-bound curve; enlarging the remainder coefficient can only push t*
+    up).  alpha must be finite and positive; grids must be ascending and
+    span at least three decades.  ``NotReached`` is expressed as
+    ``reached=False``, not an error.
+    """
+    t_grid = _check_scan(alpha, t_grid)
     if isinstance(dist_or_params, TailParams):
         gap = certified_gap_curve(dist_or_params, t_grid)
     else:
-        gap = np.array([2.0 * t * ratio_rt(dist_or_params, t) for t in t_grid])
+        gap = moment_curve(dist_or_params, t_grid)[:, 4]
+    return threshold_from_gap(gap, alpha, t_grid)
+
+
+def threshold_from_gap(gap, alpha: float, t_grid) -> ScanResult:
+    """The :func:`threshold_scan` verdict for an already computed 2 t R_t curve."""
+    t_grid = _check_scan(alpha, t_grid)
+    gap = np.asarray(gap, dtype=float)
     ok = gap >= alpha * (1.0 - _SCAN_SLACK) - 1e-12
     if not ok[-1]:
         return ScanResult(False, None, t_grid, gap)

@@ -93,15 +93,25 @@ def h_aux(u):
     return float(out) if out.ndim == 0 else out
 
 
+def _h_aux(u: float) -> float:
+    """Scalar :func:`h_aux` for quadrature nodes and index formulas, 0 <= u < 1."""
+    return 0.25 * (math.log1p(2.0 * u) - math.log1p(-u))
+
+
 class Prior:
     """Base class: joint law of (Te, Ti) plus the G(z, .) machinery."""
 
     kind: str = "abstract"
     g_accuracy: float = 3e-10  # relative accuracy of g(); tightened where closed forms exist
+    _CACHES: tuple[str, ...] = ("_h_sat_memo",)  # rebuilt on demand, never pickled
 
     # ---- serialization ------------------------------------------------
     def params(self) -> dict:
         raise NotImplementedError
+
+    def __getstate__(self):
+        # caches are cheap to rebuild; do not ship them to workers
+        return {k: v for k, v in self.__dict__.items() if k not in self._CACHES}
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params()}
@@ -152,7 +162,12 @@ class Prior:
         raise NotImplementedError
 
     def h_sat(self, z: float) -> float:
-        return self.h(z, self.s_sat(z))
+        """H(z, s_sat(z)), computed once per z and kept on the instance."""
+        z = _check_z(z)
+        memo = self.__dict__.setdefault("_h_sat_memo", {})
+        if z not in memo:
+            memo[z] = self.h(z, self.s_sat(z))
+        return memo[z]
 
     def g(self, z: float, s: float, method: str = "auto") -> float:
         """Conditional CDF G(z, s) = H(z, min(s, s_sat)) / H(z, s_sat) in [0, 1]."""
@@ -182,13 +197,13 @@ def _check_s(s: float) -> float:
 class _ExpIndepPrior(Prior):
     """Te exponential with rate 4 (so Se is uniform on [0,1]), Ti independent.
 
-    Subclasses provide the Ti sampler/CDF and the section-integrand factor
-    ``rho(k)`` where k = h_aux(xi / z); the shared form is
+    Subclasses provide the Ti sampler/CDF and the scalar section-integrand
+    factor ``rho(k)`` where k = h_aux(xi / z); the shared form is
 
         H(z, s) = int_0^min(s, s_sat) rho(h_aux(xi/z)) dxi / (z - xi).
     """
 
-    def _rho(self, k: np.ndarray) -> np.ndarray:
+    def _rho(self, k: float) -> float:
         raise NotImplementedError
 
     def _sample_ti(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -203,7 +218,7 @@ class _ExpIndepPrior(Prior):
         def integrand(xi: float) -> float:
             if xi <= 0.0:
                 return 0.0
-            return float(self._rho(h_aux(xi / z))) / (z - xi)
+            return self._rho(_h_aux(xi / z)) / (z - xi)
 
         return _quad(integrand, 0.0, upper)
 
@@ -247,7 +262,7 @@ class UniformPrior(_ExpIndepPrior):
         return 1.0 + 2.0 * math.exp(-4.0 * self.theta)
 
     def _rho(self, k):
-        return np.ones_like(np.asarray(k, dtype=float))
+        return 1.0
 
     def _h_closed(self, z: float, upper: float) -> float:
         return math.log(z / (z - upper))
@@ -288,7 +303,7 @@ class PowerPrior(_ExpIndepPrior):
         return _Y_UNIT
 
     def _rho(self, k):
-        return np.asarray(k, dtype=float) ** (self.theta - 1.0)
+        return k ** (self.theta - 1.0)
 
     def _h_quad(self, z: float, upper: float) -> float:
         th = self.theta
@@ -297,12 +312,7 @@ class PowerPrior(_ExpIndepPrior):
             if tau <= 0.0:
                 return 0.0
             xi = tau ** (1.0 / th)
-            return (
-                float(h_aux(xi / z)) ** (th - 1.0)
-                / (z - xi)
-                * (1.0 / th)
-                * tau ** (1.0 / th - 1.0)
-            )
+            return self._rho(_h_aux(xi / z)) / (z - xi) * (1.0 / th) * tau ** (1.0 / th - 1.0)
 
         return _quad(integrand, 0.0, upper**th)
 
@@ -334,9 +344,7 @@ class LogPrior(_ExpIndepPrior):
         return _Y_UNIT
 
     def _rho(self, k):
-        k = np.asarray(k, dtype=float)
-        with np.errstate(divide="ignore"):
-            return -np.log(k)
+        return -math.log(k)
 
     def _sample_ti(self, rng, size):
         return rng.random(size) * rng.random(size)
@@ -368,10 +376,7 @@ class TLogPrior(_ExpIndepPrior):
         return _Y_UNIT
 
     def _rho(self, k):
-        k = np.asarray(k, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = -4.0 * k * np.log(k)
-        return np.where(k == 0.0, 0.0, out)
+        return -4.0 * k * math.log(k) if k > 0.0 else 0.0
 
     def _sample_ti(self, rng, size):
         return np.sqrt(rng.random(size) * rng.random(size))
@@ -481,6 +486,8 @@ class DiscretePrior(Prior):
     g_accuracy = 1e-12
 
     _N_TABLE = 1 << 20
+    _suffix: np.ndarray | None = None  # tail-sum table, built on first use
+    _CACHES = Prior._CACHES + ("_suffix",)
 
     def __init__(self, a: float, b: float):
         a, b = float(a), float(b)
@@ -490,16 +497,9 @@ class DiscretePrior(Prior):
             raise ValueError(f"need 3a < min(1, b); got a={a!r}, b={b!r}")
         self.a = a
         self.b = b
-        self._suffix: np.ndarray | None = None
 
     def params(self) -> dict:
         return {"a": self.a, "b": self.b}
-
-    def __getstate__(self):
-        # the suffix table is cheap to rebuild; do not ship it to workers
-        state = self.__dict__.copy()
-        state["_suffix"] = None
-        return state
 
     def declared_tempering(self) -> dict:
         return {"tempered": True, "k": 3, "alpha": self.b / self.a, "eps": (1.0, 2.0, 3.0)}
@@ -607,7 +607,7 @@ class DiscretePrior(Prior):
             n_a = math.ceil(ca ** (-1.0 / self.a))
         n_b = 1
         if s < z:
-            hb = float(h_aux(s / z))
+            hb = _h_aux(s / z)
             real = hb ** (-1.0 / self.a)
             if real > 9e15:
                 raise OverflowError("atom index exceeds exact float range")
@@ -631,7 +631,7 @@ class DiscretePrior(Prior):
         try:
             return self.index_n(z, s) ** -self.b
         except OverflowError:
-            return float(h_aux(s / z)) ** (self.b / self.a)
+            return _h_aux(s / z) ** (self.b / self.a)
 
     # ---- sampling ---------------------------------------------------------
     def _sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:

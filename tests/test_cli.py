@@ -181,6 +181,39 @@ class TestMoments:
         assert r.returncode == 2
 
 
+    @pytest.mark.parametrize("flags,named", [
+        (("--alpha", "1", "--t-lo", "0"), "lo=0.0"),
+        (("--alpha", "1", "--t-hi", "inf"), "hi=inf"),
+        (("--alpha", "1", "--t-lo", "-1"), "lo=-1.0"),
+        (("--alpha", "1", "--t-lo", "10", "--t-hi", "1"), "lo=10.0, hi=1.0"),
+        (("--alpha", "nan"), "alpha must be finite and > 0, got nan"),
+    ], ids=["t-lo-zero", "t-hi-inf", "t-lo-negative", "t-lo-above-t-hi", "alpha-nan"])
+    def test_bad_grid_or_alpha_rejected(self, tmp_path, flags, named):
+        r = run_cli("moments", "--dist", "uniform01", *flags, "--out", str(tmp_path))
+        assert r.returncode == 2, r.stderr
+        assert named in r.stderr
+        assert not (tmp_path / "threshold.json").exists()
+
+    def test_one_moment_pass(self, tmp_path, monkeypatch):
+        from starparadox import cli, moments
+
+        real = moments.moment_mt
+        calls = []
+
+        def counting(dist, t, *args, **kwargs):
+            calls.append(t)
+            return real(dist, t, *args, **kwargs)
+
+        monkeypatch.setattr(moments, "moment_mt", counting)
+        argv = ["moments", "--dist", "quadratic", "--alpha", "1", "--t-lo", "0.5",
+                "--t-hi", "500", "--per-decade", "4", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        grid = moments.geometric_grid(0.5, 500.0, 4)
+        assert len(calls) == 2 * len(grid)
+        d = json.loads((tmp_path / "threshold.json").read_text())
+        assert d["t_star"] == moments.threshold_scan(moments.QuadraticV(), 1.0, grid).t_star
+
+
 class TestClaims:
     def test_report_written(self, tmp_path):
         r = run_cli("claims", "--spec", "uniform:1.0", "--t", "0.1", "--c", "1.5",

@@ -228,6 +228,48 @@ class TestZeta:
         root = brentq(lambda x: (1 + 2 * x) * (1 - x) ** 2 - v, 0.0, 1.0, xtol=1e-15)
         assert u == pytest.approx(root, abs=5e-13)
 
+    def test_accuracy_against_mpmath(self):
+        def reference(v):
+            # bisection of the decreasing cubic in 50-digit arithmetic
+            lo, hi, v = mp.mpf(0), mp.mpf(1), mp.mpf(v)
+            with mp.workdps(50):
+                for _ in range(130):
+                    mid = (lo + hi) / 2
+                    if (1 + 2 * mid) * (1 - mid) ** 2 > v:
+                        lo = mid
+                    else:
+                        hi = mid
+                return (lo + hi) / 2
+
+        rng = np.random.default_rng(2024)
+        v = np.concatenate([
+            rng.random(100),
+            np.logspace(-1.0, -323.0, 120),
+            [5e-324],
+            1.0 - 10.0 ** -np.arange(1.0, 16.0),
+            [1.0 - 2.0**-53],
+        ])
+        u = zeta_inv(v)
+        for vi, ui in zip(v, u):
+            ref = reference(vi)
+            assert abs((mp.mpf(ui) - ref) / ref) <= 2e-15, vi
+
+    def test_shape_preserved(self):
+        v = np.linspace(0.0, 1.0, 12)
+        assert isinstance(zeta_inv(0.3), float)
+        assert isinstance(zeta_inv(np.array(0.3)), float)
+        assert zeta_inv(v).shape == (12,)
+        grid = zeta_inv(v.reshape(3, 4))
+        assert grid.shape == (3, 4)
+        assert grid.ravel().tolist() == [zeta_inv(x) for x in v]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -5e-324, 1.0 + 2.0**-52])
+    def test_rejects_nan_and_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="zeta_inv"):
+            zeta_inv(bad)
+        with pytest.raises(ValueError, match="zeta_inv"):
+            zeta_inv(np.array([0.5, bad]))
+
     def test_power_mean_inequality(self):
         # ((1+2u)/(1-u))^m >= m^2 (1 - zeta(u)) for u in [0,1), m in 3..100,
         # compared in log scale to avoid overflow at u near 1

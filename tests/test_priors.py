@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +13,7 @@ from starparadox.priors import (
     TamePrior,
     TLogPrior,
     UniformPrior,
+    _h_aux,
     h_aux,
     parse_prior,
     prior_from_json,
@@ -248,6 +250,49 @@ class TestGFunction:
             rhs = hu ** (spec.b / spec.a)
             assert lhs < mid * (1 + 1e-12)
             assert mid <= rhs * (1 + 1e-12)
+
+
+class TestGPath:
+    """G = H / H(z, s_sat) with H(z, s_sat) kept per z on the prior instance."""
+
+    @pytest.mark.parametrize("spec", ALL_PRIORS, ids=lambda s: s.kind)
+    def test_g_is_fresh_h_ratio(self, spec):
+        fresh = type(spec)(**spec.params())
+        for z in (1.4, 2.0, 2.6):
+            for s in (0.01, 0.1, 0.3):
+                expected = min(1.0, fresh.h(z, s) / fresh.h(z, fresh.s_sat(z)))
+                assert spec.g(z, s) == expected
+                assert spec.g(z, s) == expected  # second call reads the stored H(z, s_sat)
+
+    @pytest.mark.parametrize(
+        "spec,reference",
+        [
+            (UniformPrior(1.0), lambda k: np.ones_like(k)),
+            (PowerPrior(0.3), lambda k: k ** (0.3 - 1.0)),
+            (LogPrior(), lambda k: -np.log(k)),
+            (TLogPrior(), lambda k: -4.0 * k * np.log(k)),
+        ],
+        ids=["uniform", "power", "logti", "tlogti"],
+    )
+    def test_scalar_integrand_matches_array_form(self, spec, reference):
+        rng = np.random.default_rng(11)
+        z = rng.uniform(0.5, 2.9, 200)
+        xi = rng.uniform(0.0, 1.0, 200) * np.minimum(z, 1.0) * 0.99
+        expected = reference(h_aux(xi / z)) / (z - xi)
+        got = np.array([spec._rho(_h_aux(x / zz)) / (zz - x) for x, zz in zip(xi, z)])
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose([_h_aux(u) for u in xi / z], h_aux(xi / z),
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("kind", ["logti", "discrete:0.1,0.5"])
+    def test_pickle_after_g_calls(self, kind):
+        spec = parse_prior(kind)
+        before = [spec.g(z, 0.05) for z in (1.5, 2.2)]
+        spec.log_ti_cdf(0.01)  # builds the discrete tail-sum table
+        assert "_h_sat_memo" in vars(spec)
+        clone = pickle.loads(pickle.dumps(spec))
+        assert "_h_sat_memo" not in vars(clone) and "_suffix" not in vars(clone)
+        assert [clone.g(z, 0.05) for z in (1.5, 2.2)] == before
 
 
 def _g_vectorized(spec, zv, s):
