@@ -103,6 +103,7 @@ class LogMeanResult:
     log_mean: float
     stderr: float
     n_samples: int
+    ess: float  # effective sample size (sum w)^2 / sum w^2 of the weights w = exp(log)
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,7 @@ class PosteriorEstimate:
     stderr: np.ndarray      # per-tree log-scale standard errors
     posterior: np.ndarray   # P(tree i | counts), sums to 1
     n_samples: int
+    ess: np.ndarray         # per-tree effective sample sizes of the kernel weights
 
     def __post_init__(self) -> None:
         post = self.posterior
@@ -176,7 +178,7 @@ def _finish(p) -> LogMeanResult:
     mu = s / n
     var = max(t / n - mu * mu, 0.0) * (n / max(n - 1, 1))
     se_log = math.sqrt(var / n) / mu
-    return LogMeanResult(m + math.log(mu), se_log, n)
+    return LogMeanResult(m + math.log(mu), se_log, n, s * s / t)
 
 
 def _run_chunks(fn, fixed: tuple, total: int, chunk: int, jobs: int, chunksize: int) -> list:
@@ -185,6 +187,8 @@ def _run_chunks(fn, fixed: tuple, total: int, chunk: int, jobs: int, chunksize: 
     With jobs > 1 the chunks run in a process pool; the results, and their
     order, do not depend on the worker count.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs (--jobs) must be >= 1, got {jobs!r}")
     n_chunks = (total + chunk - 1) // chunk
     args = [(*fixed, i, min(chunk, total - i * chunk)) for i in range(n_chunks)]
     if jobs > 1 and n_chunks > 1:
@@ -263,7 +267,8 @@ def tree_posterior(
     results = [_finish(p) for p in totals]
     log_epi = np.array([r.log_mean for r in results])
     stderr = np.array([r.stderr for r in results])
-    return PosteriorEstimate(log_epi, stderr, _posterior_probs(log_w, log_epi), n_samples)
+    ess = np.array([r.ess for r in results])
+    return PosteriorEstimate(log_epi, stderr, _posterior_probs(log_w, log_epi), n_samples, ess)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ kind strings double as CLI shorthand (e.g. ``uniform:1.0``,
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Callable
@@ -103,7 +104,7 @@ class Prior:
 
     kind: str = "abstract"
     g_accuracy: float = 3e-10  # relative accuracy of g(); tightened where closed forms exist
-    _CACHES: tuple[str, ...] = ("_h_sat_memo",)  # rebuilt on demand, never pickled
+    _CACHES: tuple[str, ...] = ("_h_sat_memo",)  # per-instance memos, never pickled
 
     # ---- serialization ------------------------------------------------
     def params(self) -> dict:
@@ -486,8 +487,6 @@ class DiscretePrior(Prior):
     g_accuracy = 1e-12
 
     _N_TABLE = 1 << 20
-    _suffix: np.ndarray | None = None  # tail-sum table, built on first use
-    _CACHES = Prior._CACHES + ("_suffix",)
 
     def __init__(self, a: float, b: float):
         a, b = float(a), float(b)
@@ -540,14 +539,7 @@ class DiscretePrior(Prior):
         return 3.0 * x**-self.b - e
 
     def _table(self) -> np.ndarray:
-        if self._suffix is None:
-            n = np.arange(1, self._N_TABLE + 1, dtype=float)
-            rn = (1.0 + 2.0 * np.exp(-4.0 * n**-self.a)) * (n**-self.b - (n + 1) ** -self.b)
-            suffix = np.empty(self._N_TABLE + 1)
-            suffix[-1] = self._tail_beyond(self._N_TABLE)
-            suffix[:-1] = suffix[-1] + np.cumsum(rn[::-1])[::-1]
-            self._suffix = suffix
-        return self._suffix
+        return _discrete_table(self.a, self.b)
 
     @property
     def r(self) -> float:
@@ -657,6 +649,18 @@ class DiscretePrior(Prior):
         idx = self._sample_indices(rng, size)
         ti = idx**-self.a
         return te, ti
+
+
+@functools.lru_cache(maxsize=4)
+def _discrete_table(a: float, b: float) -> np.ndarray:
+    """Read-only DiscretePrior(a, b) tail sums sum_{n > m} r_n, m = 0..2^20; once per process."""
+    n = np.arange(1, DiscretePrior._N_TABLE + 1, dtype=float)
+    rn = (1.0 + 2.0 * np.exp(-4.0 * n**-a)) * (n**-b - (n + 1) ** -b)
+    suffix = np.empty(n.size + 1)
+    suffix[-1] = DiscretePrior(a, b)._tail_beyond(n.size)
+    suffix[:-1] = suffix[-1] + np.cumsum(rn[::-1])[::-1]
+    suffix.flags.writeable = False
+    return suffix
 
 
 PRIOR_KINDS: dict[str, type[Prior]] = {

@@ -104,6 +104,33 @@ class TestPosterior:
         assert r.returncode == 2
 
 
+class TestJobsValidated:
+    POSTERIOR = ("posterior", "--spec", "uniform:1.0", "--counts", "7,1,1,1", "--samples", "1000")
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        POSTERIOR,
+        ("scan", "--spec", "uniform:1.0", "--t", "0.1", "--epsilon", "0.05",
+         "--n-list", "100", "--trials", "4", "--samples", "1000"),
+    ], ids=lambda argv: argv[0])
+    def test_below_one_rejected(self, tmp_path, argv, jobs):
+        r = run_cli(*argv, "--jobs", jobs, "--out", str(tmp_path))
+        assert r.returncode == 2, r.stderr
+        assert "--jobs" in r.stderr and f"got {jobs}" in r.stderr
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_replay_below_one_rejected(self, tmp_path, jobs):
+        orig = tmp_path / "orig"
+        assert run_cli(*self.POSTERIOR, "--out", str(orig)).returncode == 0
+        replayed = tmp_path / "replayed"
+        r = run_cli("replay", "--manifest", str(orig / "manifest.json"),
+                    "--out", str(replayed), "--jobs", jobs)
+        assert r.returncode == 2, r.stderr
+        assert "--jobs" in r.stderr
+        assert not (replayed / "manifest.json").exists()
+
+
 class TestScan:
     def test_schema_and_jobs_invariance(self, tmp_path):
         common = ["scan", "--spec", "uniform:1.0", "--t", "0.1", "--epsilon", "0.05",
@@ -212,6 +239,21 @@ class TestMoments:
         assert len(calls) == 2 * len(grid)
         d = json.loads((tmp_path / "threshold.json").read_text())
         assert d["t_star"] == moments.threshold_scan(moments.QuadraticV(), 1.0, grid).t_star
+
+
+    @pytest.mark.parametrize("flags,named", [
+        (("--alpha", "0.5", "--t-lo", "1", "--t-hi", "10"), "three decades"),
+        (("--alpha", "-1"), "alpha must be finite and > 0, got -1.0"),
+    ], ids=["short-span", "alpha-negative"])
+    def test_checked_before_curve(self, tmp_path, monkeypatch, capsys, flags, named):
+        from starparadox import cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("moment_curve ran before the input checks")
+
+        monkeypatch.setattr(cli, "moment_curve", fail)
+        assert cli.main(["moments", "--dist", "quadratic", *flags, "--out", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestClaims:

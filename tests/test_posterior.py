@@ -7,6 +7,9 @@ import pytest
 from starparadox.model import PatternCounts, PatternProbs, pattern_probs, star_probs
 from starparadox.posterior import (
     DegenerateEstimate,
+    _finish,
+    _merge,
+    _partials,
     expected_kernel,
     kernel_log_values,
     log_likelihood_kernel,
@@ -15,7 +18,7 @@ from starparadox.posterior import (
     tree_posterior,
     wilson_interval,
 )
-from starparadox.priors import Prior, UniformPrior
+from starparadox.priors import DiscretePrior, Prior, UniformPrior
 
 mp.mp.dps = 40
 
@@ -186,6 +189,37 @@ class TestTreePosterior:
         assert np.array_equal(a.log_epi, b.log_epi)
         assert np.array_equal(a.posterior, b.posterior)
 
+    def test_jobs_bit_identical_discrete(self):
+        prior = DiscretePrior(0.1, 0.5)
+        counts = PatternCounts(777, 68, 78, 77)
+        a = tree_posterior(prior, counts, (1.0, 1.0, 1.0), 30000, 11, jobs=1)
+        b = tree_posterior(prior, counts, (1.0, 1.0, 1.0), 30000, 11, jobs=2)
+        for field in ("log_epi", "stderr", "posterior", "ess"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+    def test_ess_per_tree(self):
+        counts = PatternCounts(500, 260, 130, 110)
+        est = tree_posterior(UniformPrior(1.0), counts, (1.0, 1.0, 1.0), 20000, 3)
+        assert est.ess.shape == (3,)
+        assert np.all((est.ess >= 1.0) & (est.ess <= 20000))
+        for tree in (1, 2, 3):
+            single = expected_kernel(UniformPrior(1.0), counts, tree, 20000, 3)
+            assert single.ess == est.ess[tree - 1]
+
+
+class TestEffectiveSampleSize:
+    def test_matches_direct_formula(self):
+        logs = np.random.default_rng(8).normal(-700.0, 3.0, 5000)
+        w = np.exp(logs - logs.max())
+        direct = w.sum() ** 2 / (w * w).sum()
+        assert _finish(_partials(logs)).ess == pytest.approx(direct, rel=1e-12)
+        merged = _merge(_partials(logs[:1234]), _partials(logs[1234:]))
+        assert _finish(merged).ess == pytest.approx(direct, rel=1e-12)
+
+    def test_constant_weights_give_n(self):
+        assert _finish(_partials(np.full(4096, -123.4))).ess == 4096.0
+        assert _finish(_partials(np.array([-5.0, -math.inf, -5.0]))).ess == 2.0
+
 
 class TestWilson:
     def test_basic_properties(self):
@@ -229,6 +263,12 @@ class TestParadoxScan:
         a = paradox_scan(prior, 0.1, 0.05, [100, 400], 130, 2048, 21, jobs=1)
         b = paradox_scan(prior, 0.1, 0.05, [100, 400], 130, 2048, 21, jobs=2)
         assert [r.delta_hat for r in a] == [r.delta_hat for r in b]
+
+    def test_jobs_bit_identical_discrete(self):
+        prior = DiscretePrior(0.1, 0.5)
+        a = paradox_scan(prior, 0.1, 0.05, [100, 400], 130, 2048, 21, jobs=1)
+        b = paradox_scan(prior, 0.1, 0.05, [100, 400], 130, 2048, 21, jobs=2)
+        assert a == b
 
     def test_rows_have_wilson_bounds(self):
         prior = UniformPrior(1.0)

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -13,6 +14,7 @@ from starparadox.priors import (
     TamePrior,
     TLogPrior,
     UniformPrior,
+    _discrete_table,
     _h_aux,
     h_aux,
     parse_prior,
@@ -291,8 +293,34 @@ class TestGPath:
         spec.log_ti_cdf(0.01)  # builds the discrete tail-sum table
         assert "_h_sat_memo" in vars(spec)
         clone = pickle.loads(pickle.dumps(spec))
-        assert "_h_sat_memo" not in vars(clone) and "_suffix" not in vars(clone)
+        assert "_h_sat_memo" not in vars(clone)
+        if spec.kind == "discrete":
+            assert clone._table() is spec._table()  # one tail table per (a, b) per process
         assert [clone.g(z, 0.05) for z in (1.5, 2.2)] == before
+
+    def test_discrete_table_shared_and_read_only(self):
+        table = DiscretePrior(0.1, 0.5)._table()
+        assert DiscretePrior(0.1, 0.5)._table() is table
+        assert DiscretePrior(0.1, 0.6)._table() is not table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+    def test_discrete_table_built_once_per_worker(self):
+        # eight single-task batches over two workers: each worker builds the table once
+        prior = DiscretePrior(0.12, 0.5)
+        before = _discrete_table.cache_info().misses
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            infos = list(pool.map(_table_cache_info, [prior] * 8, chunksize=1))
+        assert max(misses for _, misses in infos) <= before + 1
+        assert max(hits for hits, _ in infos) >= 1  # later batches reuse the table
+
+
+def _table_cache_info(prior):
+    """(hits, misses) of this process's tail-table cache after ``prior`` has used its table."""
+    prior.r
+    info = _discrete_table.cache_info()
+    return info.hits, info.misses
 
 
 def _g_vectorized(spec, zv, s):

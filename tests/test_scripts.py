@@ -1,8 +1,11 @@
-"""The demos and tools import only names that ``starparadox`` defines.
+"""The demos, tools and benchmark tracer use only names that ``starparadox`` defines.
 
 The scripts are parsed, not run: some take minutes (demo 04 alone runs for
 about two), so a renamed or deleted library name would otherwise go
-unnoticed until someone ran them by hand.
+unnoticed until someone ran them by hand.  The traced benchmark run
+(``perfbench/run.py --trace 1``) wraps the functions and methods listed in
+``perfbench/spans.py``; a rename would crash it, so those targets are
+resolved here too.
 """
 
 import ast
@@ -47,3 +50,20 @@ def test_scripts_found():
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_starparadox_imports_exist(path):
     assert _missing_names(path) == []
+
+
+def test_traced_targets_resolve():
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)  # reads the tables; patches nothing
+    missing = []
+    for _, module_name, attr in spans._FUNCTIONS:
+        if not callable(getattr(importlib.import_module(module_name), attr, None)):
+            missing.append(f"{module_name}.{attr}")
+    for _, path, attr in spans._METHODS:
+        module_name, _, cls_name = path.rpartition(".")
+        cls = getattr(importlib.import_module(module_name), cls_name, None)
+        if not callable(getattr(cls, attr, None)):
+            missing.append(f"{path}.{attr}")
+    assert len(spans._FUNCTIONS) >= 10 and len(spans._METHODS) >= 5
+    assert missing == []
