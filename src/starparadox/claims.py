@@ -13,7 +13,11 @@ two facts connect the kernels K_j to the band interval I_t of 4 P0 - 1:
   of c.
 
 Both are estimated here by stratified Monte Carlo over prior draws; the
-point conditioning in the second uses hard bands z +- delta_z.  The module
+point conditioning in the second uses hard bands z +- delta_z.  Every
+estimator with the same prior instance, sample size and seed reads one
+draw set: the prior is sampled and its pattern log-probabilities computed
+once, and the read-only arrays are kept until the prior is freed or asked
+for another (size, seed).  The module
 also exposes the per-draw factorizations of the kernels (through the
 centered statistics, and through mu_t, U_t, W_j) used to verify the
 machinery sample by sample.
@@ -22,6 +26,7 @@ machinery sample by sample.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +41,7 @@ from .model import (
     star_probs,
     zeta,
 )
-from .posterior import _finish, _partials, kernel_log_values
+from .posterior import _exp_inplace, _finish, _partials, kernel_log_values
 from .priors import Prior
 
 __all__ = [
@@ -124,11 +129,34 @@ def corner_draws(t: float, n: int, rng: np.random.Generator, size: int):
 # stratified estimators
 # ---------------------------------------------------------------------------
 
+_DRAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _draw(prior: Prior, n_samples: int, seed: int):
+    """Read-only (lp0, lp1, lp2, zval) of ``n_samples`` draws from ``default_rng(seed)``.
+
+    zval = 4 P0 - 1 per draw.  One entry per prior instance, held weakly, so
+    the arrays go with the prior and never travel with a pickled copy.
+    """
+    key = (n_samples, seed)
+    hit = _DRAWS.get(prior)
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    te, ti = prior.sample(np.random.default_rng(seed), n_samples)
+    lp = log_pattern_prob_arrays(te, ti)
+    del te, ti
+    arrays = (*lp, 4.0 * np.exp(lp[0]) - 1.0)
+    for a in arrays:
+        a.flags.writeable = False
+    _DRAWS[prior] = (key, arrays)
+    return arrays
+
+
 def _paired_log_ratio_se(l1: np.ndarray, l2: np.ndarray) -> float:
     """Delta-method s.e. of log(sum e^l1 / sum e^l2) with shared draws."""
     m1, m2 = float(np.max(l1)), float(np.max(l2))
-    a = np.exp(l1 - m1)
-    b = np.exp(l2 - m2)
+    a = _exp_inplace(l1 - m1)
+    b = _exp_inplace(l2 - m2)
     infl = a / a.sum() - b / b.sum()
     return math.sqrt(float((infl * infl).sum()))
 
@@ -170,17 +198,14 @@ def in_band_advantage(
         raise ValueError("j must be 2 or 3")
     if not in_band_fc(counts, c, t):
         raise ValueError("counts must lie in the band event F_c")
-    rng = np.random.default_rng(seed)
-    te, ti = prior.sample(rng, n_samples)
-    lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
-    zval = 4.0 * np.exp(lp0) - 1.0
+    lp0, lp1, lp2, zval = _draw(prior, n_samples, seed)
     iv = band_interval(t)
     inside = (zval >= iv.lo) & (zval <= iv.hi)
     if not np.any(inside):
         raise EmptyStratum("no draw fell in the band interval")
     if not np.any(~inside):
         raise EmptyStratum("no draw fell outside the band interval")
-    logs = kernel_log_values(counts, lp0, lp1, lp2, j)
+    logs = kernel_log_values(counts, lp0, lp1, lp2, (j,))[0]
     est_in = _finish(_partials(logs[inside]))
     est_out = _finish(_partials(logs[~inside]))
 
@@ -253,12 +278,11 @@ def conditional_ratio_scan(
     iv = band_interval(t)
     edges = np.linspace(iv.lo, iv.hi, z_points + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    rng = np.random.default_rng(seed)
-    te, ti = prior.sample(rng, n_samples)
-    lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
-    zval = 4.0 * np.exp(lp0) - 1.0
-    l1 = kernel_log_values(counts, lp0, lp1, lp2, 1)
-    lj = kernel_log_values(counts, lp0, lp1, lp2, j)
+    lp0, lp1, lp2, zval = _draw(prior, n_samples, seed)
+    # only draws in the union of the bands reach a stratum; order is kept
+    grid = (zval >= edges[0]) & (zval < edges[-1])
+    zval = zval[grid]
+    block = kernel_log_values(counts, lp0[grid], lp1[grid], lp2[grid], (1, j))
 
     log_ratio = np.empty(z_points)
     se_ratio = np.empty(z_points)
@@ -268,9 +292,10 @@ def conditional_ratio_scan(
         band_n[k] = int(mask.sum())
         if band_n[k] == 0:
             raise EmptyStratum(f"z band {k} around {centers[k]:.4f} is empty")
-        m1, mj = (_finish(_partials(logs[mask])).log_mean for logs in (l1, lj))
+        band = block[:, mask]
+        m1, mj = (_finish(p).log_mean for p in _partials(band))
         log_ratio[k] = m1 - mj
-        se_ratio[k] = _paired_log_ratio_se(l1[mask], lj[mask])
+        se_ratio[k] = _paired_log_ratio_se(*band)
     gap = log_ratio - 2.0 * math.log(c)
     k_min = int(np.argmin(gap))
     min_gap = float(gap[k_min])

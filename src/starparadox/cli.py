@@ -16,9 +16,9 @@ JSON file via --spec-file, never both.  --jobs (worker processes) exists
 only on posterior, scan and replay, the commands that split their work into
 chunks.  Every command writes a ``manifest.json`` next to its outputs;
 ``replay --manifest ...`` reproduces the output files byte for byte, for
-any --jobs.  Exit codes: 0 success, 2 invalid usage or arguments, 3
-runtime failure.  The environment variable STARPARADOX_SEED supplies the
-default seed.
+any --jobs (accepted only for posterior and scan manifests).  Exit codes:
+0 success, 2 invalid usage or arguments, 3 runtime failure.  The
+environment variable STARPARADOX_SEED supplies the default seed.
 """
 
 from __future__ import annotations
@@ -192,8 +192,9 @@ def _cmd_moments(args, out: Path) -> list[Path]:
 def _cmd_claims(args, out: Path) -> list[Path]:
     """Band-advantage and conditional-dominance reports for j = 2 and 3.
 
-    All four estimators draw from the same ``--seed``, so the reports share
-    one set of prior draws on purpose (common random numbers): differences
+    All four estimators get the same prior instance, ``--samples`` and
+    ``--seed``, so they read one set of prior draws, sampled and turned
+    into pattern log-probabilities once (common random numbers): differences
     between j = 2 and j = 3, and between the two claims, are free of
     sampling noise between draw sets.
     """
@@ -259,7 +260,12 @@ def _cmd_replay(args, out: Path) -> list[Path]:
         raise ValueError(f"manifest names unknown command {manifest.command!r}")
     params = dict(manifest.params)
     params["seed"] = manifest.seed
-    if args.jobs is not None and "jobs" in params:
+    if args.jobs is not None:
+        if "jobs" not in params:
+            raise ValueError(
+                f"--jobs does not apply to a {manifest.command!r} manifest; "
+                "only posterior and scan runs take it"
+            )
         params["jobs"] = args.jobs
     replay_args = argparse.Namespace(**params)
     replay_args.prior = None if manifest.prior is None else prior_from_dict(manifest.prior)

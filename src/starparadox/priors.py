@@ -626,29 +626,29 @@ class DiscretePrior(Prior):
             return _h_aux(s / z) ** (self.b / self.a)
 
     # ---- sampling ---------------------------------------------------------
-    def _sample_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Exact sampler for P(I = n) = r_n / r over the infinite support.
+    def _sample_atoms(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Exact sampler for Ti = I^-a with P(I = n) = r_n / r over the infinite support.
 
         Proposes J with P(J = n) = n^-b - (n+1)^-b via inverse CDF and
-        accepts with probability y_J / 3; acceptance rate is r / 3.
+        accepts with probability y_J / 3; acceptance rate is r / 3.  The
+        atoms J^-a of a proposal batch serve both the acceptance test and
+        the accepted values.
         """
         out = np.empty(size, dtype=float)
         filled = 0
         while filled < size:
             todo = size - filled
             u = rng.random(int(todo * 3.2 / max(self.r, 1.0)) + 16)
-            j = np.ceil(u ** (-1.0 / self.b)) - 1.0
-            accept = rng.random(j.shape) * 3.0 <= 1.0 + 2.0 * np.exp(-4.0 * j**-self.a)
-            got = j[accept][:todo]
+            atoms = (np.ceil(u ** (-1.0 / self.b)) - 1.0) ** -self.a
+            accept = rng.random(atoms.shape) * 3.0 <= 1.0 + 2.0 * np.exp(-4.0 * atoms)
+            got = atoms[accept][:todo]
             out[filled : filled + got.size] = got
             filled += got.size
         return out
 
     def sample(self, rng, size):
         te = rng.exponential(scale=0.25, size=size)
-        idx = self._sample_indices(rng, size)
-        ti = idx**-self.a
-        return te, ti
+        return te, self._sample_atoms(rng, size)
 
 
 @functools.lru_cache(maxsize=4)

@@ -231,11 +231,11 @@ def test_criterion_8_per_draw_identities():
     for n in (500, 10**4):
         counts = PatternCounts(*map(int, rng.multinomial(n, [0.7, 0.12, 0.1, 0.08])))
         for tree in (1, 2, 3):
-            direct = kernel_log_values(counts, lp0, lp1, lp2, tree)
+            direct = kernel_log_values(counts, lp0, lp1, lp2, (tree,))[0]
             via = kernel_log_by_deltas(counts, t, lp0, lp1, lp2, tree)
             worst = max(worst, float(np.max(np.abs(direct - via) / np.abs(direct))))
         for j in (2, 3):
-            direct = kernel_log_values(counts, lp0, lp1, lp2, j)
+            direct = kernel_log_values(counts, lp0, lp1, lp2, (j,))[0]
             via = kernel_log_by_corner(counts, t, lp0, lp1, lp2, j)
             worst = max(worst, float(np.max(np.abs(direct - via) / np.abs(direct))))
     elapsed = time.time() - start

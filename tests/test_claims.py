@@ -1,8 +1,14 @@
+import dataclasses
+import gc
+import json
 import math
+import pickle
+import weakref
 
 import numpy as np
 import pytest
 
+from starparadox import claims, cli
 from starparadox.claims import (
     EmptyStratum,
     conditional_ratio_scan,
@@ -39,7 +45,7 @@ class TestPerDrawIdentities:
         for n in (100, 1777):
             counts = _random_counts(rng, n)
             for tree in (1, 2, 3):
-                direct = kernel_log_values(counts, lp0, lp1, lp2, tree)
+                direct = kernel_log_values(counts, lp0, lp1, lp2, (tree,))[0]
                 via_deltas = kernel_log_by_deltas(counts, 0.1, lp0, lp1, lp2, tree)
                 assert np.max(np.abs(direct - via_deltas) / np.abs(direct)) < 1e-8
 
@@ -50,7 +56,7 @@ class TestPerDrawIdentities:
         lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
         counts = _random_counts(rng, n)
         for j in (2, 3):
-            direct = kernel_log_values(counts, lp0, lp1, lp2, j)
+            direct = kernel_log_values(counts, lp0, lp1, lp2, (j,))[0]
             via_corner = kernel_log_by_corner(counts, t, lp0, lp1, lp2, j)
             assert np.max(np.abs(direct - via_corner) / np.abs(direct)) < 1e-8
 
@@ -213,6 +219,63 @@ class TestClaim2:
             assert rep.min_ratio_over_4c2 == pytest.approx(rep.min_ratio_over_c2 / 4.0)
         else:
             assert rep.min_log_gap > 700.0
+
+
+class TestSharedDraw:
+    T, C, N, SAMPLES, SEED = 0.1, 1.5, 10**4, 20000, 2
+
+    def test_claims_run_samples_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = UniformPrior.sample
+
+        def counted(self, rng, size):
+            calls.append(size)
+            return original(self, rng, size)
+
+        monkeypatch.setattr(UniformPrior, "sample", counted)
+        argv = ["claims", "--spec", "uniform:1.0", "--t", str(self.T), "--c", str(self.C),
+                "--n", str(self.N), "--samples", str(self.SAMPLES), "--seed", str(self.SEED),
+                "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert calls == [self.SAMPLES]
+        report = json.loads((tmp_path / "claims.json").read_text())
+        # fresh prior instances share no draws; their reports must be the same
+        counts = counts_in_band(self.N, self.T, self.C)
+        for j in (2, 3):
+            fresh = {
+                "band_advantage": in_band_advantage(
+                    UniformPrior(1.0), self.T, counts, self.C, j, self.SAMPLES, self.SEED),
+                "conditional_dominance": conditional_ratio_scan(
+                    UniformPrior(1.0), self.T, counts, self.C, j, 8, self.SAMPLES, self.SEED),
+            }
+            for section, rep in fresh.items():
+                expected = json.loads(json.dumps(dataclasses.asdict(rep),
+                                                 default=cli._json_default))
+                for key, value in report[section][str(j)].items():
+                    assert value == (math.inf if value is None else expected[key]), key
+        assert len(calls) == 5
+
+    def test_memo_not_pickled_and_freed_with_prior(self):
+        prior = UniformPrior(1.0)
+        arrays = claims._draw(prior, 5000, 3)
+        assert claims._draw(prior, 5000, 3) is arrays
+        assert not any(a.flags.writeable for a in arrays)
+        clone = pickle.loads(pickle.dumps(prior))
+        assert clone not in claims._DRAWS
+        cloned = claims._draw(clone, 5000, 3)
+        assert cloned is not arrays
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, cloned))
+        # another seed or size replaces the prior's entry
+        reseeded = claims._draw(prior, 5000, 4)
+        assert reseeded[0].tobytes() != arrays[0].tobytes()
+        resized = claims._draw(prior, 6000, 4)
+        assert resized[0].size == 6000 and claims._draw(prior, 6000, 4) is resized
+        probe, prior_ref = weakref.ref(resized[0]), weakref.ref(prior)
+        held = len(claims._DRAWS)
+        del arrays, cloned, reseeded, resized, prior
+        gc.collect()
+        assert prior_ref() is None and probe() is None
+        assert len(claims._DRAWS) == held - 1 and clone in claims._DRAWS
 
 
 class TestBandEventProbability:

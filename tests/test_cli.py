@@ -130,6 +130,18 @@ class TestJobsValidated:
         assert "--jobs" in r.stderr
         assert not (replayed / "manifest.json").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "2"])
+    def test_replay_rejected_where_manifest_has_no_jobs(self, tmp_path, jobs):
+        orig = tmp_path / "orig"
+        r = run_cli("prior-check", "--spec", "uniform:1.0", "--t", "0.1", "--out", str(orig))
+        assert r.returncode == 0, r.stderr
+        replayed = tmp_path / "replayed"
+        r = run_cli("replay", "--manifest", str(orig / "manifest.json"),
+                    "--out", str(replayed), "--jobs", jobs)
+        assert r.returncode == 2, r.stderr
+        assert "--jobs" in r.stderr and "prior-check" in r.stderr
+        assert not (replayed / "manifest.json").exists()
+
 
 class TestScan:
     def test_schema_and_jobs_invariance(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -73,6 +74,30 @@ class TestPatternProbs:
             assert lp0[k] == pytest.approx(ref[0], abs=1e-14)
             assert lp1[k] == ref[1] or lp1[k] == pytest.approx(ref[1], abs=1e-13)
             assert lp2[k] == ref[2] or lp2[k] == pytest.approx(ref[2], abs=1e-13)
+
+    @given(draws=st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(1e-9, 1e3)),
+                  st.one_of(st.just(0.0), st.floats(1e-9, 1e3))),
+        min_size=1, max_size=12,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_log_arrays_match_guarded_form(self, draws):
+        te, ti = (np.array(v) for v in zip(*draws))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lp = log_pattern_prob_arrays(te, ti)
+        # the former form, with np.where guards on the two log1p arguments
+        x = np.exp(-4.0 * te)
+        w = np.exp(-4.0 * (te + ti))
+        log4 = math.log(4.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            guarded = (
+                np.log1p(x + 2.0 * w) - log4,
+                np.where(x - 2.0 * w > -1.0, np.log1p(x - 2.0 * w), -np.inf) - log4,
+                np.where(x < 1.0, np.log1p(-x), -np.inf) - log4,
+            )
+        for new, old in zip(lp, guarded):
+            assert new.tobytes() == old.tobytes()
 
 
 class TestStarProbs:

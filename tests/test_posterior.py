@@ -1,12 +1,23 @@
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from starparadox.model import PatternCounts, PatternProbs, pattern_probs, star_probs
+from starparadox.model import (
+    PatternCounts,
+    PatternProbs,
+    log_pattern_prob_arrays,
+    pattern_probs,
+    star_probs,
+)
 from starparadox.posterior import (
+    _EXP_ZERO,
     DegenerateEstimate,
+    _exp_inplace,
     _finish,
     _merge,
     _partials,
@@ -84,14 +95,79 @@ class TestLogKernel:
         counts = PatternCounts(8, 3, 2, 1)
         te = np.array([0.1, 0.8])
         ti = np.array([0.2, 0.05])
-        from starparadox.model import log_pattern_prob_arrays
-
         lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
         for tree in (1, 2, 3):
-            vec = kernel_log_values(counts, lp0, lp1, lp2, tree)
+            vec = kernel_log_values(counts, lp0, lp1, lp2, (tree,))[0]
             for k in range(2):
                 ref = log_likelihood_kernel(counts, pattern_probs(te[k], ti[k]), tree)
                 assert vec[k] == pytest.approx(ref, rel=1e-12)
+
+
+# branch lengths at the extremes: exactly 0 (zero pattern probabilities) or 1e-9..1e3
+_LENGTH = st.one_of(st.just(0.0), st.floats(1e-9, 1e3))
+_COUNT = st.one_of(st.just(0), st.integers(0, 2_500_000))
+
+
+class TestKernelBlock:
+    @given(
+        draws=st.lists(st.tuples(_LENGTH, _LENGTH), min_size=1, max_size=12),
+        raw=st.tuples(_COUNT, _COUNT, _COUNT, _COUNT).filter(lambda c: sum(c) > 0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_block_matches_scalar_kernel(self, draws, raw):
+        counts = PatternCounts(*raw)
+        te, ti = (np.array(v) for v in zip(*draws))
+        lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
+        block = kernel_log_values(counts, lp0, lp1, lp2, (1, 2, 3))
+        assert block.shape == (3, len(draws))
+        for k in range(len(draws)):
+            # the same log-probabilities: the same terms in the same order, bit for bit
+            same = SimpleNamespace(log_array=np.array([lp0[k], lp1[k], lp2[k], lp2[k]]))
+            exact = pattern_probs(te[k], ti[k])
+            for row, tree in enumerate((1, 2, 3)):
+                assert block[row, k] == log_likelihood_kernel(counts, same, tree)
+                ref = log_likelihood_kernel(counts, exact, tree)
+                if ref == -math.inf:
+                    assert block[row, k] == -math.inf
+                else:
+                    assert block[row, k] == pytest.approx(ref, rel=1e-6, abs=counts.n * 1e-15)
+
+    def test_impossible_draws(self):
+        # te = 0 makes P2 vanish, te = ti = 0 also P1: -inf unless those counts are zero
+        lp0, lp1, lp2 = log_pattern_prob_arrays(np.array([0.0, 0.0]), np.array([0.0, 0.5]))
+        both = kernel_log_values(PatternCounts(5, 1, 0, 0), lp0, lp1, lp2, (1, 2, 3))
+        assert both[0, 0] == -math.inf and np.isfinite(both[0, 1])
+        assert np.all(both[1:] == -math.inf)
+        only_n0 = kernel_log_values(PatternCounts(5, 0, 0, 0), lp0, lp1, lp2, (1, 2, 3))
+        assert np.all(np.isfinite(only_n0))
+
+    def test_exp_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        x = np.concatenate([
+            -rng.exponential(400.0, 20000),
+            np.linspace(-760.0, -700.0, 20001),  # across the exact-zero and subnormal edges
+            [0.0, -0.0, -math.inf, math.nan, _EXP_ZERO, np.nextafter(_EXP_ZERO, 0.0)],
+        ])
+        assert _exp_inplace(x.copy()).tobytes() == np.exp(x).tobytes()
+        assert np.exp(np.linspace(-5000.0, _EXP_ZERO, 100001)).max() == 0.0
+
+    def test_partials_per_row(self):
+        rng = np.random.default_rng(4)
+        block = rng.normal(-500.0, 600.0, (3, 4096))  # wide: many exact-zero weights
+        block[1] = -np.inf
+        block[2, ::7] = -np.inf
+        rows = _partials(block)
+        # the former one-row reduction, with a plain np.exp
+        for row, got in zip(block, rows):
+            m = float(np.max(row))
+            if m == -math.inf:
+                assert got == (-math.inf, 0.0, 0.0, 4096)
+            else:
+                a = np.exp(row - m)
+                assert got == (m, float(a.sum()), float((a * a).sum()), 4096)
+            assert _partials(row) == got
+        with pytest.raises(DegenerateEstimate):
+            _finish(rows[1])
 
 
 class _DegeneratePrior(Prior):

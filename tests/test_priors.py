@@ -91,6 +91,27 @@ class TestSampling:
         )
         assert spec.r == pytest.approx(float(oracle), rel=1e-13)
 
+    @pytest.mark.parametrize("a, b", [(0.1, 0.5), (0.05, 0.2), (0.3, 1.5), (0.2, 0.7)])
+    def test_discrete_sample_matches_two_pow_form(self, a, b):
+        # the former sampler: indices first, then a second pow for ti = idx**-a
+        spec = DiscretePrior(a, b)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            te_ref = rng.exponential(scale=0.25, size=3000)
+            idx = np.empty(3000)
+            filled = 0
+            while filled < 3000:
+                todo = 3000 - filled
+                u = rng.random(int(todo * 3.2 / max(spec.r, 1.0)) + 16)
+                j = np.ceil(u ** (-1.0 / b)) - 1.0
+                accept = rng.random(j.shape) * 3.0 <= 1.0 + 2.0 * np.exp(-4.0 * j**-a)
+                got = j[accept][:todo]
+                idx[filled : filled + got.size] = got
+                filled += got.size
+            te, ti = spec.sample(np.random.default_rng(seed), 3000)
+            assert te.tobytes() == te_ref.tobytes()
+            assert ti.tobytes() == (idx**-a).tobytes()
+
     def test_discrete_atom_law(self):
         spec = DiscretePrior(0.1, 0.5)
         for n in (1, 2, 17):
