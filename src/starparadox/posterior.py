@@ -308,13 +308,42 @@ def tree_posterior(
 # the paradox scan
 # ---------------------------------------------------------------------------
 
+# Rounding allowance of the scan's skip rule (see _losing_trees).  A kernel
+# row entry is a sum of three products count * log P with the counts summing
+# to n and |log P| <= 745 wherever it is finite (P >= 2^-1074), so it is off
+# by at most 3 ulps of n * 745 < 2.5e-13 n; the row maximum, log E[K] and the
+# log posterior carry at most one more ulp of that size each, and two trees
+# are compared: under 1.2e-12 n in all.  The log-sum-exp sums and the final
+# normalisation add under 1e-12 relative.  4e-12 n + 1e-9 covers both.
+_SKIP_MARGIN_PER_SITE = 4e-12
+_SKIP_MARGIN_FIXED = 1e-9
+
+
+def _losing_trees(log_w: np.ndarray, epsilon: float, n: int) -> tuple[int, ...]:
+    """Trees j in {2, 3} whose count n_j >= n_1 rules out a scan hit at length n.
+
+    P1 >= P2 for every draw (the log1p argument of P1 is x - 2w >= -x), so
+    n_j >= n_1 gives K_1 <= K_j draw by draw, hence E[K_1] <= E[K_j] and the
+    posterior of tree 1 is at most w_1 / (w_1 + w_j).  That bound must lie
+    below 1 - epsilon by the rounding allowance above.
+    """
+    limit = math.log1p(-epsilon) - (_SKIP_MARGIN_FIXED + _SKIP_MARGIN_PER_SITE * n)
+    return tuple(
+        j for j in (2, 3) if log_w[0] - np.logaddexp(log_w[0], log_w[j - 1]) < limit
+    )
+
+
 def _scan_chunk(prior, t, epsilon, n, n_samples, log_w, seed, n_index, chunk, n_trials):
     rng = _chunk_rng(seed, _TAG_SCAN, n_index * 1_000_003 + chunk)
     q = star_probs(t).array
+    losing = _losing_trees(log_w, epsilon, n)
     hits = 0
     for _ in range(n_trials):
-        counts = PatternCounts(*map(int, rng.multinomial(n, q)))
-        te, ti = prior.sample(rng, n_samples)
+        draw = rng.multinomial(n, q)
+        te, ti = prior.sample(rng, n_samples)  # drawn even for a skipped trial: keeps the stream
+        if any(draw[j] >= draw[1] for j in losing):
+            continue  # a certain miss
+        counts = PatternCounts(*map(int, draw))
         lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
         block = kernel_log_values(counts, lp0, lp1, lp2, (1, 2, 3))
         log_epi = np.array([_finish(p).log_mean for p in _partials(block)])
@@ -341,6 +370,15 @@ def paradox_scan(
     the star tree at edge length t and the posterior is estimated with
     ``n_samples`` prior draws per trial; the hit fraction is reported with
     a 95% Wilson interval.
+
+    A trial whose counts have n_j >= n_1 for a tree j in {2, 3} with
+    w_1 / (w_1 + w_j) below 1 - epsilon (by a rounding allowance that
+    grows with n) is counted as a miss without computing its posterior:
+    tree 1's posterior is at most w_1 / (w_1 + w_j) there.
+    Its prior draws are still made, so the random streams, and the
+    result, do not depend on the skip.  A skipped trial is not checked
+    for degeneracy: ``DegenerateEstimate`` is raised only by a trial
+    whose posterior is computed.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")

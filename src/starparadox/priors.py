@@ -37,7 +37,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaln
 
 __all__ = [
     "QuadratureError",
@@ -56,6 +55,7 @@ __all__ = [
 ]
 
 _Y_UNIT = 1.0 + 2.0 * math.exp(-4.0)  # bottom of the Si support when Ti <= 1
+_LOG_1E17 = math.log(1e17)
 
 
 class QuadratureError(RuntimeError):
@@ -508,17 +508,29 @@ class DiscretePrior(Prior):
         """Exact integral_x^inf (1 - exp(-4 u^-a)) (u^-b - (u+1)^-b) du.
 
         Expands the second factor in powers of 1/u (u >= x >> 1) and reduces
-        each term to a lower incomplete gamma by the substitution m = 4 u^-a.
+        each term to a lower incomplete gamma by the substitution m = 4 u^-a:
+        term j is 4^-p (m^p/p - gamma(p, m)) with p = (b + j)/a.  Expanding
+        gamma(p, m) = sum_k (-1)^k m^(p+k) / (k! (p+k)) and using
+        4^-p m^p = x^-(b+j) gives x^-(b+j) * -sum_{k>=1} (-m)^k / (k! (p+k)),
+        which stays in float range for every p; Gamma(p) alone overflows
+        past p ~ 171, which term j = 3 reaches for a < (b + 3)/171.
         """
         a, b = self.a, self.b
         coeff = [1.0, -(b + 1.0) / 2.0, (b + 1.0) * (b + 2.0) / 6.0,
                  -(b + 1.0) * (b + 2.0) * (b + 3.0) / 24.0]
-        m = 4.0 * x**-a
+        m = 4.0 * x**-a  # <= 4 for x >= 1: the series converges fast
         total = 0.0
         for j, c in enumerate(coeff):
             p = (b + j) / a
-            block = m**p / p - math.exp(gammaln(p)) * gammainc(p, m)
-            total += b * c * (4.0 ** (-(b + j) / a) / a) * block
+            series, power, k = 0.0, 1.0, 0
+            while True:
+                k += 1
+                power *= -m / k
+                term = power / (p + k)
+                series -= term
+                if abs(term) <= 1e-17 * abs(series):
+                    break
+            total += b * c / a * x ** -(b + j) * series
         return total
 
     def _em_f(self, x: float) -> float:
@@ -566,8 +578,8 @@ class DiscretePrior(Prior):
             return -math.inf
         if x >= 1.0:
             return 0.0
-        m0_real = x ** (-1.0 / self.a)
-        if m0_real > 1e17:
+        # m0 = x^(-1/a) is compared in log scale: it overflows for small x and a
+        if -math.log(x) / self.a > _LOG_1E17:
             # beyond exact integer arithmetic; ceil shifts the tail by O(1/m0).
             # tail(m0) = m0^-b [3 - sum_k 2 (-4)^k/k! * b/(ka+b) * x^k]
             a, b = self.a, self.b
@@ -578,7 +590,7 @@ class DiscretePrior(Prior):
                 bracket += term * b / (k * a + b)
             log_tail = math.log(bracket) + (b / a) * math.log(x)
             return log_tail - math.log(self.r)
-        m0 = math.ceil(m0_real)
+        m0 = math.ceil(x ** (-1.0 / self.a))
         return math.log(self._tail_from(m0)) - math.log(self.r)
 
     # ---- exact step section function -------------------------------------
@@ -639,7 +651,13 @@ class DiscretePrior(Prior):
         while filled < size:
             todo = size - filled
             u = rng.random(int(todo * 3.2 / max(self.r, 1.0)) + 16)
-            atoms = (np.ceil(u ** (-1.0 / self.b)) - 1.0) ** -self.a
+            with np.errstate(over="ignore"):
+                j = u ** (-1.0 / self.b)
+            atoms = (np.ceil(j) - 1.0) ** -self.a
+            # for small b, J = u^(-1/b) overflows; there J^-a = u^(a/b) to float precision
+            big = np.isinf(j)
+            if big.any():
+                atoms[big] = u[big] ** (self.a / self.b)
             accept = rng.random(atoms.shape) * 3.0 <= 1.0 + 2.0 * np.exp(-4.0 * atoms)
             got = atoms[accept][:todo]
             out[filled : filled + got.size] = got

@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,13 @@ def run_cli(*args, env_extra=None, cwd=None):
         [sys.executable, "-m", "starparadox.cli", *args],
         capture_output=True, text=True, env=env, cwd=cwd,
     )
+
+
+def run_main(*args):
+    """In-process CLI call: the exit code, without a new interpreter's start-up cost."""
+    from starparadox.cli import main
+
+    return main(list(args))
 
 
 def read_csv(path):
@@ -179,6 +187,46 @@ class TestScan:
         assert m2["prior"] == m1["prior"] == {"kind": "uniform", "params": {"theta": 1.0}}
         # the stored prior is passed straight through: nothing else lands in --out
         assert sorted(p.name for p in replayed.iterdir()) == ["manifest.json", "scan.csv"]
+
+
+class TestScanDigests:
+    """scan.csv of every catalog prior matches its frozen SHA-256, at --jobs 1 and 2.
+
+    Regenerate with ``tools/generate_fixtures.py --scan-digests`` only when a
+    change to the scan's random streams or hit decisions is intended.
+    """
+
+    FIXTURE = json.loads(
+        (Path(__file__).parent / "fixtures" / "scan_digests.json").read_text(encoding="utf-8")
+    )
+
+    @pytest.mark.parametrize("spec", sorted(FIXTURE["sha256"]))
+    def test_digests(self, tmp_path, spec):
+        for jobs, digest in sorted(self.FIXTURE["sha256"][spec].items()):
+            out = tmp_path / jobs
+            assert run_main(*self.FIXTURE["argv"], "--spec", spec, "--jobs", jobs,
+                            "--out", str(out)) == 0
+            assert hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() == digest
+
+
+class TestSmallADiscrete:
+    """Valid discrete priors with small a, where p = (b + j)/a in the tail series passes 171."""
+
+    @pytest.mark.parametrize("spec", ["discrete:0.01,0.04", "discrete:0.005,0.02"])
+    def test_prior_check(self, tmp_path, spec):
+        assert run_main("prior-check", "--spec", spec, "--t", "0.1", "--out", str(tmp_path)) == 0
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
+        assert verdict["tempered"] is True
+        assert verdict["condition1"]["alpha"] == pytest.approx(4.0, rel=1e-6)
+
+    def test_posterior_and_scan(self, tmp_path):
+        assert run_main("posterior", "--spec", "discrete:0.01,0.04", "--counts", "753,130,59,58",
+                        "--samples", "4096", "--out", str(tmp_path / "post")) == 0
+        post = json.loads((tmp_path / "post" / "posterior.json").read_text())["posterior"]
+        assert sum(post) == pytest.approx(1.0) and post[0] > 0.99
+        assert run_main("scan", "--spec", "discrete:0.01,0.04", "--t", "0.1", "--epsilon", "0.05",
+                        "--n-list", "100,1000", "--trials", "20", "--samples", "1024",
+                        "--out", str(tmp_path / "scan")) == 0
 
 
 class TestPriorCheck:

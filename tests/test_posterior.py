@@ -16,11 +16,17 @@ from starparadox.model import (
 )
 from starparadox.posterior import (
     _EXP_ZERO,
+    _TAG_SCAN,
+    TRIAL_CHUNK,
     DegenerateEstimate,
+    _chunk_rng,
     _exp_inplace,
     _finish,
+    _log_weights,
+    _losing_trees,
     _merge,
     _partials,
+    _posterior_probs,
     expected_kernel,
     kernel_log_values,
     log_likelihood_kernel,
@@ -29,7 +35,7 @@ from starparadox.posterior import (
     tree_posterior,
     wilson_interval,
 )
-from starparadox.priors import DiscretePrior, Prior, UniformPrior
+from starparadox.priors import DiscretePrior, Prior, UniformPrior, parse_prior
 
 mp.mp.dps = 40
 
@@ -352,3 +358,135 @@ class TestParadoxScan:
         r = res[0]
         lo, hi = wilson_interval(round(r.delta_hat * r.trials), r.trials)
         assert (r.ci_lo, r.ci_hi) == (lo, hi)
+
+
+CATALOG = ("tame", "uniform:1.0", "power:0.5", "logti", "tlogti", "discrete:0.1,0.5")
+
+
+def _full_path_posterior(counts, te, ti, log_w):
+    """The scan's posterior of a computed trial: kernels, reduction, normalisation."""
+    lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
+    block = kernel_log_values(counts, lp0, lp1, lp2, (1, 2, 3))
+    log_epi = np.array([_finish(p).log_mean for p in _partials(block)])
+    return _posterior_probs(log_w, log_epi)
+
+
+class TestScanSkip:
+    """A trial with n_j >= n_1 is a certain miss when w_1 / (w_1 + w_j) < 1 - epsilon."""
+
+    @given(
+        spec=st.sampled_from(CATALOG),
+        # n0 + 2 n1 + lead + nk <= 10^6
+        n1=st.integers(0, 200_000),
+        lead=st.one_of(st.just(0), st.integers(1, 20), st.integers(0, 200_000)),
+        nk=st.integers(0, 200_000),
+        n0=st.integers(0, 200_000),
+        j=st.sampled_from((2, 3)),
+        epsilon=st.floats(0.001, 0.999),
+        slack=st.one_of(st.just(1.0001), st.floats(1.0001, 1e6)),
+        wk=st.floats(1e-3, 1e3),
+        te_zero=st.sampled_from((0.0, 0.05, 0.5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_skip_rule_is_sound(self, spec, n1, lead, nk, n0, j, epsilon, slack, wk, te_zero,
+                                seed):
+        nj = n1 + lead
+        if n0 + n1 + nj + nk == 0:
+            n0 = 1
+        by_tree = {1: n1, j: nj, 5 - j: nk}
+        counts = PatternCounts(n0, by_tree[1], by_tree[2], by_tree[3])
+        assert counts.n <= 10**6
+        # w_1 / (w_1 + w_j) just below the rule's limit (slack 1.0001) or far below it
+        margin = 1e-9 + 4e-12 * counts.n
+        ratio = math.exp(math.log1p(-epsilon) - slack * margin)
+        weights = [0.0, 0.0, 0.0]
+        weights[0], weights[j - 1], weights[4 - j] = ratio, 1.0 - ratio, wk
+        log_w = _log_weights(weights)
+        assert j in _losing_trees(log_w, epsilon, counts.n)
+        rng = np.random.default_rng(seed)
+        te, ti = parse_prior(spec).sample(rng, 4096)
+        te[rng.random(te.size) < te_zero] = 0.0  # log P2 = -inf on those draws
+        te[0] = ti[0] = 1.0  # keeps every kernel row finite somewhere
+        post = _full_path_posterior(counts, te, ti, log_w)
+        assert post[0] < 1.0 - epsilon
+
+    def test_losing_trees(self):
+        equal = _log_weights((1.0, 1.0, 1.0))
+        assert _losing_trees(equal, 0.05, 10**4) == (2, 3)
+        assert _losing_trees(equal, 0.49, 10**4) == (2, 3)
+        assert _losing_trees(equal, 0.5, 10**4) == ()  # the bound 1/2 reaches 1 - epsilon
+        assert _losing_trees(equal, 0.6, 10**4) == ()
+        lopsided = _log_weights((3.0, 1.0, 9.0))
+        assert _losing_trees(lopsided, 0.05, 100) == (2, 3)
+        assert _losing_trees(lopsided, 0.3, 100) == (3,)
+        # the rounding allowance is 4e-12 n + 1e-9 in log scale
+        for n in (1, 100, 10**4, 10**6):
+            margin = 1e-9 + 4e-12 * n
+            for factor, losing in ((1.01, (2,)), (0.99, ())):
+                ratio = math.exp(math.log1p(-0.2) - factor * margin)
+                log_w = _log_weights((ratio, 1.0 - ratio, 1e-6))
+                assert _losing_trees(log_w, 0.2, n) == losing, (n, factor)
+
+    def test_only_trials_that_can_hit_are_computed(self, monkeypatch):
+        import starparadox.posterior as posterior
+
+        calls = []
+        real = posterior.log_pattern_prob_arrays
+        monkeypatch.setattr(posterior, "log_pattern_prob_arrays",
+                            lambda te, ti: calls.append(1) or real(te, ti))
+        prior, q = UniformPrior(1.0), star_probs(0.1).array
+        rng = _chunk_rng(3, _TAG_SCAN, 0)
+        leading = 0
+        for _ in range(50):
+            counts = rng.multinomial(200, q)
+            prior.sample(rng, 1024)
+            leading += int(counts[1] > max(counts[2:]))
+        paradox_scan(prior, 0.1, 0.05, [200], 50, 1024, 3)
+        assert 0 < len(calls) == leading < 50
+
+    @pytest.mark.parametrize("spec", CATALOG)
+    def test_hits_match_computing_every_trial(self, spec):
+        prior = parse_prior(spec)
+        t, n_list, trials, n_samples, seed = 0.1, [50, 400], TRIAL_CHUNK + 6, 1024, 5
+        settings_ = [(eps, w) for eps in (0.05, 0.3, 0.49, 0.6) for w in ((1, 1, 1), (3, 1, 1))]
+        q = star_probs(t).array
+        ref = {key: [0] * len(n_list) for key in settings_}
+        skipped = 0
+        for n_index, n in enumerate(n_list):
+            for chunk in range(2):
+                rng = _chunk_rng(seed, _TAG_SCAN, n_index * 1_000_003 + chunk)
+                for _ in range(min(TRIAL_CHUNK, trials - chunk * TRIAL_CHUNK)):
+                    counts = PatternCounts(*map(int, rng.multinomial(n, q)))
+                    te, ti = prior.sample(rng, n_samples)
+                    lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
+                    block = kernel_log_values(counts, lp0, lp1, lp2, (1, 2, 3))
+                    log_epi = np.array([_finish(p).log_mean for p in _partials(block)])
+                    for eps, w in settings_:
+                        hit = _posterior_probs(_log_weights(w), log_epi)[0] >= 1.0 - eps
+                        ref[eps, w][n_index] += int(hit)
+                        losing = _losing_trees(_log_weights(w), eps, n)
+                        if any(counts.array[j] >= counts.n1 for j in losing):
+                            skipped += 1
+                            assert not hit
+        assert skipped > 0
+        for eps, w in settings_:
+            rows = paradox_scan(prior, t, eps, n_list, trials, n_samples, seed, tree_weights=w)
+            assert [round(r.delta_hat * r.trials) for r in rows] == ref[eps, w], (eps, w)
+
+    def test_degenerate_trial_where_tree_1_leads_raises(self):
+        q = star_probs(0.1).array
+
+        def first_counts(seed):  # the first trial's counts at n = 100, as the scan draws them
+            return _chunk_rng(seed, _TAG_SCAN, 0).multinomial(100, q)
+
+        leads = next(s for s in range(100) if first_counts(s)[1] > max(first_counts(s)[2:]))
+        with pytest.raises(DegenerateEstimate):
+            paradox_scan(_DegeneratePrior(), 0.1, 0.05, [100], 1, 1000, leads)
+        trails = next(s for s in range(100) if first_counts(s)[1] <= max(first_counts(s)[2:]))
+        # a skipped trial is a miss with no posterior, so its degeneracy goes unseen
+        assert paradox_scan(_DegeneratePrior(), 0.1, 0.05, [100], 1, 1000, trails)[0].delta_hat == 0
+        # with no losing tree (3/4 > 1 - 0.3) the same trial is computed
+        with pytest.raises(DegenerateEstimate):
+            paradox_scan(_DegeneratePrior(), 0.1, 0.3, [100], 1, 1000, trails,
+                         tree_weights=(3.0, 1.0, 1.0))

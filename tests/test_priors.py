@@ -410,6 +410,51 @@ class TestCornerProbability:
             UniformPrior(1.0).log_q_n(-0.1, 4)
 
 
+class TestSmallADiscrete:
+    """The discrete tail machinery stays in float range for small a (large (b + j)/a)."""
+
+    @pytest.mark.parametrize("a, b", [(0.1, 0.5), (0.3, 2.0), (0.05, 0.3), (0.01, 0.04),
+                                      (0.005, 0.02), (0.002, 0.01)])
+    def test_em_integral_against_mpmath(self, a, b):
+        # the incomplete-gamma form 4^-p (m^p/p - gamma(p, m)) of each block, in 60 digits
+        for x in (2.0**20 + 1.0, 1e3):
+            with mp.workdps(60):
+                m = 4 * mp.mpf(x) ** -a
+                coeff = [1, -(b + 1) / mp.mpf(2), (b + 1) * (b + 2) / mp.mpf(6),
+                         -(b + 1) * (b + 2) * (b + 3) / mp.mpf(24)]
+                ref = 0
+                for j, c in enumerate(coeff):
+                    p = (mp.mpf(b) + j) / a
+                    ref += b * c * 4 ** (-p) / a * (m**p / p - mp.gammainc(p, 0, m))
+            got = DiscretePrior(a, b)._em_integral(x)
+            assert got == pytest.approx(float(ref), rel=1e-12), x
+
+    @pytest.mark.parametrize("a, b", [(0.01, 0.04), (0.005, 0.02)])
+    def test_log_ti_cdf_in_range(self, a, b):
+        spec = DiscretePrior(a, b)
+        xs = [0.5, 0.1, 1e-2, 1e-3, 1e-5, 1e-20, 1e-100, 1e-300]
+        vals = [spec.log_ti_cdf(x) for x in xs]
+        assert all(math.isfinite(v) for v in vals)
+        assert all(lo < hi for hi, lo in zip(vals, vals[1:]))
+        log_r = math.log(spec.r)
+        for x, v in zip(xs, vals):
+            # 1 / (r (n^(1/a) + 1)^b) <= P(Ti <= 1/n) <= 3 / (r n^(b/a)), n = 1/x, in logs
+            log_lo = -log_r + (b / a) * math.log(x) - b * math.log1p(x ** (1.0 / a))
+            log_hi = math.log(3.0) - log_r + (b / a) * math.log(x)
+            assert log_lo - 1e-12 <= v <= log_hi + 1e-12, x
+
+    @pytest.mark.filterwarnings("error")
+    def test_atoms_where_proposal_overflows(self):
+        # b = 0.004: u^(-1/b) overflows for u < 0.058, where atoms lie below 0.49;
+        # those proposals must give atoms near u^(a/b), not Ti = 0
+        spec = DiscretePrior(0.001, 0.004)
+        ti = spec._sample_atoms(np.random.default_rng(5), 100_000)
+        assert ti.min() > 0.0 and ti.max() <= 1.0
+        for x in (0.3, 0.4):
+            p = math.exp(spec.log_ti_cdf(x))
+            assert abs(np.mean(ti <= x) - p) < 5.0 * math.sqrt(p / ti.size), x
+
+
 class TestTameGeneralRates:
     def test_default_rate_quadrature_matches_closed(self):
         spec = TamePrior()

@@ -7,16 +7,27 @@ thresholds) are computed once here and frozen into
 tests/fixtures/oracle.json.  Rerunning this script reproduces the file
 bit for bit; the tests then recheck desk-scale runs against these values
 within combined Monte Carlo error.
+
+``--scan-digests`` instead writes tests/fixtures/scan_digests.json: the
+SHA-256 of ``scan.csv`` for each catalog prior at a small configuration and
+``--jobs 1`` and ``2``.  The tests recompute them, so any change to the
+scan's random streams or hit decisions shows up as a digest mismatch.
+
+    PYTHONPATH=src python tools/generate_fixtures.py [--scan-digests]
 """
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from starparadox.cli import main as cli_main
 from starparadox.claims import conditional_ratio_scan, in_band_advantage
 from starparadox.model import PatternCounts, counts_in_band
 from starparadox.moments import ConditionalZetaV, geometric_grid, threshold_scan
@@ -29,13 +40,47 @@ sys.path.insert(0, str(_ROOT / "tests"))
 from oracles import band_event_probability  # noqa: E402
 
 OUT = _ROOT / "tests" / "fixtures" / "oracle.json"
+SCAN_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "scan_digests.json"
 
 SCAN_SEED = 777001
 POSTERIOR_SEED = 777002
 CLAIM_SEED = 777003
+SCAN_DIGEST_SEED = 777004
+
+CATALOG = ("tame", "uniform:1.0", "power:0.5", "logti", "tlogti", "discrete:0.1,0.5")
+SCAN_DIGEST_ARGV = (
+    "scan", "--t", "0.1", "--epsilon", "0.05", "--n-list", "100,1000,10000",
+    "--trials", "60", "--samples", "1024", "--seed", str(SCAN_DIGEST_SEED),
+)
 
 
-def main() -> None:
+def write_scan_digests() -> None:
+    """Freeze the SHA-256 of scan.csv per catalog prior and worker count."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec in CATALOG:
+            digests[spec] = {}
+            for jobs in ("1", "2"):
+                out = Path(tmp) / f"{spec}-{jobs}"
+                code = cli_main([*SCAN_DIGEST_ARGV, "--spec", spec, "--jobs", jobs,
+                                 "--out", str(out)])
+                if code != 0:
+                    raise RuntimeError(f"scan {spec} --jobs {jobs} exited {code}")
+                digests[spec][jobs] = hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest()
+    with open(SCAN_DIGESTS_OUT, "w", encoding="utf-8") as fh:
+        json.dump({"argv": list(SCAN_DIGEST_ARGV), "sha256": digests}, fh, indent=2,
+                  sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {SCAN_DIGESTS_OUT}")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="Regenerate the frozen test fixtures.")
+    parser.add_argument("--scan-digests", action="store_true",
+                        help=f"write only {SCAN_DIGESTS_OUT.relative_to(_ROOT)}")
+    if parser.parse_args(argv).scan_digests:
+        write_scan_digests()
+        return
     prior = UniformPrior(1.0)
     fx: dict = {"prior": prior.to_dict(), "t": 0.1}
 
