@@ -24,6 +24,7 @@ environment variable STARPARADOX_SEED supplies the default seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -209,27 +210,11 @@ def _cmd_claims(args, out: Path) -> list[Path]:
         )
         for j in (2, 3)
     }
-    def claim1_dict(r):
-        return {
-            "j": r.j, "n_in": r.n_in, "n_out": r.n_out,
-            "log_mean_in": r.log_mean_in, "log_mean_out": r.log_mean_out,
-            "se_in": r.se_in, "se_out": r.se_out,
-            "log_ratio": r.log_ratio, "se_ratio": r.se_ratio,
-            "significant": r.significant,
-            "envelope_low_log": r.envelope_low_log,
-            "envelope_high_log": r.envelope_high_log,
-            "samplewise_upper_ok": r.samplewise_upper_ok,
-        }
     def claim2_dict(r):
-        return {
-            "j": r.j, "c": r.c, "z_grid": r.z_grid, "band_counts": r.band_counts,
-            "log_ratio": r.log_ratio, "se_ratio": r.se_ratio,
-            "min_log_gap": r.min_log_gap,
-            "min_ratio_over_c2": _finite(r.min_ratio_over_c2),
-            "min_ratio_over_3c2": _finite(r.min_ratio_over_3c2),
-            "min_ratio_over_4c2": _finite(r.min_ratio_over_4c2),
-            "significant": r.significant,
-        }
+        d = dataclasses.asdict(r)
+        for key in ("min_ratio_over_c2", "min_ratio_over_3c2", "min_ratio_over_4c2"):
+            d[key] = _finite(d[key])
+        return d
     path = out / "claims.json"
     _write_json(
         path,
@@ -237,7 +222,7 @@ def _cmd_claims(args, out: Path) -> list[Path]:
             "prior": args.prior.to_dict(),
             "t": args.t, "c": args.c, "n": args.n,
             "counts": counts.array.tolist(),
-            "band_advantage": {str(j): claim1_dict(r) for j, r in r1.items()},
+            "band_advantage": {str(j): dataclasses.asdict(r) for j, r in r1.items()},
             "conditional_dominance": {str(j): claim2_dict(r) for j, r in r2.items()},
         },
     )

@@ -278,38 +278,24 @@ def in_band_fc(counts: PatternCounts, c: float, t: float) -> bool:
     return inside
 
 
-def counts_in_band(
-    n: int,
-    t: float,
-    c: float,
-    d0: float | None = None,
-    d2: float | None = None,
-    d3: float | None = None,
-) -> PatternCounts:
+def counts_in_band(n: int, t: float, c: float) -> PatternCounts:
     """Construct an integer count vector with total n inside the band event.
 
-    Targets (d0, d2, d3) default to the box midpoints.  Rounding is followed
-    by a verification; n must be large enough that the box contains integer
-    points (roughly n >= (4c)^2 * 25).
+    It targets the box midpoints d0 = -c/2, d2 = d3 = -3c/2.  Rounding is
+    followed by a verification; n must be large enough that the box contains
+    integer points (roughly n >= (4c)^2 * 25).
     """
     c = float(c)
     if c <= 1.0:
         raise ValueError(f"band parameter c must be > 1, got {c!r}")
     q = star_probs(t)
     rn = math.sqrt(n)
-    d0 = -0.5 * c if d0 is None else float(d0)
-    d2 = -1.5 * c if d2 is None else float(d2)
-    d3 = -1.5 * c if d3 is None else float(d3)
-    n0 = round(q.p0 * n + d0 * rn)
+    n0 = round(q.p0 * n - 0.5 * c * rn)
     base = (n - n0) / 3.0
-    n2 = round(base + d2 * rn)
-    n3 = round(base + d3 * rn)
-    n1 = n - n0 - n2 - n3
-    counts = PatternCounts(n0, n1, n2, n3)
+    n2 = round(base - 1.5 * c * rn)
+    counts = PatternCounts(n0, n - n0 - 2 * n2, n2, n2)
     if not in_band_fc(counts, c, t):
-        raise ValueError(
-            f"could not realize band targets at n={n}; increase n or move targets"
-        )
+        raise ValueError(f"could not realize band targets at n={n}; increase n")
     return counts
 
 

@@ -203,13 +203,16 @@ def series_moment_closed(params: TailParams, t: float, sign: int) -> float:
     return total
 
 
-def series_moment_quad(params: TailParams, t: float, sign: int, epsrel: float = 1e-11) -> float:
+_MOMENT_EPSREL = 1e-11  # requested relative tolerance of the moment quadratures
+
+
+def series_moment_quad(params: TailParams, t: float, sign: int) -> float:
     """Quadrature of the same integral, for the dual-route identity check."""
     def integrand(u: float) -> float:
         v = u ** (1.0 / t)
         return float(params.series_tail(v, sign=sign))
 
-    value, err = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=epsrel, limit=300)
+    value, err = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=_MOMENT_EPSREL, limit=300)
     if err > 1e-8 * max(abs(value), 1e-12):
         raise QuadratureError("series moment quadrature did not converge", value, err)
     return value
@@ -219,7 +222,7 @@ def series_moment_quad(params: TailParams, t: float, sign: int, epsrel: float = 
 # moments of a distribution handle
 # ---------------------------------------------------------------------------
 
-def moment_mt(dist, t: float, epsrel: float = 1e-11) -> float:
+def moment_mt(dist, t: float) -> float:
     """M_t = E[V^t] = integral_0^1 t v^(t-1) P(V >= v) dv, via the substitution
     v = u^(1/t) (uniform weight, stable for large t).  Relative error <= 1e-9."""
     if t < 0.0:
@@ -230,7 +233,7 @@ def moment_mt(dist, t: float, epsrel: float = 1e-11) -> float:
     def integrand(u: float) -> float:
         return float(dist.tail(u ** (1.0 / t)))
 
-    value, err = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=epsrel, limit=400)
+    value, err = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=_MOMENT_EPSREL, limit=400)
     if err > 1e-9 * max(abs(value), 1e-300):
         raise QuadratureError("moment quadrature did not converge", value, err)
     return value

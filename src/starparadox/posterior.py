@@ -144,8 +144,12 @@ class ParadoxResult:
             raise ValueError("estimates must lie in [0, 1]")
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> tuple[float, float]:
+_Z95 = 1.959963984540054  # standard normal 97.5% quantile
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval; well behaved at 0 and 1."""
+    z = _Z95
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = successes / trials
@@ -253,14 +257,13 @@ def expected_kernel(
     tree: int,
     n_samples: int,
     seed: int,
-    jobs: int = 1,
 ) -> LogMeanResult:
-    """Monte Carlo estimate of log E[K_tree] with a log-scale standard error."""
+    """Monte Carlo estimate of log E[K_tree] with a log-scale standard error, in one process."""
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
     if tree not in (1, 2, 3):
         raise ValueError("tree index must be 1, 2 or 3")
-    totals = _accumulate_kernels(prior, counts, (tree,), n_samples, seed, jobs)
+    totals = _accumulate_kernels(prior, counts, (tree,), n_samples, seed, jobs=1)
     return _finish(totals[0])
 
 

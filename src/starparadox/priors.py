@@ -68,14 +68,14 @@ class QuadratureError(RuntimeError):
 
 
 _QUAD_LIMIT = 500  # subdivision cap; ~1e6 evaluations worst case per call
+_QUAD_EPSREL = 1e-11
 
 
-def _quad(f: Callable[[float], float], a: float, b: float, epsrel: float = 1e-11,
-          epsabs: float = 0.0) -> float:
+def _quad(f: Callable[[float], float], a: float, b: float) -> float:
     if b <= a:
         return 0.0
-    value, err = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=_QUAD_LIMIT)
-    if err > 100.0 * (epsabs + epsrel * abs(value)) and err > 1e-9 * abs(value):
+    value, err = quad(f, a, b, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT)
+    if err > 100.0 * _QUAD_EPSREL * abs(value) and err > 1e-9 * abs(value):
         raise QuadratureError("quadrature did not converge", value, err)
     return value
 
@@ -158,8 +158,12 @@ class Prior:
         z = _check_z(z)
         return 0.5 * (3.0 * min(1.0, z / self.y_min) - z)
 
-    def h(self, z: float, s: float, method: str = "auto") -> float:
+    def h(self, z: float, s: float) -> float:
         """Unnormalized section integral H(z, s); nondecreasing in s."""
+        return self._h(_check_z(z), _check_s(s))
+
+    def _h(self, z: float, s: float) -> float:
+        """H(z, s) for validated z and s, by the one route the prior's parameters pick."""
         raise NotImplementedError
 
     def h_sat(self, z: float) -> float:
@@ -170,15 +174,13 @@ class Prior:
             memo[z] = self.h(z, self.s_sat(z))
         return memo[z]
 
-    def g(self, z: float, s: float, method: str = "auto") -> float:
+    def g(self, z: float, s: float) -> float:
         """Conditional CDF G(z, s) = H(z, min(s, s_sat)) / H(z, s_sat) in [0, 1]."""
-        z = _check_z(z)
-        if s < 0.0:
-            raise ValueError("s must be >= 0")
+        h = self.h(z, s)
         denom = self.h_sat(z)
         if denom <= 0.0:
             raise ZeroDivisionError(f"H(z, s_sat) vanished at z={z!r}")
-        return min(1.0, max(0.0, self.h(z, s, method=method) / denom))
+        return min(1.0, max(0.0, h / denom))
 
 
 def _check_z(z: float) -> float:
@@ -215,32 +217,17 @@ class _ExpIndepPrior(Prior):
         ti = self._sample_ti(rng, size)
         return te, ti
 
-    def _h_quad(self, z: float, upper: float) -> float:
+    def _h(self, z: float, s: float) -> float:
+        return self._h_quad(z, s)
+
+    def _h_quad(self, z: float, s: float) -> float:
+        """H(z, s) by adaptive quadrature; the reference for closed forms in tests."""
         def integrand(xi: float) -> float:
             if xi <= 0.0:
                 return 0.0
             return self._rho(_h_aux(xi / z)) / (z - xi)
 
-        return _quad(integrand, 0.0, upper)
-
-    def h(self, z: float, s: float, method: str = "auto") -> float:
-        z = _check_z(z)
-        s = _check_s(s)
-        upper = min(s, self.s_sat(z))
-        if upper <= 0.0:
-            return 0.0
-        if method not in ("auto", "closed", "quad"):
-            raise ValueError(f"unknown method {method!r}")
-        if method in ("auto", "closed"):
-            closed = self._h_closed(z, upper)
-            if closed is not None:
-                return closed
-            if method == "closed":
-                raise NotImplementedError(f"{self.kind} has no closed-form H")
-        return self._h_quad(z, upper)
-
-    def _h_closed(self, z: float, upper: float) -> float | None:
-        return None
+        return _quad(integrand, 0.0, min(s, self.s_sat(z)))
 
 
 class UniformPrior(_ExpIndepPrior):
@@ -265,8 +252,8 @@ class UniformPrior(_ExpIndepPrior):
     def _rho(self, k):
         return 1.0
 
-    def _h_closed(self, z: float, upper: float) -> float:
-        return math.log(z / (z - upper))
+    def _h(self, z: float, s: float) -> float:
+        return math.log(z / (z - min(s, self.s_sat(z))))
 
     def _sample_ti(self, rng, size):
         return self.theta * rng.random(size)
@@ -306,7 +293,7 @@ class PowerPrior(_ExpIndepPrior):
     def _rho(self, k):
         return k ** (self.theta - 1.0)
 
-    def _h_quad(self, z: float, upper: float) -> float:
+    def _h_quad(self, z: float, s: float) -> float:
         th = self.theta
 
         def integrand(tau: float) -> float:
@@ -315,7 +302,7 @@ class PowerPrior(_ExpIndepPrior):
             xi = tau ** (1.0 / th)
             return self._rho(_h_aux(xi / z)) / (z - xi) * (1.0 / th) * tau ** (1.0 / th - 1.0)
 
-        return _quad(integrand, 0.0, upper**th)
+        return _quad(integrand, 0.0, min(s, self.s_sat(z)) ** th)
 
     def _sample_ti(self, rng, size):
         return rng.random(size) ** (1.0 / self.theta)
@@ -441,21 +428,16 @@ class TamePrior(Prior):
         return {"tempered": True, "k": 3, "alpha": 1.0, "eps": (1.0, 2.0, 3.0)}
 
     def _m(self, z: float, s: float) -> float:
+        # kept apart from s_sat: clipping s there first rounds differently
         return min(1.0, z, (2.0 * s + z) / 3.0)
 
-    def h(self, z: float, s: float, method: str = "auto") -> float:
-        z = _check_z(z)
-        s = _check_s(s)
+    def _h(self, z: float, s: float) -> float:
+        if (self.rate_e, self.rate_i) != (4.0, 4.0):
+            return self._h_quad(z, s)
         m = self._m(z, s)
-        lo = z / 3.0
-        if m <= lo:
-            return 0.0
-        if method not in ("auto", "closed", "quad"):
-            raise ValueError(f"unknown method {method!r}")
-        if method in ("auto", "closed") and self.rate_e == 4.0 and self.rate_i == 4.0:
-            return 0.5 * math.log(3.0 * m / z)
-        if method == "closed":
-            raise NotImplementedError("closed form only at rates (4, 4)")
+        return 0.5 * math.log(3.0 * m / z) if m > z / 3.0 else 0.0
+
+    def _h_quad(self, z: float, s: float) -> float:
         ee = self.rate_e / 4.0 - 1.0
         ei = self.rate_i / 4.0 - 1.0
         ce = self.rate_e / 4.0
@@ -465,7 +447,7 @@ class TamePrior(Prior):
             y = z / x
             return ce * ci * x**ee * ((y - 1.0) / 2.0) ** ei / x
 
-        return _quad(integrand, lo, m)
+        return _quad(integrand, z / 3.0, self._m(z, s))
 
 
 class DiscretePrior(Prior):
@@ -511,9 +493,9 @@ class DiscretePrior(Prior):
         each term to a lower incomplete gamma by the substitution m = 4 u^-a:
         term j is 4^-p (m^p/p - gamma(p, m)) with p = (b + j)/a.  Expanding
         gamma(p, m) = sum_k (-1)^k m^(p+k) / (k! (p+k)) and using
-        4^-p m^p = x^-(b+j) gives x^-(b+j) * -sum_{k>=1} (-m)^k / (k! (p+k)),
-        which stays in float range for every p; Gamma(p) alone overflows
-        past p ~ 171, which term j = 3 reaches for a < (b + 3)/171.
+        4^-p m^p = x^-(b+j) gives x^-(b+j) * _gamma_series(p, m), which stays
+        in float range for every p; Gamma(p) alone overflows past p ~ 171,
+        which term j = 3 reaches for a < (b + 3)/171.
         """
         a, b = self.a, self.b
         coeff = [1.0, -(b + 1.0) / 2.0, (b + 1.0) * (b + 2.0) / 6.0,
@@ -521,16 +503,7 @@ class DiscretePrior(Prior):
         m = 4.0 * x**-a  # <= 4 for x >= 1: the series converges fast
         total = 0.0
         for j, c in enumerate(coeff):
-            p = (b + j) / a
-            series, power, k = 0.0, 1.0, 0
-            while True:
-                k += 1
-                power *= -m / k
-                term = power / (p + k)
-                series -= term
-                if abs(term) <= 1e-17 * abs(series):
-                    break
-            total += b * c / a * x ** -(b + j) * series
+            total += b * c / a * x ** -(b + j) * _gamma_series((b + j) / a, m)
         return total
 
     def _em_f(self, x: float) -> float:
@@ -581,14 +554,10 @@ class DiscretePrior(Prior):
         # m0 = x^(-1/a) is compared in log scale: it overflows for small x and a
         if -math.log(x) / self.a > _LOG_1E17:
             # beyond exact integer arithmetic; ceil shifts the tail by O(1/m0).
-            # tail(m0) = m0^-b [3 - sum_k 2 (-4)^k/k! * b/(ka+b) * x^k]
-            a, b = self.a, self.b
-            bracket = 3.0
-            term = 2.0
-            for k in range(1, 7):
-                term *= -4.0 * x / k
-                bracket += term * b / (k * a + b)
-            log_tail = math.log(bracket) + (b / a) * math.log(x)
+            # The tail is the integral m0^-b [3 + 2 sum_k (-4x)^k/k! * p/(k + p)],
+            # p = b/a, m0^-b = x^p, and the sum is -p * S(p, 4x)
+            p = self.b / self.a
+            log_tail = math.log(3.0 - 2.0 * p * _gamma_series(p, 4.0 * x)) + p * math.log(x)
             return log_tail - math.log(self.r)
         m0 = math.ceil(x ** (-1.0 / self.a))
         return math.log(self._tail_from(m0)) - math.log(self.r)
@@ -626,9 +595,7 @@ class DiscretePrior(Prior):
         z = _check_z(z)
         return 0.5 * (3.0 - z)
 
-    def h(self, z: float, s: float, method: str = "auto") -> float:
-        z = _check_z(z)
-        s = _check_s(s)
+    def _h(self, z: float, s: float) -> float:
         if s == 0.0:
             return 0.0
         s = min(s, self.s_sat(z))
@@ -667,6 +634,22 @@ class DiscretePrior(Prior):
     def sample(self, rng, size):
         te = rng.exponential(scale=0.25, size=size)
         return te, self._sample_atoms(rng, size)
+
+
+def _gamma_series(p: float, m: float) -> float:
+    """S(p, m) = -sum_{k>=1} (-m)^k / (k! (p + k)), summed to convergence.
+
+    Equals m^-p * integral_0^m t^(p-1) (1 - e^-t) dt, so it is positive and
+    stays in float range for every p > 0, where Gamma(p) alone overflows.
+    """
+    series, power, k = 0.0, 1.0, 0
+    while True:
+        k += 1
+        power *= -m / k
+        term = power / (p + k)
+        series -= term
+        if abs(term) <= 1e-17 * abs(series):
+            return series
 
 
 @functools.lru_cache(maxsize=4)

@@ -49,6 +49,9 @@ __all__ = [
 
 #: fraction u0 of inf I_t used for the expansion radius s0
 S0_FRACTION = 0.05
+#: the geometric s-grid spans this many decades below s0, at 14 points per decade
+_S_DECADES = 4
+_S_PER_DECADE = 14
 
 _LADDERS: tuple[tuple[str, tuple[float, ...]], ...] = (
     ("integer", (1.0, 2.0, 3.0)),
@@ -149,11 +152,10 @@ def default_z_grid(t: float, points: int = 5) -> np.ndarray:
     return np.linspace(iv.lo + pad, iv.hi - pad, points)
 
 
-def default_s_grid(t: float, decades: float = 4.0, per_decade: int = 14) -> np.ndarray:
-    """Geometric s-grid on (s0 * 10^-decades, s0] with s0 = u0 * inf I_t."""
+def default_s_grid(t: float) -> np.ndarray:
+    """Geometric s-grid on [s0 * 10^-4, s0] with s0 = u0 * inf I_t."""
     s0 = S0_FRACTION * band_interval(t).lo
-    npts = int(round(decades * per_decade)) + 1
-    return s0 * 10.0 ** np.linspace(-decades, 0.0, npts)
+    return s0 * 10.0 ** np.linspace(-_S_DECADES, 0.0, _S_DECADES * _S_PER_DECADE + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,19 +239,15 @@ def _log_diagnostic(p: float) -> str:
     return f"{power}·log s"
 
 
-def fit_taylor(
-    spec: Prior,
-    z_grid: np.ndarray,
-    s_grid: np.ndarray,
-    rel_tol: float | None = None,
-) -> TaylorModel | ExpansionViolation:
+def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorModel | ExpansionViolation:
     """Fit the small-s expansion of G(z, .) or report why none exists.
 
     z_grid must lie inside the band interval; s_grid must be geometric and
     span at least four decades.  The winning ladder (guard term included in
     the basis) must pass the residual shrink test of :func:`_guard_valid`
-    on every z; otherwise a local model contest decides whether a log term
-    is responsible and supplies the diagnostic.
+    on every z, at the prior's ``g_accuracy``; otherwise a local model
+    contest decides whether a log term is responsible and supplies the
+    diagnostic.
     """
     z_grid = np.asarray(z_grid, dtype=float)
     s_grid = np.sort(np.asarray(s_grid, dtype=float))
@@ -258,7 +256,7 @@ def fit_taylor(
     decades = math.log10(s_grid[-1] / s_grid[0])
     if decades < 4.0 - 1e-9:
         raise ValueError(f"s_grid spans {decades:.2f} decades; need >= 4")
-    tol = spec.g_accuracy if rel_tol is None else rel_tol
+    tol = spec.g_accuracy
 
     G = np.array([[spec.g(z, s) for s in s_grid] for z in z_grid])
     if np.any(G <= 0.0):
@@ -391,30 +389,24 @@ def _kappa_bound(s, G, alpha_per_z, coeffs, guards, eps, tol, full_resid) -> flo
 
 
 def _free_ladder(s_grid, G, x, logG) -> tuple[float, ...] | None:
-    """Two-parameter ladder (eta, 2 eta, ...) chosen by scanning eta."""
+    """Two-parameter ladder (eta, 2 eta, ..., k eta) chosen by scanning eta.
+
+    k = floor(2/eta) + 1 makes k eta the guard order, the first multiple
+    past 2; :class:`TaylorModel` rejects a ladder where rounding breaks that.
+    """
     iz = len(logG) // 2
     alpha0 = _leading_slope(x, logG[iz])
-    best_eta, best_sse = None, math.inf
+    best_eps, best_sse = None, math.inf
     for eta in np.linspace(0.4, 1.6, 25):
-        k = int(math.floor(2.0 / eta)) + 1
-        eps = tuple(eta * j for j in range(1, k + 1))
-        if not (eps[-2] <= 2.0 < eps[-1] if len(eps) >= 2 else False):
-            # guarantee the guard order exceeds 2
-            eps = eps[:-1] + (max(eps[-1], 2.0 + eta),)
+        eps = tuple(eta * j for j in range(1, int(math.floor(2.0 / eta)) + 2))
         try:
             _, _, resid = _ladder_fit(s_grid, G[iz], eps, alpha0)
         except np.linalg.LinAlgError:
             continue
         sse = float(resid @ resid)
         if sse < best_sse:
-            best_sse, best_eta = sse, eta
-    if best_eta is None:
-        return None
-    k = int(math.floor(2.0 / best_eta)) + 1
-    eps = tuple(best_eta * j for j in range(1, k + 1))
-    if eps[-1] <= 2.0:
-        eps = eps + (2.0 + best_eta,)
-    return eps
+            best_sse, best_eps = sse, eps
+    return best_eps
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +444,10 @@ def check_condition2(spec: Prior, t: float, n_grid: np.ndarray | None = None) ->
 # combined verdict
 # ---------------------------------------------------------------------------
 
-def check_tempered(
-    spec: Prior,
-    t: float,
-    z_points: int = 5,
-    s_decades: float = 4.0,
-    n_grid: np.ndarray | None = None,
-) -> TemperVerdict:
+def check_tempered(spec: Prior, t: float) -> TemperVerdict:
     """Run both tempered-prior conditions at star edge length t."""
     if t <= 0.0:
         raise ValueError("t must be > 0")
-    cond1 = fit_taylor(spec, default_z_grid(t, z_points), default_s_grid(t, s_decades))
-    cond2 = check_condition2(spec, t, n_grid)
+    cond1 = fit_taylor(spec, default_z_grid(t), default_s_grid(t))
+    cond2 = check_condition2(spec, t)
     return TemperVerdict(cond1, cond2)

@@ -194,7 +194,7 @@ class TestBandEvent:
 
     def test_midpoint_targets(self):
         t, c, n = 0.1, 1.5, 10**4
-        counts = counts_in_band(n, t, c, d0=-c / 2, d2=-1.5 * c, d3=-1.5 * c)
+        counts = counts_in_band(n, t, c)
         d = delta_stats(counts, t)
         assert d.d1 == pytest.approx(3 * c, abs=0.1)
 

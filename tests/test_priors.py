@@ -131,8 +131,8 @@ class TestHFunction:
         spec = UniformPrior(1.0)
         for z in (1.5, 2.0, 2.6):
             for s in (1e-4, 0.05, 0.15):
-                closed = spec.h(z, s, method="closed")
-                quadv = spec.h(z, s, method="quad")
+                closed = spec.h(z, s)
+                quadv = spec._h_quad(z, min(s, spec.s_sat(z)))
                 assert quadv == pytest.approx(closed, rel=1e-8)
 
     def test_discrete_matches_brute_force_scan(self):
@@ -443,6 +443,24 @@ class TestSmallADiscrete:
             log_hi = math.log(3.0) - log_r + (b / a) * math.log(x)
             assert log_lo - 1e-12 <= v <= log_hi + 1e-12, x
 
+    def test_log_ti_cdf_near_one(self):
+        # where m0 = x^(-1/a) > 1e17 the tail is the integral
+        # x^p (1 + 2 p m^-p gamma(p, m)), m = 4x, p = b/a; at 4x ~ 3 a six-term
+        # expansion of exp(-4x) once gave P(Ti <= 0.9) = 1.145 here
+        spec = DiscretePrior(0.001, 0.004)
+        xs = np.linspace(0.005, 0.999, 200)
+        vals = [spec.log_ti_cdf(x) for x in xs]
+        assert all(v <= 0.0 for v in vals)
+        assert all(lo <= hi for lo, hi in zip(vals, vals[1:]))
+        p, log_r = spec.b / spec.a, math.log(spec.r)
+        on_series = [x for x in xs if -math.log(x) / spec.a > math.log(1e17)]
+        assert len(on_series) > 150
+        for x in on_series:
+            with mp.workdps(40):
+                m = 4 * mp.mpf(x)
+                ref = mp.log(1 + 2 * p * m**-p * mp.gammainc(p, 0, m)) + p * mp.log(x)
+            assert spec.log_ti_cdf(x) == pytest.approx(float(ref) - log_r, abs=1e-12), x
+
     @pytest.mark.filterwarnings("error")
     def test_atoms_where_proposal_overflows(self):
         # b = 0.004: u^(-1/b) overflows for u < 0.058, where atoms lie below 0.49;
@@ -460,14 +478,10 @@ class TestTameGeneralRates:
         spec = TamePrior()
         for z in (1.5, 2.3):
             for s in (0.01, 0.2):
-                assert spec.h(z, s, method="quad") == pytest.approx(
-                    spec.h(z, s, method="closed"), rel=1e-9
-                )
+                assert spec._h_quad(z, s) == pytest.approx(spec.h(z, s), rel=1e-9)
 
     def test_non_default_rates_behave(self):
         spec = TamePrior(rate_e=4.0, rate_i=2.0)
-        with pytest.raises(NotImplementedError):
-            spec.h(2.0, 0.1, method="closed")
         vals = [spec.g(2.0, s) for s in (0.0, 0.05, 0.2, 0.5, 1.0)]
         assert vals[0] == 0.0 and vals[-1] == 1.0
         assert all(b >= a for a, b in zip(vals, vals[1:]))
