@@ -54,7 +54,6 @@ from .posterior import (
     LogMeanResult,
     ParadoxResult,
     PosteriorEstimate,
-    expected_kernel,
     log_likelihood_kernel,
     paradox_scan,
     simulate_counts,

@@ -36,7 +36,6 @@ __all__ = [
     "simulate_counts",
     "log_likelihood_kernel",
     "kernel_log_values",
-    "expected_kernel",
     "tree_posterior",
     "paradox_scan",
     "wilson_interval",
@@ -234,37 +233,11 @@ def _run_chunks(fn, fixed: tuple, total: int, chunk: int, jobs: int, chunksize: 
     return [fn(*a) for a in args]
 
 
-def _kernel_chunk(prior: Prior, counts: PatternCounts, trees, seed: int, index: int, size: int):
+def _kernel_chunk(prior: Prior, counts: PatternCounts, seed: int, index: int, size: int):
     rng = _chunk_rng(seed, _TAG_KERNEL, index)
     te, ti = prior.sample(rng, size)
     lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
-    return _partials(kernel_log_values(counts, lp0, lp1, lp2, trees))
-
-
-def _accumulate_kernels(prior, counts, trees, n_samples, seed, jobs):
-    results = _run_chunks(
-        _kernel_chunk, (prior, counts, trees, seed), n_samples, DRAW_CHUNK, jobs, chunksize=4
-    )
-    totals = results[0]
-    for part in results[1:]:
-        totals = [_merge(a, b) for a, b in zip(totals, part)]
-    return totals
-
-
-def expected_kernel(
-    prior: Prior,
-    counts: PatternCounts,
-    tree: int,
-    n_samples: int,
-    seed: int,
-) -> LogMeanResult:
-    """Monte Carlo estimate of log E[K_tree] with a log-scale standard error, in one process."""
-    if n_samples < 1000:
-        raise ValueError("n_samples must be >= 1000")
-    if tree not in (1, 2, 3):
-        raise ValueError("tree index must be 1, 2 or 3")
-    totals = _accumulate_kernels(prior, counts, (tree,), n_samples, seed, jobs=1)
-    return _finish(totals[0])
+    return _partials(kernel_log_values(counts, lp0, lp1, lp2, (1, 2, 3)))
 
 
 def _log_weights(tree_weights) -> np.ndarray:
@@ -299,7 +272,12 @@ def tree_posterior(
     log_w = _log_weights(tree_weights)
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
-    totals = _accumulate_kernels(prior, counts, (1, 2, 3), n_samples, seed, jobs)
+    parts = _run_chunks(
+        _kernel_chunk, (prior, counts, seed), n_samples, DRAW_CHUNK, jobs, chunksize=4
+    )
+    totals = parts[0]
+    for part in parts[1:]:
+        totals = [_merge(a, b) for a, b in zip(totals, part)]
     results = [_finish(p) for p in totals]
     log_epi = np.array([r.log_mean for r in results])
     stderr = np.array([r.stderr for r in results])

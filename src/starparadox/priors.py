@@ -253,7 +253,13 @@ class UniformPrior(_ExpIndepPrior):
         return 1.0
 
     def _h(self, z: float, s: float) -> float:
-        return math.log(z / (z - min(s, self.s_sat(z))))
+        s_sat = self.s_sat(z)
+        if s >= s_sat and (z <= 1.0 or z < self.y_min):
+            # log(z / (z - s_sat)) in closed form: the subtraction z - s_sat =
+            # 3 z exp(-4 theta) / y_min cancels, to 0 or below once y_min
+            # rounds to 1 (theta >= 9.5)
+            return 4.0 * self.theta + math.log1p(2.0 * math.exp(-4.0 * self.theta)) - math.log(3.0)
+        return math.log(z / (z - min(s, s_sat)))
 
     def _sample_ti(self, rng, size):
         return self.theta * rng.random(size)

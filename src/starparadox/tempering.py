@@ -14,11 +14,12 @@ A prior is *tempered* when two things hold:
 2. The corner probability Q_n(t) = P(Ti <= 1/n, t <= Te <= t + 1/n) decays
    subexponentially: log Q_n(t) / n -> 0.
 
-Condition 1 is checked by fitting candidate exponent ladders to G sampled
-on a geometric s-grid and demanding window stability: refitting with the
-grid top reduced must leave the fitted leading exponent unchanged and
-shrink the residual like a beyond-guard power.  Log-contaminated
-expansions (terms like s^j * log s, which no power ladder can absorb)
+Condition 1 is checked by fitting the one ladder eps = (0, 1, 2, 3) (every
+catalog prior has G = s^alpha times a power series in s, or log terms no
+ladder fits) to G sampled on a geometric s-grid below saturation, and by
+demanding window stability: refitting with the grid top reduced must leave
+the fitted leading exponent unchanged and shrink the residual like a
+beyond-guard power.  Log-contaminated expansions (terms like s^j * log s)
 drag the exponent by ~1/log s instead and are reported with a diagnostic
 obtained from an explicit model contest.  Condition 2 is checked in log
 scale on a doubling n-grid, so nothing underflows.
@@ -53,10 +54,10 @@ S0_FRACTION = 0.05
 _S_DECADES = 4
 _S_PER_DECADE = 14
 
-_LADDERS: tuple[tuple[str, tuple[float, ...]], ...] = (
-    ("integer", (1.0, 2.0, 3.0)),
-    ("half-integer", (0.5, 1.0, 1.5, 2.0, 2.5)),
-)
+#: the one exponent ladder eps_0..eps_k; its last entry is the guard order
+_EPS = (0.0, 1.0, 2.0, 3.0)
+#: the fitted alpha stays within half a ladder step of the log-slope
+_ALPHA_SPAN = 0.5
 
 
 @dataclass(frozen=True)
@@ -167,14 +168,14 @@ def _leading_slope(x: np.ndarray, L: np.ndarray, count: int = 15) -> float:
     return float(sl)
 
 
-def _ladder_fit(s: np.ndarray, G: np.ndarray, eps: tuple[float, ...], alpha0: float):
+def _ladder_fit(s: np.ndarray, G: np.ndarray, alpha0: float):
     """Least squares fit of G ~ sum_i F_i s^(alpha+eps_i) in relative units.
 
-    eps includes the guard exponent as its last entry; alpha is refined by a
-    bounded scalar minimization around alpha0.  Returns (alpha, coeffs,
-    rel_residuals) where rel_residuals = (G - model)/G.
+    The basis includes the guard order; alpha is refined by a bounded
+    scalar minimization over alpha0 +- _ALPHA_SPAN.  Returns (alpha,
+    coeffs, rel_residuals) where rel_residuals = (G - model)/G.
     """
-    eps_arr = np.asarray((0.0,) + tuple(eps))
+    eps_arr = np.asarray(_EPS)
     target = np.ones_like(G)
 
     def solve(alpha: float):
@@ -187,9 +188,8 @@ def _ladder_fit(s: np.ndarray, G: np.ndarray, eps: tuple[float, ...], alpha0: fl
         _, resid = solve(alpha)
         return float(resid @ resid)
 
-    span = max(0.5, 0.2 * abs(alpha0))
     res = minimize_scalar(
-        sse, bounds=(max(1e-3, alpha0 - span), alpha0 + span), method="bounded",
+        sse, bounds=(max(1e-3, alpha0 - _ALPHA_SPAN), alpha0 + _ALPHA_SPAN), method="bounded",
         options={"xatol": 1e-13, "maxiter": 500},
     )
     alpha = float(res.x)
@@ -242,12 +242,13 @@ def _log_diagnostic(p: float) -> str:
 def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorModel | ExpansionViolation:
     """Fit the small-s expansion of G(z, .) or report why none exists.
 
-    z_grid must lie inside the band interval; s_grid must be geometric and
-    span at least four decades.  The winning ladder (guard term included in
-    the basis) must pass the residual shrink test of :func:`_guard_valid`
-    on every z, at the prior's ``g_accuracy``; otherwise a local model
-    contest decides whether a log term is responsible and supplies the
-    diagnostic.
+    z_grid must lie inside the band interval; s_grid must be geometric,
+    span at least four decades and stay below saturation.  At each z the
+    integer ladder, guard term included in the basis, is fitted with alpha
+    within 0.5 of the log-slope; it must pass the stability tests of
+    :func:`_guard_valid` on every z, at the prior's ``g_accuracy``.
+    Otherwise a local model contest decides whether a log term is
+    responsible and supplies the diagnostic.
     """
     z_grid = np.asarray(z_grid, dtype=float)
     s_grid = np.sort(np.asarray(s_grid, dtype=float))
@@ -264,49 +265,33 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
     x = np.log(s_grid)
     logG = np.log(G)
 
-    # candidate ladders, each fitted per z
-    candidates = list(_LADDERS) + [("free", None)]
-    best = None
-    for name, eps in candidates:
-        if eps is None:
-            eps = _free_ladder(s_grid, G, x, logG)
-            if eps is None:
-                continue
-        fits = []
-        ok = True
-        for iz in range(len(z_grid)):
-            alpha0 = _leading_slope(x, logG[iz])
-            alpha, coef, resid = _ladder_fit(s_grid, G[iz], eps, alpha0)
-            fits.append((alpha, coef, resid))
-            if not _guard_valid(s_grid, G[iz], eps, alpha, alpha0, resid, tol):
-                ok = False
-                break
-        if not ok:
-            continue
-        score = max(float(np.max(np.abs(r))) for _, _, r in fits)
-        if best is None or score < 0.05 * best[0]:
-            best = (score, name, eps, fits)
-    if best is not None:
-        score, name, eps, fits = best
+    fits = []
+    for iz in range(len(z_grid)):
+        alpha0 = _leading_slope(x, logG[iz])
+        alpha, coef, resid = _ladder_fit(s_grid, G[iz], alpha0)
+        if not _guard_valid(s_grid, G[iz], alpha, alpha0, resid, tol):
+            break
+        fits.append((alpha, coef, resid))
+    else:
         alpha_per_z = np.array([f[0] for f in fits])
         coeffs = np.array([f[1][:-1] for f in fits])
         guards = np.array([f[1][-1] for f in fits])
-        alpha = float(np.median(alpha_per_z))
-        kappa = _kappa_bound(s_grid, G, alpha_per_z, coeffs, guards, eps, tol, score)
+        score = max(float(np.max(np.abs(f[2]))) for f in fits)
+        kappa = _kappa_bound(s_grid, G, alpha_per_z, coeffs, guards, tol, score)
         return TaylorModel(
-            alpha=alpha,
-            eps=(0.0,) + tuple(eps),
+            alpha=float(np.median(alpha_per_z)),
+            eps=_EPS,
             z_grid=z_grid,
             s0=float(s_grid[-1]),
             coeffs=coeffs,
             guard_coeffs=guards,
             kappa=kappa,
             alpha_per_z=alpha_per_z,
-            ladder=name,
+            ladder="integer",
             max_rel_residual=score,
         )
 
-    # no ladder passed: run the model contest on the small end for a diagnostic
+    # the ladder failed: run the model contest on the small end for a diagnostic
     win = s_grid <= s_grid[0] * 10.0**2.5
     votes_log, p_vals, details = 0, [], []
     for iz in range(len(z_grid)):
@@ -339,7 +324,7 @@ _ALPHA_DRIFT_TOL = 3e-4    # allowed drift of the fitted exponent under capping
 _GROSS_MISFIT = 0.05       # a ladder that misses by >5% is no expansion at all
 
 
-def _guard_valid(s, G, eps, alpha_full, alpha0, resid_full, tol) -> bool:
+def _guard_valid(s, G, alpha_full, alpha0, resid_full, tol) -> bool:
     """Accept a ladder only if it behaves like a genuine power expansion.
 
     Two window-stability properties separate power series from log
@@ -353,9 +338,9 @@ def _guard_valid(s, G, eps, alpha_full, alpha0, resid_full, tol) -> bool:
     if r_full > _GROSS_MISFIT:
         return False
     cap = s <= s[-1] / _SHRINK_CAP
-    if np.count_nonzero(cap) < len(eps) + 5:
+    if np.count_nonzero(cap) < len(_EPS) + 4:
         return False
-    alpha_cap, _, resid_cap = _ladder_fit(s[cap], G[cap], eps, alpha0)
+    alpha_cap, _, resid_cap = _ladder_fit(s[cap], G[cap], alpha0)
     if abs(alpha_cap - alpha_full) > _ALPHA_DRIFT_TOL:
         return False
     floor = max(_NOISE_FACTOR * tol, _ABS_FLOOR)
@@ -365,14 +350,14 @@ def _guard_valid(s, G, eps, alpha_full, alpha0, resid_full, tol) -> bool:
     return r_cap <= max(r_full / _SHRINK_GAIN, floor)
 
 
-def _kappa_bound(s, G, alpha_per_z, coeffs, guards, eps, tol, full_resid) -> float:
+def _kappa_bound(s, G, alpha_per_z, coeffs, guards, tol, full_resid) -> float:
     """Certified remainder constant for |G - sum_{i<k} F_i s^(alpha+eps_i)|.
 
     Measured as sup |r_k| / s^(alpha+eps_k) over the points where the guard
     term stands above the fit-noise floor; at the remaining (small-s)
     points the bound kappa s^(alpha+eps_k) + noise-band is verified instead.
     """
-    eps_arr = np.asarray((0.0,) + tuple(eps))
+    eps_arr = np.asarray(_EPS)
     band = (100.0 * tol + 3.0 * full_resid)
     worst = 0.0
     for iz in range(len(alpha_per_z)):
@@ -386,27 +371,6 @@ def _kappa_bound(s, G, alpha_per_z, coeffs, guards, eps, tol, full_resid) -> flo
             worst = max(worst, float(np.max(r[trusted] / guard_scale[trusted])))
         worst = max(worst, abs(float(guards[iz])))
     return worst
-
-
-def _free_ladder(s_grid, G, x, logG) -> tuple[float, ...] | None:
-    """Two-parameter ladder (eta, 2 eta, ..., k eta) chosen by scanning eta.
-
-    k = floor(2/eta) + 1 makes k eta the guard order, the first multiple
-    past 2; :class:`TaylorModel` rejects a ladder where rounding breaks that.
-    """
-    iz = len(logG) // 2
-    alpha0 = _leading_slope(x, logG[iz])
-    best_eps, best_sse = None, math.inf
-    for eta in np.linspace(0.4, 1.6, 25):
-        eps = tuple(eta * j for j in range(1, int(math.floor(2.0 / eta)) + 2))
-        try:
-            _, _, resid = _ladder_fit(s_grid, G[iz], eps, alpha0)
-        except np.linalg.LinAlgError:
-            continue
-        sse = float(resid @ resid)
-        if sse < best_sse:
-            best_sse, best_eps = sse, eps
-    return best_eps
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +409,14 @@ def check_condition2(spec: Prior, t: float, n_grid: np.ndarray | None = None) ->
 # ---------------------------------------------------------------------------
 
 def check_tempered(spec: Prior, t: float) -> TemperVerdict:
-    """Run both tempered-prior conditions at star edge length t."""
+    """Run both tempered-prior conditions at star edge length t.
+
+    The s-grid tops out at most at half the smallest s_sat(z): above it G = 1.
+    """
     if t <= 0.0:
         raise ValueError("t must be > 0")
-    cond1 = fit_taylor(spec, default_z_grid(t), default_s_grid(t))
+    z_grid, s_grid = default_z_grid(t), default_s_grid(t)
+    scale = min(1.0, 0.5 * min(spec.s_sat(z) for z in z_grid) / s_grid[-1])
+    cond1 = fit_taylor(spec, z_grid, scale * s_grid)
     cond2 = check_condition2(spec, t)
     return TemperVerdict(cond1, cond2)

@@ -243,6 +243,12 @@ class TestPriorCheck:
         assert r.returncode == 2, r.stderr
         assert "t=100.0" in r.stderr
 
+    def test_uniform_large_theta_tempered(self, tmp_path):
+        # y_min = 1 + 2 exp(-80) rounds to 1: the saturated H must not cancel
+        assert run_main("prior-check", "--spec", "uniform:20", "--t", "0.5",
+                        "--out", str(tmp_path)) == 0
+        assert json.loads((tmp_path / "verdict.json").read_text())["tempered"] is True
+
     def test_logti_not_tempered(self, tmp_path):
         r = run_cli("prior-check", "--spec", "logti", "--t", "0.1", "--out", str(tmp_path))
         assert r.returncode == 0, r.stderr

@@ -27,7 +27,6 @@ from starparadox.posterior import (
     _merge,
     _partials,
     _posterior_probs,
-    expected_kernel,
     kernel_log_values,
     log_likelihood_kernel,
     paradox_scan,
@@ -184,11 +183,18 @@ class _DegeneratePrior(Prior):
 
 
 class TestExpectedKernel:
+    """Per-tree log E[K] estimates, read from the matching row of tree_posterior."""
+
+    @staticmethod
+    def _row(prior, counts, tree, n_samples, seed):
+        est = tree_posterior(prior, counts, (1.0, 1.0, 1.0), n_samples, seed)
+        return SimpleNamespace(log_mean=est.log_epi[tree - 1], stderr=est.stderr[tree - 1])
+
     def test_single_pattern_against_quadrature(self):
         # E[K] for counts (1,0,0,0) is E[P0]; closed form for the uniform prior
         prior = UniformPrior(1.0)
         counts = PatternCounts(1, 0, 0, 0)
-        est = expected_kernel(prior, counts, 1, 10**5, 31)
+        est = self._row(prior, counts, 1, 10**5, 31)
         e_se = 0.5  # E[exp(-4 Te)], Te ~ Exp(4)
         e_si = (1 - math.exp(-4.0)) / 4.0  # E[exp(-4 Ti)], Ti ~ U[0,1]
         expected = (1 + e_se + 2 * e_se * e_si) / 4.0
@@ -197,15 +203,15 @@ class TestExpectedKernel:
     def test_symmetric_counts_equal_estimates(self):
         prior = UniformPrior(1.0)
         counts = PatternCounts(700, 100, 100, 100)
-        vals = [expected_kernel(prior, counts, tr, 5000, 8).log_mean for tr in (1, 2, 3)]
+        vals = [self._row(prior, counts, tr, 5000, 8).log_mean for tr in (1, 2, 3)]
         assert vals[0] == vals[1] == vals[2]
 
     def test_stderr_scaling_with_samples(self):
         prior = UniformPrior(1.0)
         counts = PatternCounts(753, 130, 59, 58)
         ratios = [
-            expected_kernel(prior, counts, 1, 20000, 1000 + r).stderr
-            / expected_kernel(prior, counts, 1, 40000, 5000 + r).stderr
+            self._row(prior, counts, 1, 20000, 1000 + r).stderr
+            / self._row(prior, counts, 1, 40000, 5000 + r).stderr
             for r in range(20)
         ]
         assert 1.3 <= float(np.mean(ratios)) <= 1.55
@@ -213,11 +219,11 @@ class TestExpectedKernel:
     def test_degenerate_reported(self):
         counts = PatternCounts(1, 1, 0, 0)  # p1 = 0 at te = ti = 0
         with pytest.raises(DegenerateEstimate):
-            expected_kernel(_DegeneratePrior(), counts, 1, 2000, 3)
+            self._row(_DegeneratePrior(), counts, 1, 2000, 3)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
-            expected_kernel(UniformPrior(1.0), PatternCounts(1, 0, 0, 0), 1, 10, 0)
+            self._row(UniformPrior(1.0), PatternCounts(1, 0, 0, 0), 1, 10, 0)
 
 
 class TestTreePosterior:
@@ -284,9 +290,6 @@ class TestTreePosterior:
         est = tree_posterior(UniformPrior(1.0), counts, (1.0, 1.0, 1.0), 20000, 3)
         assert est.ess.shape == (3,)
         assert np.all((est.ess >= 1.0) & (est.ess <= 20000))
-        for tree in (1, 2, 3):
-            single = expected_kernel(UniformPrior(1.0), counts, tree, 20000, 3)
-            assert single.ess == est.ess[tree - 1]
 
 
 class TestEffectiveSampleSize:

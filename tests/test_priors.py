@@ -135,6 +135,18 @@ class TestHFunction:
                 quadv = spec._h_quad(z, min(s, spec.s_sat(z)))
                 assert quadv == pytest.approx(closed, rel=1e-8)
 
+    @pytest.mark.parametrize("theta", [1.0, 9.5, 20.0])
+    def test_uniform_saturated_closed_value(self, theta):
+        # H(z, s_sat) = log(z / (z - s_sat)) = 4 theta + log(y_min) - log 3 for z < y_min
+        spec = UniformPrior(theta)
+        closed = 4.0 * theta + math.log1p(2.0 * math.exp(-4.0 * theta)) - math.log(3.0)
+        for z in (0.3, 0.7, 0.99, 1.0):
+            s_sat = spec.s_sat(z)
+            assert spec.h(z, s_sat) == pytest.approx(closed, rel=1e-14)
+            assert spec.h(z, 2.0 * s_sat) == pytest.approx(closed, rel=1e-14)
+            if theta == 1.0:
+                assert spec.h(z, s_sat) == pytest.approx(math.log(z / (z - s_sat)), rel=1e-13)
+
     def test_discrete_matches_brute_force_scan(self):
         spec = DiscretePrior(0.3, 0.95)
         rng = np.random.default_rng(9)

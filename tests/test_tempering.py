@@ -176,6 +176,12 @@ class TestCheckTempered:
         assert v.tempered
         assert v.condition1.alpha == pytest.approx(5.0, rel=0.02)
 
+    def test_discrete_large_alpha_not_one_step_low(self):
+        # b/a = 10: a search wider than the ladder step found alpha = 9 with F_0 = 0
+        v = check_tempered(DiscretePrior(0.2, 2.0), 0.1)
+        assert v.tempered
+        assert v.condition1.alpha == pytest.approx(10.0, rel=0.02)
+
     def test_summary_shape(self):
         s = check_tempered(UniformPrior(1.0), 0.1).summary()
         assert s["tempered"] is True
@@ -198,14 +204,18 @@ class TestDeclaredMetadata:
     """Fitted verdicts must agree with the declared catalog metadata."""
 
     @pytest.mark.parametrize(
-        "spec",
-        [TamePrior(), UniformPrior(1.0), PowerPrior(0.5), DiscretePrior(0.1, 0.5),
-         LogPrior(), TLogPrior()],
-        ids=lambda s: s.kind,
+        "spec, t",
+        [
+            # the t = 0.1 cases keep their bare prior-kind ids
+            pytest.param(spec, t, id=spec.kind if t == 0.1 else f"{spec.kind}-t{t}")
+            for t in (0.02, 0.05, 0.1, 0.3, 1.0)
+            for spec in (TamePrior(), UniformPrior(1.0), PowerPrior(0.5),
+                         DiscretePrior(0.1, 0.5), LogPrior(), TLogPrior())
+        ],
     )
-    def test_fit_matches_declaration(self, spec):
+    def test_fit_matches_declaration(self, spec, t):
         declared = spec.declared_tempering()
-        v = check_tempered(spec, 0.1)
+        v = check_tempered(spec, t)
         assert v.tempered == declared["tempered"]
         if declared["tempered"]:
             assert v.condition1.alpha == pytest.approx(declared["alpha"], rel=0.02)
