@@ -138,6 +138,8 @@ def _draw(prior: Prior, n_samples: int, seed: int):
     zval = 4 P0 - 1 per draw.  One entry per prior instance, held weakly, so
     the arrays go with the prior and never travel with a pickled copy.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples (--samples) must be >= 1, got {n_samples!r}")
     key = (n_samples, seed)
     hit = _DRAWS.get(prior)
     if hit is not None and hit[0] == key:
@@ -275,6 +277,8 @@ def conditional_ratio_scan(
         raise ValueError("j must be 2 or 3")
     if not in_band_fc(counts, c, t):
         raise ValueError("counts must lie in the band event F_c")
+    if z_points < 1:
+        raise ValueError(f"z_points (--z-points) must be >= 1, got {z_points!r}")
     iv = band_interval(t)
     edges = np.linspace(iv.lo, iv.hi, z_points + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])

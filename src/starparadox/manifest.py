@@ -93,6 +93,13 @@ class RunManifest:
     def read(cls, path) -> "RunManifest":
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"manifest {path} is not a JSON object")
+        missing = [k for k in ("command", "params", "seed", "version") if k not in obj]
+        if missing:
+            raise ValueError(f"manifest {path} lacks {', '.join(missing)}")
+        if not isinstance(obj["params"], dict):
+            raise ValueError(f"manifest {path}: params must be an object")
         m = cls(
             command=obj["command"],
             params=obj["params"],

@@ -365,6 +365,8 @@ def paradox_scan(
         raise ValueError("epsilon must lie in (0, 1)")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if n_samples < 1:
+        raise ValueError(f"n_samples (--samples) must be >= 1, got {n_samples!r}")
     n_list = [int(v) for v in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])) or any(v < 1 for v in n_list):
         raise ValueError("n_list must be ascending positive integers")

@@ -12,9 +12,8 @@ along the hyperbola Se Si = z (for the discrete catalog entry H is a step
 function with an exact index formula instead).  The saturation point s_sat
 is where the integration limit stops moving, so G(z, s) = 1 beyond it.
 
-Catalog (Te is exponential with rate 4 and independent of Ti except for the
-"tame" entry, where both coordinates are exponential with configurable
-rates):
+Catalog (in every entry Te is exponential and independent of Ti, with rate
+4 except in "tame", where it is a parameter; only the law of Ti changes):
 
     tame      smooth everywhere-positive product density (rates re, ri)
     uniform   Ti uniform on [0, theta]
@@ -31,6 +30,7 @@ kind strings double as CLI shorthand (e.g. ``uniform:1.0``,
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import math
 from typing import Callable
@@ -100,15 +100,22 @@ def _h_aux(u: float) -> float:
 
 
 class Prior:
-    """Base class: joint law of (Te, Ti) plus the G(z, .) machinery."""
+    """Base class: joint law of (Te, Ti) plus the G(z, .) machinery.
+
+    Te ~ Exp(rate_e), independent of Ti.  A catalog subclass declares its Ti
+    law (``_sample_ti``, ``log_ti_cdf``, ``_h``, and ``y_min`` where Ti is not
+    bounded by 1) and its constructor arguments, stored under their own names
+    as the only instance attributes that are not caches (``params()``).
+    """
 
     kind: str = "abstract"
+    rate_e: float = 4.0  # Te rate; at 4, Se = exp(-4 Te) is uniform on [0, 1]
     g_accuracy: float = 3e-10  # relative accuracy of g(); tightened where closed forms exist
     _CACHES: tuple[str, ...] = ("_h_sat_memo",)  # per-instance memos, never pickled
 
     # ---- serialization ------------------------------------------------
     def params(self) -> dict:
-        raise NotImplementedError
+        return self.__getstate__()
 
     def __getstate__(self):
         # caches are cheap to rebuild; do not ship them to workers
@@ -127,7 +134,11 @@ class Prior:
 
     # ---- sampling -----------------------------------------------------
     def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draw (te, ti) arrays of the given size."""
+        """Draw (te, ti) arrays of the given size, te first."""
+        te = rng.exponential(scale=1.0 / self.rate_e, size=size)
+        return te, self._sample_ti(rng, size)
+
+    def _sample_ti(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
     # ---- marginal pieces used by the corner probability ----------------
@@ -136,8 +147,8 @@ class Prior:
         raise NotImplementedError
 
     def log_te_band(self, t: float, width: float) -> float:
-        """log P(t <= Te <= t + width); Te is exponential with rate 4 here."""
-        return -4.0 * t + math.log(-math.expm1(-4.0 * width))
+        """log P(t <= Te <= t + width) for Te ~ Exp(rate_e)."""
+        return -self.rate_e * t + math.log(-math.expm1(-self.rate_e * width))
 
     def log_q_n(self, t: float, n: int) -> float:
         """log P(Ti <= 1/n, t <= Te <= t + 1/n) for the independent catalog."""
@@ -150,8 +161,8 @@ class Prior:
     # ---- section integral H and conditional CDF G ----------------------
     @property
     def y_min(self) -> float:
-        """Bottom of the Si support (1 + 2 exp(-4 sup Ti), or 1 if Ti unbounded)."""
-        raise NotImplementedError
+        """Bottom of the Si support, 1 + 2 exp(-4 sup Ti): here for Ti <= 1."""
+        return _Y_UNIT
 
     def s_sat(self, z: float) -> float:
         """Saturation point: G(z, s) = 1 for s >= s_sat(z)."""
@@ -198,24 +209,16 @@ def _check_s(s: float) -> float:
 
 
 class _ExpIndepPrior(Prior):
-    """Te exponential with rate 4 (so Se is uniform on [0,1]), Ti independent.
+    """A Ti density with Te at the base rate 4, so that Se is uniform on [0, 1].
 
-    Subclasses provide the Ti sampler/CDF and the scalar section-integrand
-    factor ``rho(k)`` where k = h_aux(xi / z); the shared form is
+    Subclasses provide the Ti law and the scalar section-integrand factor
+    ``rho(k)`` where k = h_aux(xi / z); the shared form is
 
         H(z, s) = int_0^min(s, s_sat) rho(h_aux(xi/z)) dxi / (z - xi).
     """
 
     def _rho(self, k: float) -> float:
         raise NotImplementedError
-
-    def _sample_ti(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        te = rng.exponential(scale=0.25, size=size)
-        ti = self._sample_ti(rng, size)
-        return te, ti
 
     def _h(self, z: float, s: float) -> float:
         return self._h_quad(z, s)
@@ -241,9 +244,6 @@ class UniformPrior(_ExpIndepPrior):
         if not (math.isfinite(theta) and theta > 0.0):
             raise ValueError(f"theta must be > 0, got {theta!r}")
         self.theta = theta
-
-    def params(self) -> dict:
-        return {"theta": self.theta}
 
     @property
     def y_min(self) -> float:
@@ -289,13 +289,6 @@ class PowerPrior(_ExpIndepPrior):
             raise ValueError(f"theta must lie in (0, 1), got {theta!r}")
         self.theta = theta
 
-    def params(self) -> dict:
-        return {"theta": self.theta}
-
-    @property
-    def y_min(self) -> float:
-        return _Y_UNIT
-
     def _rho(self, k):
         return k ** (self.theta - 1.0)
 
@@ -327,16 +320,6 @@ class LogPrior(_ExpIndepPrior):
 
     kind = "logti"
 
-    def __init__(self):
-        pass
-
-    def params(self) -> dict:
-        return {}
-
-    @property
-    def y_min(self) -> float:
-        return _Y_UNIT
-
     def _rho(self, k):
         return -math.log(k)
 
@@ -358,16 +341,6 @@ class TLogPrior(_ExpIndepPrior):
     """Ti with density 4 t log(1/t) on [0, 1] (square root of a product of uniforms)."""
 
     kind = "tlogti"
-
-    def __init__(self):
-        pass
-
-    def params(self) -> dict:
-        return {}
-
-    @property
-    def y_min(self) -> float:
-        return _Y_UNIT
 
     def _rho(self, k):
         return -4.0 * k * math.log(k) if k > 0.0 else 0.0
@@ -407,28 +380,19 @@ class TamePrior(Prior):
         for name, v in (("rate_e", rate_e), ("rate_i", rate_i)):
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be > 0, got {v!r}")
-        self.rate_e = float(rate_e)
-        self.rate_i = float(rate_i)
-
-    def params(self) -> dict:
-        return {"rate_e": self.rate_e, "rate_i": self.rate_i}
+            setattr(self, name, float(v))
 
     @property
     def y_min(self) -> float:
         return 1.0
 
-    def sample(self, rng, size):
-        te = rng.exponential(scale=1.0 / self.rate_e, size=size)
-        ti = rng.exponential(scale=1.0 / self.rate_i, size=size)
-        return te, ti
+    def _sample_ti(self, rng, size):
+        return rng.exponential(scale=1.0 / self.rate_i, size=size)
 
     def log_ti_cdf(self, x: float) -> float:
         if x <= 0.0:
             return -math.inf
         return math.log(-math.expm1(-self.rate_i * x))
-
-    def log_te_band(self, t: float, width: float) -> float:
-        return -self.rate_e * t + math.log(-math.expm1(-self.rate_e * width))
 
     def declared_tempering(self) -> dict:
         return {"tempered": True, "k": 3, "alpha": 1.0, "eps": (1.0, 2.0, 3.0)}
@@ -484,9 +448,6 @@ class DiscretePrior(Prior):
             raise ValueError(f"need 3a < min(1, b); got a={a!r}, b={b!r}")
         self.a = a
         self.b = b
-
-    def params(self) -> dict:
-        return {"a": self.a, "b": self.b}
 
     def declared_tempering(self) -> dict:
         return {"tempered": True, "k": 3, "alpha": self.b / self.a, "eps": (1.0, 2.0, 3.0)}
@@ -593,11 +554,8 @@ class DiscretePrior(Prior):
             n_b = math.ceil(real)
         return max(n_a, n_b, 1)
 
-    @property
-    def y_min(self) -> float:
-        return _Y_UNIT
-
     def s_sat(self, z: float) -> float:
+        # at the base formula's s_sat, h_aux(s/z) = 1 only in theory; rounding can give index 2
         z = _check_z(z)
         return 0.5 * (3.0 - z)
 
@@ -611,7 +569,7 @@ class DiscretePrior(Prior):
             return _h_aux(s / z) ** (self.b / self.a)
 
     # ---- sampling ---------------------------------------------------------
-    def _sample_atoms(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def _sample_ti(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Exact sampler for Ti = I^-a with P(I = n) = r_n / r over the infinite support.
 
         Proposes J with P(J = n) = n^-b - (n+1)^-b via inverse CDF and
@@ -636,10 +594,6 @@ class DiscretePrior(Prior):
             out[filled : filled + got.size] = got
             filled += got.size
         return out
-
-    def sample(self, rng, size):
-        te = rng.exponential(scale=0.25, size=size)
-        return te, self._sample_atoms(rng, size)
 
 
 def _gamma_series(p: float, m: float) -> float:
@@ -683,15 +637,24 @@ def prior_to_json(spec: Prior) -> str:
     return json.dumps(spec.to_dict(), sort_keys=True)
 
 
+def _build(kind: str, args: list, kwargs: dict) -> Prior:
+    if kind not in PRIOR_KINDS:
+        raise ValueError(f"unknown prior kind {kind!r}; known: {sorted(PRIOR_KINDS)}")
+    signature = inspect.signature(PRIOR_KINDS[kind])
+    try:
+        bound = signature.bind(*args, **kwargs)
+    except TypeError:  # wrong arguments; the constructor's own errors pass through
+        raise ValueError(f"{kind} takes ({', '.join(signature.parameters)})") from None
+    return PRIOR_KINDS[kind](*bound.args, **bound.kwargs)
+
+
 def prior_from_dict(obj: dict) -> Prior:
     try:
         kind = obj["kind"]
         params = obj.get("params", {})
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed prior spec: {obj!r}") from exc
-    if kind not in PRIOR_KINDS:
-        raise ValueError(f"unknown prior kind {kind!r}; known: {sorted(PRIOR_KINDS)}")
-    return PRIOR_KINDS[kind](**params)
+    return _build(kind, [], params)
 
 
 def prior_from_json(text: str) -> Prior:
@@ -701,8 +664,5 @@ def prior_from_json(text: str) -> Prior:
 def parse_prior(text: str) -> Prior:
     """Parse CLI shorthand like 'uniform:1.0', 'discrete:0.1,0.5', 'logti', 'tame'."""
     kind, _, argstr = text.partition(":")
-    kind = kind.strip().lower()
-    if kind not in PRIOR_KINDS:
-        raise ValueError(f"unknown prior kind {kind!r}; known: {sorted(PRIOR_KINDS)}")
     args = [float(v) for v in argstr.split(",") if v.strip()] if argstr else []
-    return PRIOR_KINDS[kind](*args)
+    return _build(kind.strip().lower(), args, {})

@@ -112,6 +112,70 @@ class TestPosterior:
         assert r.returncode == 2
 
 
+class TestPriorArgumentsValidated:
+    """A prior spec with the wrong parameters exits 2 naming the kind's parameters."""
+
+    @pytest.mark.parametrize("spec, message", [
+        ("uniform", "uniform takes (theta)"),
+        ("logti:1", "logti takes ()"),
+        ("discrete:0.1", "discrete takes (a, b)"),
+    ])
+    def test_shorthand(self, tmp_path, capsys, spec, message):
+        assert run_main("prior-check", "--spec", spec, "--t", "0.1", "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("obj", [{"kind": "uniform", "params": {"th": 1}}, {"kind": "uniform"}])
+    def test_spec_file(self, tmp_path, capsys, obj):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        assert run_main("prior-check", "--spec-file", str(spec), "--t", "0.1",
+                        "--out", str(tmp_path)) == 2
+        assert "uniform takes (theta)" in capsys.readouterr().err
+
+
+class TestDrawCountsValidated:
+    """Non-positive sample and band counts exit 2 naming the flag, before any prior draw."""
+
+    SCAN = ("scan", "--spec", "uniform:1.0", "--t", "0.1", "--epsilon", "0.05", "--n-list", "100")
+    CLAIMS = ("claims", "--spec", "uniform:1.0", "--t", "0.1")
+
+    @pytest.mark.parametrize("argv, named", [
+        (SCAN + ("--samples", "0", "--trials", "3"), "--samples"),
+        (SCAN + ("--samples", "0", "--trials", "100"), "--samples"),
+        (CLAIMS + ("--samples", "0"), "--samples"),
+    ], ids=["scan-3-trials", "scan-100-trials", "claims"])
+    def test_samples(self, tmp_path, capsys, monkeypatch, argv, named):
+        from starparadox.priors import Prior
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("prior sampled before the check")
+
+        monkeypatch.setattr(Prior, "sample", no_draw)
+        assert run_main(*argv, "--out", str(tmp_path)) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("z_points", ["0", "-1"])
+    def test_z_points(self, tmp_path, capsys, z_points):
+        argv = (*self.CLAIMS, "--samples", "4000", "--z-points", z_points)
+        assert run_main(*argv, "--out", str(tmp_path)) == 2
+        assert f"--z-points) must be >= 1, got {z_points}" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+
+class TestReplayMalformedManifest:
+    @pytest.mark.parametrize("manifest, message", [
+        ({"command": "scan"}, "lacks params, seed, version"),
+        ({"params": {}, "seed": 1}, "lacks command, version"),
+        ({"command": "scan", "params": [], "seed": 1, "version": "0"}, "params must be an object"),
+    ])
+    def test_rejected(self, tmp_path, capsys, manifest, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        assert run_main("replay", "--manifest", str(path), "--out", str(tmp_path / "out")) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestJobsValidated:
     POSTERIOR = ("posterior", "--spec", "uniform:1.0", "--counts", "7,1,1,1", "--samples", "1000")
 

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import re
 from concurrent.futures import ProcessPoolExecutor
 
 import mpmath as mp
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 
 from starparadox.priors import (
+    PRIOR_KINDS,
     DiscretePrior,
     LogPrior,
     PowerPrior,
+    Prior,
     TamePrior,
     TLogPrior,
     UniformPrior,
@@ -56,6 +59,61 @@ class TestSerialization:
             PowerPrior(1.0)
         with pytest.raises(ValueError):
             DiscretePrior(0.4, 0.5)  # violates 3a < min(1, b)
+
+    @pytest.mark.parametrize("text, message", [
+        ("uniform", "uniform takes (theta)"),
+        ("logti:1", "logti takes ()"),
+        ("discrete:0.1", "discrete takes (a, b)"),
+        ("tame:1,2,3", "tame takes (rate_e, rate_i)"),
+    ])
+    def test_wrong_arguments_named(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_prior(text)
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "uniform", "params": {"th": 1.0}},
+        {"kind": "uniform"},
+        {"kind": "uniform", "params": [1.0]},
+    ])
+    def test_wrong_dict_params_named(self, obj):
+        with pytest.raises(ValueError, match=re.escape("uniform takes (theta)")):
+            prior_from_json(json.dumps(obj))
+
+
+class TestSharedTeLaw:
+    """Te ~ Exp(rate_e), drawn before Ti, and params() are defined once on Prior."""
+
+    @pytest.mark.parametrize(
+        "spec", [TamePrior(2.0, 3.0), UniformPrior(1.0), DiscretePrior(0.1, 0.5)], ids=lambda s: s.kind
+    )
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_sample_is_te_then_ti(self, spec, seed):
+        te, ti = spec.sample(np.random.default_rng(seed), 5000)
+        rng = np.random.default_rng(seed)
+        te_ref = rng.exponential(1.0 / spec.rate_e, 5000)
+        ti_ref = spec._sample_ti(rng, 5000)
+        assert np.array_equal(te, te_ref) and np.array_equal(ti, ti_ref)
+
+    @pytest.mark.parametrize("n", [1, 3, 10, 1000, 10**6])
+    def test_tame_log_q_n_uses_rate_e(self, n):
+        spec = TamePrior(2.0, 3.0)
+        expected = math.log(-math.expm1(-3.0 / n)) - 0.2 + math.log(-math.expm1(-2.0 / n))
+        assert spec.log_q_n(0.1, n) == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize("cls", sorted(PRIOR_KINDS.values(), key=lambda c: c.kind),
+                             ids=lambda c: c.kind)
+    def test_params_rebuild_after_memo(self, cls):
+        spec = next(p for p in ALL_PRIORS if type(p) is cls)
+        spec.h_sat(1.7)
+        assert "_h_sat_memo" in vars(spec) and "_h_sat_memo" not in spec.params()
+        assert type(spec)(**spec.params()).to_dict() == spec.to_dict()
+
+    def test_catalog_declares_only_its_ti_law(self):
+        for cls in PRIOR_KINDS.values():
+            for name in ("sample", "log_te_band", "params"):
+                assert getattr(cls, name) is getattr(Prior, name), (cls.kind, name)
+        own_y_min = {cls.kind for cls in PRIOR_KINDS.values() if cls.y_min is not Prior.y_min}
+        assert own_y_min == {"uniform", "tame"}
 
 
 class TestSampling:
@@ -478,7 +536,7 @@ class TestSmallADiscrete:
         # b = 0.004: u^(-1/b) overflows for u < 0.058, where atoms lie below 0.49;
         # those proposals must give atoms near u^(a/b), not Ti = 0
         spec = DiscretePrior(0.001, 0.004)
-        ti = spec._sample_atoms(np.random.default_rng(5), 100_000)
+        ti = spec._sample_ti(np.random.default_rng(5), 100_000)
         assert ti.min() > 0.0 and ti.max() <= 1.0
         for x in (0.3, 0.4):
             p = math.exp(spec.log_ti_cdf(x))

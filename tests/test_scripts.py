@@ -123,5 +123,14 @@ def test_traced_targets_resolve():
         cls = getattr(importlib.import_module(module_name), cls_name, None)
         if not callable(getattr(cls, attr, None)):
             missing.append(f"{path}.{attr}")
+    # every catalog class's sample is wrapped; the probe reads size as the third positional argument
+    for kind, cls in importlib.import_module("starparadox.priors").PRIOR_KINDS.items():
+        sample = getattr(cls, "sample", None)
+        try:
+            size = inspect.signature(sample).bind(cls, "rng", "size").arguments["size"]
+        except (TypeError, ValueError, KeyError):
+            size = None
+        if not callable(sample) or size != "size":
+            missing.append(f"{kind}.sample(rng, size)")
     assert len(spans._FUNCTIONS) >= 10 and len(spans._METHODS) >= 5
     assert missing == []
