@@ -20,8 +20,8 @@ from starparadox.moments import (
     certified_gap_curve,
     geometric_grid,
     lemma_chi_check,
+    moment_curve,
     moment_mt,
-    ratio_rt,
     threshold_scan,
 )
 from starparadox.priors import UniformPrior
@@ -54,6 +54,6 @@ for z in default_z_grid(0.1, 3):
     dist = ConditionalZetaV(prior, float(z))
     scan = threshold_scan(dist, 0.5, geometric_grid(0.5, 5000.0, 32))
     print(f"  z = {z:.3f}: 2t R_t >= 0.5 for all t >= {scan.t_star:.3f} "
-          f"(2tR_t at t=100: {2*100*ratio_rt(dist, 100.0):.4f})")
+          f"(2tR_t at t=100: {moment_curve(dist, [100.0])[0, 4]:.4f})")
 print("\nThe threshold is finite and stable across the band interval, which")
 print("is exactly what the dominance step of the paradox argument needs.")

@@ -9,7 +9,6 @@ the threshold bound 2 t R_t >= alpha.
 """
 
 from .model import (
-    BranchLengths,
     DeltaStats,
     Interval,
     PatternCounts,
@@ -74,7 +73,6 @@ from .moments import (
     lemma_chi_check,
     moment_curve,
     moment_mt,
-    ratio_rt,
     threshold_scan,
 )
 

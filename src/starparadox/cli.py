@@ -200,14 +200,15 @@ def _cmd_claims(args, out: Path) -> list[Path]:
     sampling noise between draw sets.
     """
     counts = counts_in_band(args.n, args.t, args.c)
-    r1 = {
-        j: in_band_advantage(args.prior, args.t, counts, args.c, j, args.samples, args.seed)
-        for j in (2, 3)
-    }
+    # claim 2 first: it rejects a bad --z-points before the draws are made
     r2 = {
         j: conditional_ratio_scan(
             args.prior, args.t, counts, args.c, j, args.z_points, args.samples, args.seed
         )
+        for j in (2, 3)
+    }
+    r1 = {
+        j: in_band_advantage(args.prior, args.t, counts, args.c, j, args.samples, args.seed)
         for j in (2, 3)
     }
     def claim2_dict(r):
@@ -239,6 +240,13 @@ _COMMANDS = {
 }
 
 
+def _command_params(command: str) -> set[str]:
+    """The parameters a command reads from its parsed arguments, seed and prior aside."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[command]._actions}
+    return dests - {"help", "out", "seed", "spec", "spec_file"}
+
+
 def _cmd_replay(args, out: Path) -> list[Path]:
     manifest = RunManifest.read(args.manifest)
     if manifest.command not in _COMMANDS:
@@ -252,6 +260,11 @@ def _cmd_replay(args, out: Path) -> list[Path]:
                 "only posterior and scan runs take it"
             )
         params["jobs"] = args.jobs
+    missing = sorted(_command_params(manifest.command) - params.keys())
+    if missing:
+        raise ValueError(
+            f"manifest {args.manifest}: {manifest.command} params lack {', '.join(missing)}"
+        )
     replay_args = argparse.Namespace(**params)
     replay_args.prior = None if manifest.prior is None else prior_from_dict(manifest.prior)
     outputs = _COMMANDS[manifest.command](replay_args, out)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -72,21 +72,9 @@ class RunManifest:
     def finish(self) -> None:
         self.finished = _now()
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "prior": self.prior,
-            "seed": self.seed,
-            "version": self.version,
-            "started": self.started,
-            "finished": self.finished,
-            "outputs": self.outputs,
-        }
-
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod
@@ -100,14 +88,4 @@ class RunManifest:
             raise ValueError(f"manifest {path} lacks {', '.join(missing)}")
         if not isinstance(obj["params"], dict):
             raise ValueError(f"manifest {path}: params must be an object")
-        m = cls(
-            command=obj["command"],
-            params=obj["params"],
-            seed=obj["seed"],
-            version=obj["version"],
-            prior=obj.get("prior"),
-        )
-        m.started = obj.get("started", m.started)
-        m.finished = obj.get("finished")
-        m.outputs = obj.get("outputs", {})
-        return m
+        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})

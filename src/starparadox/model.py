@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "BranchLengths",
     "PatternProbs",
     "PatternCounts",
     "DeltaStats",
@@ -53,18 +52,6 @@ def _check_finite_nonneg(name: str, value: float) -> float:
     if not math.isfinite(value) or value < 0.0:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class BranchLengths:
-    """A pair (external, internal) of nonnegative branch lengths."""
-
-    te: float
-    ti: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "te", _check_finite_nonneg("te", self.te))
-        object.__setattr__(self, "ti", _check_finite_nonneg("ti", self.ti))
 
 
 @dataclass(frozen=True)
@@ -151,13 +138,6 @@ class Interval:
 
     lo: float
     hi: float
-
-    def __contains__(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
-    @property
-    def center(self) -> float:
-        return 0.5 * (self.lo + self.hi)
 
     @property
     def width(self) -> float:

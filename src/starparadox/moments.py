@@ -42,7 +42,6 @@ __all__ = [
     "series_moment_closed",
     "series_moment_quad",
     "moment_mt",
-    "ratio_rt",
     "moment_curve",
     "ScanResult",
     "threshold_scan",
@@ -239,19 +238,13 @@ def moment_mt(dist, t: float) -> float:
     return value
 
 
-def ratio_rt(dist, t: float) -> float:
-    """R_t = 1 - M_{t+1}/M_t, in [0, 1]."""
-    mt = moment_mt(dist, t)
-    if mt <= 0.0:
-        raise ZeroDivisionError(f"M_t underflowed at t={t!r}")
-    return 1.0 - moment_mt(dist, t + 1.0) / mt
-
-
 def moment_curve(dist, t_grid) -> np.ndarray:
-    """Rows (t, M_t, M_{t+1}, R_t, 2 t R_t) over the grid."""
+    """Rows (t, M_t, M_{t+1}, R_t, 2 t R_t) over the grid; R_t = 1 - M_{t+1}/M_t, in [0, 1]."""
     rows = []
     for t in np.asarray(t_grid, dtype=float):
         mt = moment_mt(dist, t)
+        if mt <= 0.0:
+            raise ZeroDivisionError(f"M_t underflowed at t={float(t)!r}")
         mt1 = moment_mt(dist, t + 1.0)
         rt = 1.0 - mt1 / mt
         rows.append((t, mt, mt1, rt, 2.0 * t * rt))
@@ -262,8 +255,6 @@ def moment_curve(dist, t_grid) -> np.ndarray:
 class ScanResult:
     reached: bool
     t_star: float | None
-    t_grid: np.ndarray
-    gap: np.ndarray             # the scanned values of 2 t R_t (or its certified bound)
 
     def __bool__(self) -> bool:  # truthy when the threshold exists on the grid
         return self.reached
@@ -317,11 +308,11 @@ def threshold_from_gap(gap, alpha: float, t_grid) -> ScanResult:
     gap = np.asarray(gap, dtype=float)
     ok = gap >= alpha * (1.0 - _SCAN_SLACK) - 1e-12
     if not ok[-1]:
-        return ScanResult(False, None, t_grid, gap)
+        return ScanResult(False, None)
     idx = len(ok) - 1
     while idx > 0 and ok[idx - 1]:
         idx -= 1
-    return ScanResult(True, float(t_grid[idx]), t_grid, gap)
+    return ScanResult(True, float(t_grid[idx]))
 
 
 def certified_gap_curve(params: TailParams, t_grid) -> np.ndarray:

@@ -654,6 +654,8 @@ def prior_from_dict(obj: dict) -> Prior:
         params = obj.get("params", {})
     except (TypeError, KeyError) as exc:
         raise ValueError(f"malformed prior spec: {obj!r}") from exc
+    if not isinstance(kind, str):
+        raise ValueError(f"malformed prior spec: {obj!r}")
     return _build(kind, [], params)
 
 

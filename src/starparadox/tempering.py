@@ -28,7 +28,7 @@ scale on a doubling n-grid, so nothing underflows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -58,29 +58,21 @@ _S_PER_DECADE = 14
 _EPS = (0.0, 1.0, 2.0, 3.0)
 #: the fitted alpha stays within half a ladder step of the log-slope
 _ALPHA_SPAN = 0.5
+#: the doubling n-grid of condition 2, up to 2^16
+_N_GRID = 2 ** np.arange(6, 17)
 
 
 @dataclass(frozen=True)
 class TaylorModel:
-    """Fitted generalized power series for G(z, .) over a z-grid."""
+    """Fitted generalized power series for G(z, .) over a z-grid, on the ladder ``_EPS``."""
 
     alpha: float
-    eps: tuple[float, ...]          # (0, eps_1, ..., eps_k); last entry is the guard order
     z_grid: np.ndarray
-    s0: float
     coeffs: np.ndarray              # shape (n_z, k): F_i(z) for i < k
     guard_coeffs: np.ndarray        # shape (n_z,): fitted coefficient at the guard order
     kappa: float
     alpha_per_z: np.ndarray
-    ladder: str
     max_rel_residual: float
-
-    def __post_init__(self) -> None:
-        eps = self.eps
-        if eps[0] != 0.0 or any(a >= b for a, b in zip(eps, eps[1:])):
-            raise ValueError("eps must be strictly ascending with eps_0 = 0")
-        if not (eps[-2] <= 2.0 < eps[-1]):
-            raise ValueError("need eps_{k-1} <= 2 < eps_k")
 
     @property
     def alpha_tail(self) -> float:
@@ -106,8 +98,6 @@ class ExpansionViolation:
 class Condition2Result:
     status: str                     # "satisfied" | "violated" | "inconclusive"
     exponent: float | None
-    n_grid: np.ndarray = field(repr=False, default=None)
-    log_q: np.ndarray = field(repr=False, default=None)
 
     @property
     def satisfied(self) -> bool:
@@ -129,9 +119,9 @@ class TemperVerdict:
             out["condition1"] = {
                 "status": "satisfied",
                 "alpha": self.condition1.alpha,
-                "eps": list(self.condition1.eps),
+                "eps": list(_EPS),
                 "kappa": self.condition1.kappa,
-                "ladder": self.condition1.ladder,
+                "ladder": "integer",
             }
         else:
             out["condition1"] = {
@@ -280,14 +270,11 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
         kappa = _kappa_bound(s_grid, G, alpha_per_z, coeffs, guards, tol, score)
         return TaylorModel(
             alpha=float(np.median(alpha_per_z)),
-            eps=_EPS,
             z_grid=z_grid,
-            s0=float(s_grid[-1]),
             coeffs=coeffs,
             guard_coeffs=guards,
             kappa=kappa,
             alpha_per_z=alpha_per_z,
-            ladder="integer",
             max_rel_residual=score,
         )
 
@@ -377,31 +364,22 @@ def _kappa_bound(s, G, alpha_per_z, coeffs, guards, tol, full_resid) -> float:
 # condition 2: corner probability decay
 # ---------------------------------------------------------------------------
 
-def default_n_grid() -> np.ndarray:
-    return 2 ** np.arange(6, 17)
-
-
-def check_condition2(spec: Prior, t: float, n_grid: np.ndarray | None = None) -> Condition2Result:
+def check_condition2(spec: Prior, t: float) -> Condition2Result:
     """Classify the decay of Q_n(t): polynomial decay satisfies |log Q_n|/n -> 0.
 
     Works in log scale throughout; reports "inconclusive" when log Q_n is
     not finite on part of the grid (e.g. Ti bounded away from 0).
     """
-    n_grid = default_n_grid() if n_grid is None else np.asarray(n_grid)
-    if np.any(np.diff(n_grid) <= 0):
-        raise ValueError("n_grid must be ascending")
-    if n_grid[-1] < 2**16:
-        raise ValueError("n_grid must extend to at least 2^16")
-    log_q = np.array([spec.log_q_n(t, int(n)) for n in n_grid])
+    log_q = np.array([spec.log_q_n(t, int(n)) for n in _N_GRID])
     if not np.all(np.isfinite(log_q)):
-        return Condition2Result("inconclusive", None, n_grid, log_q)
-    slope = float(np.polyfit(np.log(n_grid), log_q, 1)[0])
+        return Condition2Result("inconclusive", None)
+    slope = float(np.polyfit(np.log(_N_GRID), log_q, 1)[0])
     exponent = -slope
-    a_n = np.abs(log_q) / n_grid
+    a_n = np.abs(log_q) / _N_GRID
     shrinking = a_n[-1] <= 0.5 * a_n[0]
     monotone = np.all(np.diff(a_n) <= 1e-2 * a_n[0])
     status = "satisfied" if (shrinking and monotone) else "violated"
-    return Condition2Result(status, exponent, n_grid, log_q)
+    return Condition2Result(status, exponent)
 
 
 # ---------------------------------------------------------------------------

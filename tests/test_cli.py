@@ -132,6 +132,25 @@ class TestPriorArgumentsValidated:
                         "--out", str(tmp_path)) == 2
         assert "uniform takes (theta)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", [["uniform"], {"uniform": 1}, 3])
+    def test_non_string_kind(self, tmp_path, capsys, kind):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": kind, "params": {}}))
+        assert run_main("prior-check", "--spec-file", str(spec), "--t", "0.1",
+                        "--out", str(tmp_path)) == 2
+        assert "malformed prior spec" in capsys.readouterr().err
+
+    def test_non_string_kind_in_replay(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "command": "prior-check", "params": {"t": 0.1}, "seed": 0, "version": "0",
+            "prior": {"kind": ["uniform"], "params": {"theta": 1.0}},
+        }))
+        out = tmp_path / "out"
+        assert run_main("replay", "--manifest", str(manifest), "--out", str(out)) == 2
+        assert "malformed prior spec" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestDrawCountsValidated:
     """Non-positive sample and band counts exit 2 naming the flag, before any prior draw."""
@@ -162,6 +181,17 @@ class TestDrawCountsValidated:
         assert f"--z-points) must be >= 1, got {z_points}" in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_z_points_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        from starparadox.priors import Prior
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("prior sampled before the check")
+
+        monkeypatch.setattr(Prior, "sample", no_draw)
+        assert run_main(*self.CLAIMS, "--z-points", "0", "--out", str(tmp_path)) == 2
+        assert "--z-points" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
 
 class TestReplayMalformedManifest:
     @pytest.mark.parametrize("manifest, message", [
@@ -174,6 +204,34 @@ class TestReplayMalformedManifest:
         path.write_text(json.dumps(manifest))
         assert run_main("replay", "--manifest", str(path), "--out", str(tmp_path / "out")) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest, message", [
+        ({"command": "scan", "params": {}, "seed": 1, "version": "0"},
+         "scan params lack epsilon, jobs, n_list, samples, t, trials"),
+        ({"command": "moments", "params": {"dist": "uniform01", "retired": 1}, "seed": 1,
+          "version": "0"},
+         "moments params lack alpha, per_decade, t_hi, t_lo, z"),
+    ], ids=["scan-empty", "moments-dist-only"])
+    def test_missing_params_named(self, tmp_path, capsys, manifest, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert run_main("replay", "--manifest", str(path), "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_extra_params_accepted(self, tmp_path):
+        # a manifest may record a parameter that a later version removed
+        orig = tmp_path / "orig"
+        assert run_main("prior-check", "--spec", "uniform:1.0", "--t", "0.1",
+                        "--out", str(orig)) == 0
+        manifest = json.loads((orig / "manifest.json").read_text())
+        manifest["params"]["retired"] = 1
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        replayed = tmp_path / "replayed"
+        assert run_main("replay", "--manifest", str(path), "--out", str(replayed)) == 0
+        assert (replayed / "verdict.json").read_bytes() == (orig / "verdict.json").read_bytes()
 
 
 class TestJobsValidated:
@@ -271,6 +329,31 @@ class TestScanDigests:
             assert run_main(*self.FIXTURE["argv"], "--spec", spec, "--jobs", jobs,
                             "--out", str(out)) == 0
             assert hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() == digest
+
+
+class TestThresholdDigests:
+    """verdict.json of every catalog prior, and the moments scan outputs, match their SHA-256.
+
+    Regenerate with ``tools/generate_fixtures.py --threshold-digests`` only when a
+    change to the tempered-prior check or the moment quadrature is intended.
+    """
+
+    FIXTURE = json.loads(
+        (Path(__file__).parent / "fixtures" / "threshold_digests.json").read_text(encoding="utf-8")
+    )
+
+    @pytest.mark.parametrize("spec", sorted(FIXTURE["prior_check"]["sha256"]))
+    def test_verdict(self, tmp_path, spec):
+        case = self.FIXTURE["prior_check"]
+        assert run_main(*case["argv"], "--spec", spec, "--out", str(tmp_path)) == 0
+        digest = hashlib.sha256((tmp_path / "verdict.json").read_bytes()).hexdigest()
+        assert digest == case["sha256"][spec]
+
+    def test_moments(self, tmp_path):
+        case = self.FIXTURE["moments"]
+        assert run_main(*case["argv"], "--out", str(tmp_path)) == 0
+        for name, digest in sorted(case["sha256"].items()):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestSmallADiscrete:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from starparadox.model import (
-    BranchLengths,
     PatternCounts,
     band_half_width,
     band_interval,
@@ -55,8 +54,6 @@ class TestPatternProbs:
     def test_rejects_bad_inputs(self, te, ti):
         with pytest.raises(ValueError):
             pattern_probs(te, ti)
-        with pytest.raises(ValueError):
-            BranchLengths(te, ti)
 
     @given(te=st.floats(0.0, 50.0), ti=st.floats(0.0, 50.0))
     def test_ordering_and_sum(self, te, ti):

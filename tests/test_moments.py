@@ -22,7 +22,6 @@ from starparadox.moments import (
     lemma_chi_check,
     moment_curve,
     moment_mt,
-    ratio_rt,
     rising_factor,
     series_moment_closed,
     series_moment_quad,
@@ -45,7 +44,7 @@ class TestMoments:
         v = PointMassOneV()
         for t in (0.5, 3.0, 200.0):
             assert moment_mt(v, t) == pytest.approx(1.0, rel=1e-12)
-        assert ratio_rt(v, 5.0) == pytest.approx(0.0, abs=1e-9)
+        assert moment_curve(v, [5.0])[0, 3] == pytest.approx(0.0, abs=1e-9)
 
     def test_t_zero(self):
         assert moment_mt(UniformV(), 0.0) == 1.0
@@ -65,7 +64,7 @@ class TestMoments:
     def test_ratio_ranges(self):
         u = UniformV()
         for t in (0.5, 2.0, 100.0):
-            r = ratio_rt(u, t)
+            r = moment_curve(u, [t])[0, 3]
             assert 0.0 <= r <= 1.0
             assert r == pytest.approx(1.0 / (t + 2.0), rel=1e-8)
 
@@ -94,7 +93,7 @@ class TestThresholdScan:
 
     def test_beta_tail_alpha2_approaches_two(self):
         dist = BetaTailV(2.0)
-        assert 2.0 * 2000.0 * ratio_rt(dist, 2000.0) == pytest.approx(2.0 * 2.0, rel=2e-3)
+        assert moment_curve(dist, [2000.0])[0, 4] == pytest.approx(2.0 * 2.0, rel=2e-3)
         scan = threshold_scan(dist, 2.0 * (1.0 - 0.05), geometric_grid(0.1, 3000.0))
         assert scan.reached and scan.t_star < 100.0
 
@@ -142,7 +141,7 @@ class TestThresholdScan:
         dist = ExpansionTailV(params)
         grid = geometric_grid(2.0, 3000.0, 8)
         cert = certified_gap_curve(params, grid)
-        true = np.array([2.0 * t * ratio_rt(dist, t) for t in grid])
+        true = moment_curve(dist, grid)[:, 4]
         assert np.all(cert <= true + 1e-6)
 
     def test_empirical_scan_on_expansion_tail(self):

@@ -13,7 +13,13 @@ SHA-256 of ``scan.csv`` for each catalog prior at a small configuration and
 ``--jobs 1`` and ``2``.  The tests recompute them, so any change to the
 scan's random streams or hit decisions shows up as a digest mismatch.
 
-    PYTHONPATH=src python tools/generate_fixtures.py [--scan-digests]
+``--threshold-digests`` writes tests/fixtures/threshold_digests.json: the
+SHA-256 of ``verdict.json`` for each catalog prior at ``--t 0.1``, and of
+``moments.csv`` and ``threshold.json`` for one conditional-zeta moment scan
+(the benchmark's ``moments`` job).  These outputs are deterministic, so the
+tests pin them byte for byte.
+
+    PYTHONPATH=src python tools/generate_fixtures.py [--scan-digests | --threshold-digests]
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from oracles import band_event_probability  # noqa: E402
 
 OUT = _ROOT / "tests" / "fixtures" / "oracle.json"
 SCAN_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "scan_digests.json"
+THRESHOLD_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "threshold_digests.json"
 
 SCAN_SEED = 777001
 POSTERIOR_SEED = 777002
@@ -53,6 +60,22 @@ SCAN_DIGEST_ARGV = (
     "--trials", "60", "--samples", "1024", "--seed", str(SCAN_DIGEST_SEED),
 )
 
+PRIOR_CHECK_ARGV = ("prior-check", "--t", "0.1")
+MOMENTS_ARGV = (
+    "moments", "--dist", "zeta", "--spec", "uniform:1.0", "--z", "2.0109601381069178",
+    "--alpha", "0.5", "--t-lo", "0.5", "--t-hi", "500.0", "--per-decade", "1",
+)
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run(argv, out: Path) -> None:
+    code = cli_main([*argv, "--out", str(out)])
+    if code != 0:
+        raise RuntimeError(f"{' '.join(argv)} exited {code}")
+
 
 def write_scan_digests() -> None:
     """Freeze the SHA-256 of scan.csv per catalog prior and worker count."""
@@ -62,11 +85,8 @@ def write_scan_digests() -> None:
             digests[spec] = {}
             for jobs in ("1", "2"):
                 out = Path(tmp) / f"{spec}-{jobs}"
-                code = cli_main([*SCAN_DIGEST_ARGV, "--spec", spec, "--jobs", jobs,
-                                 "--out", str(out)])
-                if code != 0:
-                    raise RuntimeError(f"scan {spec} --jobs {jobs} exited {code}")
-                digests[spec][jobs] = hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest()
+                _run([*SCAN_DIGEST_ARGV, "--spec", spec, "--jobs", jobs], out)
+                digests[spec][jobs] = _sha256(out / "scan.csv")
     with open(SCAN_DIGESTS_OUT, "w", encoding="utf-8") as fh:
         json.dump({"argv": list(SCAN_DIGEST_ARGV), "sha256": digests}, fh, indent=2,
                   sort_keys=True)
@@ -74,12 +94,40 @@ def write_scan_digests() -> None:
     print(f"wrote {SCAN_DIGESTS_OUT}")
 
 
+def write_threshold_digests() -> None:
+    """Freeze the SHA-256 of the prior-check and moments outputs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        verdicts = {}
+        for spec in CATALOG:
+            out = Path(tmp) / spec
+            _run([*PRIOR_CHECK_ARGV, "--spec", spec], out)
+            verdicts[spec] = _sha256(out / "verdict.json")
+        out = Path(tmp) / "moments"
+        _run(MOMENTS_ARGV, out)
+        moments = {name: _sha256(out / name) for name in ("moments.csv", "threshold.json")}
+    fixture = {
+        "prior_check": {"argv": list(PRIOR_CHECK_ARGV), "sha256": verdicts},
+        "moments": {"argv": list(MOMENTS_ARGV), "sha256": moments},
+    }
+    with open(THRESHOLD_DIGESTS_OUT, "w", encoding="utf-8") as fh:
+        json.dump(fixture, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {THRESHOLD_DIGESTS_OUT}")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description="Regenerate the frozen test fixtures.")
-    parser.add_argument("--scan-digests", action="store_true",
-                        help=f"write only {SCAN_DIGESTS_OUT.relative_to(_ROOT)}")
-    if parser.parse_args(argv).scan_digests:
+    only = parser.add_mutually_exclusive_group()
+    only.add_argument("--scan-digests", action="store_true",
+                      help=f"write only {SCAN_DIGESTS_OUT.relative_to(_ROOT)}")
+    only.add_argument("--threshold-digests", action="store_true",
+                      help=f"write only {THRESHOLD_DIGESTS_OUT.relative_to(_ROOT)}")
+    args = parser.parse_args(argv)
+    if args.scan_digests:
         write_scan_digests()
+        return
+    if args.threshold_digests:
+        write_threshold_digests()
         return
     prior = UniformPrior(1.0)
     fx: dict = {"prior": prior.to_dict(), "t": 0.1}
