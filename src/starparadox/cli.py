@@ -14,11 +14,12 @@ Priors are given either as shorthand (``uniform:1.0``, ``power:0.5``,
 ``discrete:0.1,0.5``, ``logti``, ``tlogti``, ``tame``) via --spec, or as a
 JSON file via --spec-file, never both.  --jobs (worker processes) exists
 only on posterior, scan and replay, the commands that split their work into
-chunks.  Every command writes a ``manifest.json`` next to its outputs;
-``replay --manifest ...`` reproduces the output files byte for byte, for
-any --jobs (accepted only for posterior and scan manifests).  Exit codes:
-0 success, 2 invalid usage or arguments, 3 runtime failure.  The
-environment variable STARPARADOX_SEED supplies the default seed.
+chunks.  Every command writes a ``manifest.json`` next to its outputs.
+``replay --manifest ...`` parses the manifest's argv as a fresh run would
+(a ``replay --jobs N`` last) and exits 3 naming each output whose SHA-256
+differs from the recorded one.  Exit codes: 0 success, 2 invalid usage,
+arguments or paths, 3 runtime failure.  The environment variable
+STARPARADOX_SEED supplies the default seed.
 """
 
 from __future__ import annotations
@@ -100,8 +101,6 @@ def _parse_counts(text: str) -> PatternCounts:
 # ---------------------------------------------------------------------------
 
 def _cmd_simulate(args, out: Path) -> list[Path]:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 7]))
@@ -240,47 +239,39 @@ _COMMANDS = {
 }
 
 
-def _command_params(command: str) -> set[str]:
-    """The parameters a command reads from its parsed arguments, seed and prior aside."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    dests = {a.dest for a in sub.choices[command]._actions}
-    return dests - {"help", "out", "seed", "spec", "spec_file"}
-
-
-def _cmd_replay(args, out: Path) -> list[Path]:
-    manifest = RunManifest.read(args.manifest)
-    if manifest.command not in _COMMANDS:
+def _replay_argv(parser, manifest: RunManifest, replay) -> list[str]:
+    """The argv of the run that ``manifest`` records, writing to ``replay.out``: each
+    value as ``--flag=value`` (so a negative number is not read as a flag)."""
+    if not isinstance(manifest.command, str) or manifest.command not in _COMMANDS:
         raise ValueError(f"manifest names unknown command {manifest.command!r}")
-    params = dict(manifest.params)
-    params["seed"] = manifest.seed
-    if args.jobs is not None:
-        if "jobs" not in params:
-            raise ValueError(
-                f"--jobs does not apply to a {manifest.command!r} manifest; "
-                "only posterior and scan runs take it"
-            )
-        params["jobs"] = args.jobs
-    missing = sorted(_command_params(manifest.command) - params.keys())
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for a in sub.choices[manifest.command]._actions
+               if a.dest not in ("help", "out", "seed", "spec", "spec_file")]
+    missing = sorted(a.dest for a in actions if a.dest not in manifest.params)
     if missing:
         raise ValueError(
-            f"manifest {args.manifest}: {manifest.command} params lack {', '.join(missing)}"
+            f"manifest {replay.manifest}: {manifest.command} params lack {', '.join(missing)}"
         )
-    replay_args = argparse.Namespace(**params)
-    replay_args.prior = None if manifest.prior is None else prior_from_dict(manifest.prior)
-    outputs = _COMMANDS[manifest.command](replay_args, out)
-    _emit_manifest(manifest.command, replay_args, out, outputs)
-    return outputs
+    argv = [manifest.command]
+    argv += [f"{a.option_strings[0]}={manifest.params[a.dest]}" for a in actions
+             if manifest.params[a.dest] is not None]
+    argv += [f"--seed={manifest.seed}", f"--out={replay.out}"]
+    if manifest.prior is not None:
+        prior = prior_from_dict(manifest.prior)  # params() is in constructor order
+        argv.append(f"--spec={prior.kind}:{','.join(map(repr, prior.params().values()))}")
+    if replay.jobs is not None:
+        argv.append(f"--jobs={replay.jobs}")  # last, so it overrides the recorded value
+    return argv
 
 
-def _emit_manifest(command: str, args, out: Path, outputs: list[Path]) -> None:
+def _emit_manifest(command: str, args, out: Path, outputs: list[Path]) -> RunManifest:
     params = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("func", "out", "manifest", "command", "prior", "spec", "spec_file")
-        and not k.startswith("_")
+        if k not in ("out", "command", "prior", "spec", "spec_file")
     }
     prior_dict = None if args.prior is None else args.prior.to_dict()
-    seed = params.pop("seed", 0)
+    seed = params.pop("seed")
     manifest = RunManifest(
         command=command, params=params, seed=seed, version=__version__, prior=prior_dict
     )
@@ -288,6 +279,7 @@ def _emit_manifest(command: str, args, out: Path, outputs: list[Path]) -> None:
         manifest.add_output(path)
     manifest.finish()
     manifest.write(out / "manifest.json")
+    return manifest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,13 +358,19 @@ def main(argv=None) -> int:
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        recorded = {}  # output digests that a replay must reproduce
         if args.command == "replay":
-            _cmd_replay(args, out)
-        else:
-            args.prior = _load_prior(args)
-            outputs = _COMMANDS[args.command](args, out)
-            _emit_manifest(args.command, args, out, outputs)
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+            manifest = RunManifest.read(args.manifest)
+            recorded = manifest.outputs
+            args = parser.parse_args(_replay_argv(parser, manifest, args))
+        args.prior = _load_prior(args)
+        outputs = _COMMANDS[args.command](args, out)
+        written = _emit_manifest(args.command, args, out, outputs).outputs
+        differ = [name for name, digest in written.items() if recorded.get(name, digest) != digest]
+        if differ:
+            raise RuntimeError(f"outputs differ from the manifest's digests: {', '.join(differ)}")
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failures

@@ -86,6 +86,7 @@ class RunManifest:
         missing = [k for k in ("command", "params", "seed", "version") if k not in obj]
         if missing:
             raise ValueError(f"manifest {path} lacks {', '.join(missing)}")
-        if not isinstance(obj["params"], dict):
-            raise ValueError(f"manifest {path}: params must be an object")
+        for key in ("params", "outputs"):
+            if not isinstance(obj.get(key, {}), dict):
+                raise ValueError(f"manifest {path}: {key} must be an object")
         return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})

@@ -266,6 +266,8 @@ def geometric_grid(lo: float, hi: float, per_decade: int = 64) -> np.ndarray:
         raise ValueError(f"grid needs finite 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
     if per_decade < 1:
         raise ValueError(f"per_decade must be >= 1, got {per_decade!r}")
+    if not math.isfinite(hi / lo):
+        raise ValueError(f"grid span hi/lo overflows, got lo={lo!r}, hi={hi!r}")
     decades = math.log10(hi / lo)
     return lo * 10.0 ** np.linspace(0.0, decades, int(round(decades * per_decade)) + 1)
 

@@ -59,7 +59,7 @@ def _chunk_rng(seed: int, tag: int, index: int) -> np.random.Generator:
 def simulate_counts(t: float, n: int, seed) -> PatternCounts:
     """Multinomial(n, star pattern probabilities at t); deterministic given seed."""
     if n < 1:
-        raise ValueError("sequence length n must be >= 1")
+        raise ValueError(f"sequence length n (--n) must be >= 1, got {n!r}")
     q = star_probs(t)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     draw = rng.multinomial(n, q.array)

@@ -643,9 +643,12 @@ def _build(kind: str, args: list, kwargs: dict) -> Prior:
     signature = inspect.signature(PRIOR_KINDS[kind])
     try:
         bound = signature.bind(*args, **kwargs)
-    except TypeError:  # wrong arguments; the constructor's own errors pass through
+    except TypeError:  # wrong arguments; the constructor's own ValueErrors pass through
         raise ValueError(f"{kind} takes ({', '.join(signature.parameters)})") from None
-    return PRIOR_KINDS[kind](*bound.args, **bound.kwargs)
+    try:
+        return PRIOR_KINDS[kind](*bound.args, **bound.kwargs)
+    except TypeError as exc:  # a value of the wrong type, e.g. a list for theta
+        raise ValueError(f"{kind} parameters must be numbers: {exc}") from None
 
 
 def prior_from_dict(obj: dict) -> Prior:

@@ -1,11 +1,16 @@
+import copy
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 
 def run_cli(*args, env_extra=None, cwd=None):
@@ -25,6 +30,20 @@ def run_main(*args):
     from starparadox.cli import main
 
     return main(list(args))
+
+
+def exit_code(*args):
+    """main's exit code, reading an argparse rejection's ``SystemExit`` as its code."""
+    try:
+        return run_main(*args)
+    except SystemExit as exc:
+        return exc.code
+
+
+def fresh_manifest(argv, out) -> dict:
+    """Run a command into ``out`` and return the manifest it wrote."""
+    assert run_main(*argv, "--out", str(out)) == 0
+    return json.loads((out / "manifest.json").read_text())
 
 
 def read_csv(path):
@@ -131,6 +150,14 @@ class TestPriorArgumentsValidated:
         assert run_main("prior-check", "--spec-file", str(spec), "--t", "0.1",
                         "--out", str(tmp_path)) == 2
         assert "uniform takes (theta)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [{"theta": [1.0]}, {"theta": None}])
+    def test_spec_file_value_of_wrong_type(self, tmp_path, capsys, params):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"kind": "uniform", "params": params}))
+        assert run_main("prior-check", "--spec-file", str(spec), "--t", "0.1",
+                        "--out", str(tmp_path)) == 2
+        assert "uniform parameters must be numbers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", [["uniform"], {"uniform": 1}, 3])
     def test_non_string_kind(self, tmp_path, capsys, kind):
@@ -273,6 +300,182 @@ class TestJobsValidated:
         assert not (replayed / "manifest.json").exists()
 
 
+PRIOR_CHECK = ("prior-check", "--spec", "uniform:1.0", "--t", "0.1")
+SIMULATE = ("simulate", "--t", "0.1", "--n", "10")
+DELETE = object()
+
+
+def edit_field(manifest: dict, path, edit) -> None:
+    """Replace the field at ``path`` (a key sequence) by ``edit(old value)``; DELETE drops it."""
+    *parents, key = path
+    for parent in parents:
+        manifest = manifest[parent]
+    value = edit(manifest.get(key))
+    if value is DELETE:
+        manifest.pop(key, None)
+    else:
+        manifest[key] = value
+
+
+class TestReplayHandWritten:
+    """A fresh run's manifest with one field changed by hand.
+
+    A value that its flag's type cannot read exits 2 naming the flag; one that
+    it reads (``"0.1"`` for a float) replays to the typed run's bytes.
+    """
+
+    @pytest.mark.parametrize("argv, path, value, named", [
+        (PRIOR_CHECK, ("prior",), DELETE, "--spec"),
+        (SIMULATE, ("params", "n"), 10.5, "--n"),
+        (SIMULATE, ("seed",), "x", "--seed"),
+        (PRIOR_CHECK, ("params", "t"), "0.1", None),
+        (("scan", "--spec", "uniform:1.0", "--t", "0.1", "--epsilon", "0.05", "--n-list", "100",
+          "--trials", "4", "--samples", "1000"), ("params", "n_list"), 100, None),
+        (TestJobsValidated.POSTERIOR, ("params", "jobs"), "2", None),
+    ], ids=["no-prior", "n-float", "seed-str", "t-str", "n_list-int", "jobs-str"])
+    def test_replay(self, tmp_path, capsys, argv, path, value, named):
+        fresh, replayed = tmp_path / "fresh", tmp_path / "replayed"
+        manifest = fresh_manifest(argv, fresh)
+        edit_field(manifest, path, lambda old: value)
+        edited = tmp_path / "manifest.json"
+        edited.write_text(json.dumps(manifest))
+        code = exit_code("replay", "--manifest", str(edited), "--out", str(replayed))
+        if named:
+            assert code == 2
+            assert named in capsys.readouterr().err
+            assert list(replayed.iterdir()) == []
+        else:
+            assert code == 0, capsys.readouterr().err
+            for name in manifest["outputs"]:
+                assert (replayed / name).read_bytes() == (fresh / name).read_bytes()
+
+
+_VALUES = st.one_of(
+    st.text(max_size=6),
+    st.integers(-3, 64),
+    st.floats(-1e3, 1e3) | st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.none(),
+)
+
+
+class TestReplayFuzz:
+    """Deleting, retyping or corrupting one manifest field exits 0 or 2, never 3.
+
+    The base manifests drop ``outputs``, so that a changed but valid value is
+    a new run rather than a digest mismatch, which exits 3 on purpose
+    (``TestReplayDigestCheck``). Floats stay within +-1e3, plus nan and +-inf:
+    a moment scan out to t = 1e10 fails to converge, a defect of the moment
+    quadrature rather than of replay.
+    """
+
+    BASES = {
+        "simulate": SIMULATE,
+        "prior-check": PRIOR_CHECK,
+        "moments": ("moments", "--dist", "uniform01", "--alpha", "1", "--per-decade", "1"),
+    }
+
+    @pytest.fixture(scope="class")
+    def bases(self, tmp_path_factory):
+        bases = {}
+        for name, argv in self.BASES.items():
+            bases[name] = fresh_manifest(argv, tmp_path_factory.mktemp(name))
+            del bases[name]["outputs"]
+        return bases
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_never_exit_3(self, bases, name, data):
+        manifest = copy.deepcopy(bases[name])
+        paths = [(key,) for key in (*manifest, "outputs")]
+        paths += [("params", key) for key in manifest["params"]]
+        if manifest["prior"] is not None:
+            paths += [("prior", "kind"), ("prior", "params")]
+            paths += [("prior", "params", key) for key in manifest["prior"]["params"]]
+        path = data.draw(st.sampled_from(paths))
+        action = data.draw(st.sampled_from(["delete", "retype", "corrupt"]))
+        if action == "delete":
+            edit_field(manifest, path, lambda old: DELETE)
+        elif action == "retype":
+            new = data.draw(_VALUES)
+            edit_field(manifest, path, lambda old: new)
+        else:
+            suffix = data.draw(st.text(min_size=1, max_size=2))
+            edit_field(manifest, path, lambda old: str(old) + suffix)
+        with tempfile.TemporaryDirectory() as tmp:
+            edited = Path(tmp) / "manifest.json"
+            edited.write_text(json.dumps(manifest))
+            code = exit_code("replay", "--manifest", str(edited), "--out", str(Path(tmp) / "out"))
+        assert code in (0, 2)
+
+
+class TestReplayRoundTrip:
+    """Replay under another STARPARADOX_SEED reproduces outputs, params, prior and seed."""
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--t", "0.1", "--n", "10", "--trials", "2"),
+        ("posterior", "--spec", "tame", "--counts", "7,1,1,1", "--samples", "1000"),
+        ("scan", "--spec", "discrete:0.1,0.5", "--t", "0.1", "--epsilon", "0.05",
+         "--n-list", "100,400", "--trials", "4", "--samples", "1000"),
+        ("prior-check", "--spec", "power:0.5", "--t", "0.1"),
+        ("moments", "--dist", "uniform01", "--alpha", "1", "--per-decade", "1"),
+        ("moments", "--dist", "zeta", "--spec", "uniform:1.0", "--z", "2.0", "--alpha", "0.5",
+         "--t-lo", "1", "--t-hi", "1500", "--per-decade", "1"),
+        ("claims", "--spec", "logti", "--t", "0.1", "--samples", "4000", "--z-points", "2"),
+    ], ids=["simulate", "posterior", "scan", "prior-check", "moments", "moments-prior", "claims"])
+    def test_identical(self, tmp_path, monkeypatch, argv):
+        fresh, replayed = tmp_path / "fresh", tmp_path / "replayed"
+        monkeypatch.setenv("STARPARADOX_SEED", "11")
+        m1 = fresh_manifest(argv, fresh)
+        monkeypatch.setenv("STARPARADOX_SEED", "12")
+        assert run_main("replay", "--manifest", str(fresh / "manifest.json"),
+                        "--out", str(replayed)) == 0
+        m2 = json.loads((replayed / "manifest.json").read_text())
+        assert m1["seed"] == 11
+        for key in ("outputs", "params", "prior", "seed"):
+            assert m2[key] == m1[key]
+        for name in m1["outputs"]:
+            assert (replayed / name).read_bytes() == (fresh / name).read_bytes()
+
+
+class TestReplayDigestCheck:
+    """Replay compares its outputs' SHA-256 with the manifest's ``outputs``."""
+
+    def _replay(self, tmp_path, edit):
+        manifest = fresh_manifest(SIMULATE, tmp_path / "fresh")
+        edit(manifest["outputs"])
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        return run_main("replay", "--manifest", str(path), "--out", str(tmp_path / "replayed"))
+
+    def test_changed_digest_exits_3_naming_file(self, tmp_path, capsys):
+        assert self._replay(tmp_path, lambda outputs: outputs.update({"counts.csv": "0" * 64})) == 3
+        assert "digests: counts.csv" in capsys.readouterr().err
+        # the outputs and the new manifest are written before the check
+        assert (tmp_path / "replayed" / "manifest.json").exists()
+
+    def test_unrecorded_names_not_checked(self, tmp_path):
+        assert self._replay(tmp_path, lambda outputs: outputs.clear()) == 0
+
+
+class TestPathArguments:
+    """A directory where a file is expected, or a file where a directory is, exits 2."""
+
+    @pytest.mark.parametrize("argv, error", [
+        (("replay", "--manifest", "{dir}", "--out", "{dir}/out"), "Is a directory"),
+        (("replay", "--manifest", "{file}/manifest.json", "--out", "{dir}/out"), "Not a directory"),
+        (("prior-check", "--spec-file", "{dir}", "--t", "0.1", "--out", "{dir}/out"),
+         "Is a directory"),
+        (("simulate", "--t", "0.1", "--n", "10", "--out", "{file}"), "File exists"),
+    ], ids=["manifest-is-dir", "manifest-under-file", "spec-file-is-dir", "out-is-file"])
+    def test_exit_2(self, tmp_path, capsys, argv, error):
+        file = tmp_path / "file"
+        file.write_text("x")
+        assert run_main(*(a.format(dir=tmp_path, file=file) for a in argv)) == 2
+        assert error in capsys.readouterr().err
+
+
 class TestScan:
     def test_schema_and_jobs_invariance(self, tmp_path):
         common = ["scan", "--spec", "uniform:1.0", "--t", "0.1", "--epsilon", "0.05",
@@ -314,6 +517,8 @@ class TestScan:
 class TestScanDigests:
     """scan.csv of every catalog prior matches its frozen SHA-256, at --jobs 1 and 2.
 
+    The --jobs 2 leg is ``replay --jobs 2`` of the --jobs 1 run's manifest, so
+    the digests pin replay's spelling of each catalog prior as well.
     Regenerate with ``tools/generate_fixtures.py --scan-digests`` only when a
     change to the scan's random streams or hit decisions is intended.
     """
@@ -324,11 +529,13 @@ class TestScanDigests:
 
     @pytest.mark.parametrize("spec", sorted(FIXTURE["sha256"]))
     def test_digests(self, tmp_path, spec):
+        fresh, replayed = tmp_path / "1", tmp_path / "2"
+        assert run_main(*self.FIXTURE["argv"], "--spec", spec, "--jobs", "1",
+                        "--out", str(fresh)) == 0
+        assert run_main("replay", "--manifest", str(fresh / "manifest.json"), "--jobs", "2",
+                        "--out", str(replayed)) == 0
         for jobs, digest in sorted(self.FIXTURE["sha256"][spec].items()):
-            out = tmp_path / jobs
-            assert run_main(*self.FIXTURE["argv"], "--spec", spec, "--jobs", jobs,
-                            "--out", str(out)) == 0
-            assert hashlib.sha256((out / "scan.csv").read_bytes()).hexdigest() == digest
+            assert hashlib.sha256((tmp_path / jobs / "scan.csv").read_bytes()).hexdigest() == digest
 
 
 class TestThresholdDigests:

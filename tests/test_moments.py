@@ -112,6 +112,12 @@ class TestThresholdScan:
         with pytest.raises(ValueError, match="per_decade"):
             geometric_grid(1.0, 1e4, 0)
 
+    @pytest.mark.parametrize("lo, hi", [(2.2250738585072014e-308, 1e3), (1e-10, 1e300)])
+    def test_grid_span_overflow_rejected(self, lo, hi):
+        # hi / lo is infinite: the grid's point count cannot be formed
+        with pytest.raises(ValueError, match="overflows"):
+            geometric_grid(lo, hi, 1)
+
     def test_certified_monotone_in_remainder(self):
         grid = geometric_grid(1.0, 2e4, 32)
         base = TailParams(1.0, (0.0, 1.0, 3.0), (1.0, 0.5, 0.2))
