@@ -36,7 +36,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "QuadratureError",
@@ -74,6 +73,8 @@ _QUAD_EPSREL = 1e-11
 def _quad(f: Callable[[float], float], a: float, b: float) -> float:
     if b <= a:
         return 0.0
+    from scipy.integrate import quad  # only G/H quadrature needs scipy; keeps start-up light
+
     value, err = quad(f, a, b, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT)
     if err > 100.0 * _QUAD_EPSREL * abs(value) and err > 1e-9 * abs(value):
         raise QuadratureError("quadrature did not converge", value, err)

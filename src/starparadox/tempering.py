@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .model import band_interval
 from .priors import Prior
@@ -165,6 +164,8 @@ def _ladder_fit(s: np.ndarray, G: np.ndarray, alpha0: float):
     scalar minimization over alpha0 +- _ALPHA_SPAN.  Returns (alpha,
     coeffs, rel_residuals) where rel_residuals = (G - model)/G.
     """
+    from scipy.optimize import minimize_scalar  # loaded only when a fit runs
+
     eps_arr = np.asarray(_EPS)
     target = np.ones_like(G)
 
@@ -200,6 +201,8 @@ def _log_model_contest(x: np.ndarray, L: np.ndarray) -> tuple[float, float, floa
     Log:   L = c + p x + ln(x0 - x),               offset x0 optimized.
     Returns (rms_pure, rms_log, p_log) with p_log the log-model power.
     """
+    from scipy.optimize import minimize_scalar
+
     ones = np.ones_like(x)
 
     def pure_rss(eps1: float) -> float:

@@ -675,6 +675,75 @@ class TestMoments:
         assert cli.main(["moments", "--dist", "quadratic", *flags, "--out", str(tmp_path)]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha", ["inf", "1e300", "1e10", "nan"])
+    def test_beta_alpha_outside_range_rejected(self, tmp_path, capsys, alpha):
+        argv = ["moments", "--dist", f"beta:{alpha}", "--alpha", "1", "--t-lo", "0.1",
+                "--t-hi", "100", "--per-decade", "1", "--out", str(tmp_path)]
+        assert run_main(*argv) == 2
+        assert "beta alpha must be finite and in [0.01, 5]" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
+    @pytest.mark.parametrize("t_hi", ["1e6", "1e10"])
+    def test_t_above_cap_rejected_naming_t_hi(self, tmp_path, capsys, t_hi):
+        argv = ["moments", "--dist", "uniform01", "--alpha", "1", "--t-lo", "1",
+                "--t-hi", t_hi, "--per-decade", "1", "--out", str(tmp_path)]
+        assert run_main(*argv) == 2
+        assert "--t-hi" in capsys.readouterr().err
+        assert not (tmp_path / "moments.csv").exists()
+
+    @pytest.mark.parametrize("dist,exact", [
+        ("uniform01", lambda t: 2.0 * t / (t + 2.0)),
+        ("quadratic", lambda t: 2.0 * t / (t + 3.0)),
+    ])
+    def test_t_up_to_cap_accurate(self, tmp_path, dist, exact):
+        argv = ["moments", "--dist", dist, "--alpha", "1", "--t-lo", "1", "--t-hi", "1e5",
+                "--per-decade", "1", "--out", str(tmp_path)]
+        assert run_main(*argv) == 0
+        rows = read_csv(tmp_path / "moments.csv")[1:]
+        assert float(rows[-1][0]) == 1e5
+        for row in rows:
+            t, gap = float(row[0]), float(row[4])
+            assert gap == pytest.approx(exact(t), rel=1e-7)
+
+
+class TestNoScipyAtStartUp:
+    """Importing the CLI, and the commands that need no quadrature or fit, load no scipy.
+
+    Run in a fresh interpreter: pytest's own process has scipy loaded already.
+    """
+
+    SCRIPT = """
+import sys
+from starparadox.cli import main
+
+out = sys.argv[1]
+runs = [
+    ["simulate", "--t", "0.1", "--n", "1000", "--trials", "3"],
+    ["scan", "--spec", "uniform:1.0", "--t", "0.1", "--epsilon", "0.05", "--n-list", "100",
+     "--trials", "20", "--samples", "256", "--jobs", "1"],
+    ["posterior", "--spec", "uniform:1.0", "--counts", "753,130,59,58", "--samples", "4096",
+     "--jobs", "2"],
+    ["claims", "--spec", "uniform:1.0", "--t", "0.1", "--samples", "20000", "--z-points", "2"],
+]
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+print("import", loaded)
+for i, argv in enumerate(runs):
+    code = main([*argv, "--out", f"{out}/{i}"])
+    loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+    print(argv[0], code, loaded)
+print("prior-check", main(["prior-check", "--spec", "uniform:1.0", "--t", "0.1",
+                           "--out", f"{out}/check"]))
+"""
+
+    def test_fresh_interpreter(self, tmp_path):
+        r = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines() == [
+            "import []", "simulate 0 []", "scan 0 []", "posterior 0 []", "claims 0 []",
+            "prior-check 0",
+        ], r.stdout + r.stderr
+
 
 class TestClaims:
     def test_report_written(self, tmp_path):

@@ -56,6 +56,26 @@ class TestMoments:
         assert moment_mt(BetaTailV(alpha), t) == pytest.approx(oracle, rel=1e-9)
         assert t * beta_fn(t, alpha + 1.0) == pytest.approx(oracle, rel=1e-13)
 
+    @pytest.mark.parametrize("alpha", [0.01, 5.0])
+    def test_beta_tail_range_ends_hold(self, alpha):
+        # the ends of the accepted alpha range, over the whole t range moment_curve takes
+        grid = geometric_grid(1e-3, 1e5, 2)
+        curve = moment_curve(BetaTailV(alpha), grid)
+        exact_m = np.array([t * beta_fn(t, alpha + 1.0) for t in grid])
+        np.testing.assert_allclose(curve[:, 1], exact_m, rtol=1e-9)
+        np.testing.assert_allclose(curve[:, 4], 2.0 * grid * alpha / (grid + alpha + 1.0),
+                                   rtol=1e-4)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.0099, 5.01, math.inf, math.nan])
+    def test_beta_tail_alpha_outside_range(self, alpha):
+        with pytest.raises(ValueError, match=r"beta alpha must be finite and in \[0.01, 5\]"):
+            BetaTailV(alpha)
+
+    def test_curve_stops_at_t_1e5(self):
+        assert moment_curve(UniformV(), [1e5 * (1.0 + 1e-15)]).shape == (1, 5)
+        with pytest.raises(ValueError, match="--t-hi"):
+            moment_curve(UniformV(), [1.0, 1.0001e5])
+
     def test_quadratic_density(self):
         q = QuadraticV()
         for t in (1.0, 5.0, 40.0):
