@@ -76,4 +76,4 @@ from .moments import (
     threshold_scan,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -11,10 +11,13 @@ happens in log scale with streaming log-sum-exp.
 
 Reproducibility contract: work is split into fixed-size chunks, each chunk
 draws from a substream seeded by (seed, tag, chunk index), and reduction
-folds the per-chunk partials in ascending chunk order.  Results are
-therefore bit-identical for any worker count.  The three trees share draws
-(common random numbers), which makes equal counts give exactly equal
-estimates and shrinks the variance of ratios.
+folds the per-chunk partials in ascending chunk order.  The scan's chunk
+substreams carry counts only; a scan trial whose posterior is computed
+draws its prior sample from its own substream, seeded by (seed, tag,
+n index, trial index).  Results are therefore bit-identical for any worker
+count.  The three trees share draws (common random numbers), which makes
+equal counts give exactly equal estimates and shrinks the variance of
+ratios.
 """
 
 from __future__ import annotations
@@ -46,20 +49,22 @@ TRIAL_CHUNK = 64
 
 _TAG_KERNEL = 1
 _TAG_SCAN = 2
+_TAG_SCAN_PRIOR = 3
+_N_MAX = 2**63 - 1  # numpy's multinomial reads n as a C long
 
 
 class DegenerateEstimate(RuntimeError):
     """Every sampled kernel value was zero; the log-mean is undefined."""
 
 
-def _chunk_rng(seed: int, tag: int, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), tag, index]))
+def _chunk_rng(seed: int, tag: int, *index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([int(seed), tag, *index]))
 
 
 def simulate_counts(t: float, n: int, seed) -> PatternCounts:
     """Multinomial(n, star pattern probabilities at t); deterministic given seed."""
-    if n < 1:
-        raise ValueError(f"sequence length n (--n) must be >= 1, got {n!r}")
+    if not 1 <= n <= _N_MAX:
+        raise ValueError(f"sequence length n (--n) must lie in [1, 2**63 - 1], got {n!r}")
     q = star_probs(t)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     draw = rng.multinomial(n, q.array)
@@ -316,14 +321,14 @@ def _losing_trees(log_w: np.ndarray, epsilon: float, n: int) -> tuple[int, ...]:
 
 def _scan_chunk(prior, t, epsilon, n, n_samples, log_w, seed, n_index, chunk, n_trials):
     rng = _chunk_rng(seed, _TAG_SCAN, n_index * 1_000_003 + chunk)
-    q = star_probs(t).array
+    draws = rng.multinomial(n, star_probs(t).array, size=n_trials)
     losing = _losing_trees(log_w, epsilon, n)
     hits = 0
-    for _ in range(n_trials):
-        draw = rng.multinomial(n, q)
-        te, ti = prior.sample(rng, n_samples)  # drawn even for a skipped trial: keeps the stream
+    for k, draw in enumerate(draws):
         if any(draw[j] >= draw[1] for j in losing):
             continue  # a certain miss
+        trial_rng = _chunk_rng(seed, _TAG_SCAN_PRIOR, n_index, chunk * TRIAL_CHUNK + k)
+        te, ti = prior.sample(trial_rng, n_samples)
         counts = PatternCounts(*map(int, draw))
         lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
         block = kernel_log_values(counts, lp0, lp1, lp2, (1, 2, 3))
@@ -356,10 +361,12 @@ def paradox_scan(
     w_1 / (w_1 + w_j) below 1 - epsilon (by a rounding allowance that
     grows with n) is counted as a miss without computing its posterior:
     tree 1's posterior is at most w_1 / (w_1 + w_j) there.
-    Its prior draws are still made, so the random streams, and the
-    result, do not depend on the skip.  A skipped trial is not checked
-    for degeneracy: ``DegenerateEstimate`` is raised only by a trial
-    whose posterior is computed.
+    A skipped trial draws only its counts; a computed trial draws its
+    prior sample from the substream of (seed, n index, trial index), so
+    a trial's outcome does not depend on which other trials were skipped,
+    nor on ``jobs``.  A skipped trial is not checked for degeneracy:
+    ``DegenerateEstimate`` is raised only by a trial whose posterior is
+    computed.
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
@@ -368,8 +375,9 @@ def paradox_scan(
     if n_samples < 1:
         raise ValueError(f"n_samples (--samples) must be >= 1, got {n_samples!r}")
     n_list = [int(v) for v in n_list]
-    if any(b <= a for a, b in zip(n_list, n_list[1:])) or any(v < 1 for v in n_list):
-        raise ValueError("n_list must be ascending positive integers")
+    ascending = all(a < b for a, b in zip(n_list, n_list[1:]))
+    if not ascending or any(not 1 <= v <= _N_MAX for v in n_list):
+        raise ValueError("n_list (--n-list) must be ascending integers in [1, 2**63 - 1]")
     log_w = _log_weights(tree_weights)
 
     results = []

@@ -70,6 +70,11 @@ class TestSimulate:
         assert r.returncode == 2
         assert "--n" in r.stderr
 
+    def test_length_beyond_int64_rejected_naming_flag(self, tmp_path, capsys):
+        # numpy's multinomial reads n as a C long: 10^20 would overflow it
+        assert run_main("simulate", "--t", "0.1", "--n", str(10**20), "--out", str(tmp_path)) == 2
+        assert "(--n) must lie in [1, 2**63 - 1]" in capsys.readouterr().err
+
     def test_manifest_digest_matches(self, tmp_path):
         r = run_cli("simulate", "--t", "0.1", "--n", "50", "--trials", "2",
                     "--seed", "3", "--out", str(tmp_path))
@@ -495,6 +500,12 @@ class TestScan:
                     "--n-list", "100", "--out", str(tmp_path))
         assert r.returncode == 2
 
+    def test_length_beyond_int64_rejected_naming_flag(self, tmp_path, capsys):
+        assert run_main("scan", "--spec", "uniform:1.0", "--t", "0.1", "--epsilon", "0.05",
+                        "--n-list", f"100,{10**20}", "--out", str(tmp_path)) == 2
+        assert "n_list (--n-list) must be ascending integers in [1, 2**63 - 1]" in (
+            capsys.readouterr().err)
+
     def test_replay_is_byte_identical(self, tmp_path):
         out = tmp_path / "orig"
         r = run_cli("scan", "--spec", "uniform:1.0", "--t", "0.1", "--epsilon", "0.05",
@@ -536,6 +547,21 @@ class TestScanDigests:
                         "--out", str(replayed)) == 0
         for jobs, digest in sorted(self.FIXTURE["sha256"][spec].items()):
             assert hashlib.sha256((tmp_path / jobs / "scan.csv").read_bytes()).hexdigest() == digest
+
+    # scan.csv of uniform:1.0 under 0.1.0, whose scan drew every trial's prior
+    # sample from the chunk's count stream
+    DIGEST_0_1_0 = "758bd0afb411ab728497615680b625cb63644ab3ad6137d767693db9da6ee8a0"
+
+    def test_manifest_of_0_1_0_replays_to_new_bytes(self, tmp_path, capsys):
+        manifest = fresh_manifest((*self.FIXTURE["argv"], "--spec", "uniform:1.0"),
+                                  tmp_path / "fresh")
+        manifest["version"] = "0.1.0"
+        manifest["outputs"]["scan.csv"] = self.DIGEST_0_1_0
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_main("replay", "--manifest", str(path), "--out", str(tmp_path / "replayed")) == 3
+        assert "digests: scan.csv" in capsys.readouterr().err
 
 
 class TestThresholdDigests:

@@ -17,6 +17,7 @@ from starparadox.model import (
 from starparadox.posterior import (
     _EXP_ZERO,
     _TAG_SCAN,
+    _TAG_SCAN_PRIOR,
     TRIAL_CHUNK,
     DegenerateEstimate,
     _chunk_rng,
@@ -58,6 +59,11 @@ class TestSimulateCounts:
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
             simulate_counts(0.1, 0, 1)
+
+    def test_length_bounded_by_int64(self):
+        assert simulate_counts(0.1, 2**63 - 1, 1).n == 2**63 - 1
+        with pytest.raises(ValueError, match=r"--n\)"):
+            simulate_counts(0.1, 2**63, 1)
 
 
 class TestLogKernel:
@@ -439,14 +445,47 @@ class TestScanSkip:
         monkeypatch.setattr(posterior, "log_pattern_prob_arrays",
                             lambda te, ti: calls.append(1) or real(te, ti))
         prior, q = UniformPrior(1.0), star_probs(0.1).array
-        rng = _chunk_rng(3, _TAG_SCAN, 0)
+        rng = _chunk_rng(3, _TAG_SCAN, 0)  # the chunk's stream carries counts only
         leading = 0
         for _ in range(50):
             counts = rng.multinomial(200, q)
-            prior.sample(rng, 1024)
             leading += int(counts[1] > max(counts[2:]))
         paradox_scan(prior, 0.1, 0.05, [200], 50, 1024, 3)
         assert 0 < len(calls) == leading < 50
+
+    def test_prior_sampled_once_per_computed_trial(self, monkeypatch):
+        sampled = []
+        real = Prior.sample
+
+        def sample(prior, rng, size):
+            sampled.append(tuple(rng.bit_generator.seed_seq.entropy))
+            return real(prior, rng, size)
+
+        monkeypatch.setattr(Prior, "sample", sample)
+        seed, n_list, trials, q = 8, [100, 400], TRIAL_CHUNK + 20, star_probs(0.1).array
+        computed = []
+        for n_index, n in enumerate(n_list):
+            for chunk in range(2):
+                counts = _chunk_rng(seed, _TAG_SCAN, n_index * 1_000_003 + chunk).multinomial(
+                    n, q, size=min(TRIAL_CHUNK, trials - chunk * TRIAL_CHUNK))
+                computed += [(seed, _TAG_SCAN_PRIOR, n_index, chunk * TRIAL_CHUNK + k)
+                             for k, c in enumerate(counts) if c[1] > max(c[2:])]
+        paradox_scan(UniformPrior(1.0), 0.1, 0.05, n_list, trials, 1024, seed, jobs=1)
+        assert 0 < len(computed) < len(n_list) * trials
+        assert sampled == computed  # once per computed trial, in trial order, none skipped
+
+    def test_trial_substreams_never_collide(self):
+        # a packed key n_index * 1_000_003 + trial would give both the same stream
+        a = _chunk_rng(5, _TAG_SCAN_PRIOR, 0, 1_000_003).random(4)
+        b = _chunk_rng(5, _TAG_SCAN_PRIOR, 1, 0).random(4)
+        assert not np.any(a == b)
+
+    @pytest.mark.parametrize("spec", CATALOG)
+    def test_rows_do_not_depend_on_jobs(self, spec):
+        prior = parse_prior(spec)
+        a = paradox_scan(prior, 0.1, 0.05, [100, 400], 130, 2048, 21, jobs=1)
+        b = paradox_scan(prior, 0.1, 0.05, [100, 400], 130, 2048, 21, jobs=2)
+        assert a == b
 
     @pytest.mark.parametrize("spec", CATALOG)
     def test_hits_match_computing_every_trial(self, spec):
@@ -459,9 +498,11 @@ class TestScanSkip:
         for n_index, n in enumerate(n_list):
             for chunk in range(2):
                 rng = _chunk_rng(seed, _TAG_SCAN, n_index * 1_000_003 + chunk)
-                for _ in range(min(TRIAL_CHUNK, trials - chunk * TRIAL_CHUNK)):
+                for k in range(min(TRIAL_CHUNK, trials - chunk * TRIAL_CHUNK)):
                     counts = PatternCounts(*map(int, rng.multinomial(n, q)))
-                    te, ti = prior.sample(rng, n_samples)
+                    # every trial computed, each from its own prior substream
+                    trial_rng = _chunk_rng(seed, _TAG_SCAN_PRIOR, n_index, chunk * TRIAL_CHUNK + k)
+                    te, ti = prior.sample(trial_rng, n_samples)
                     lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
                     block = kernel_log_values(counts, lp0, lp1, lp2, (1, 2, 3))
                     log_epi = np.array([_finish(p).log_mean for p in _partials(block)])
