@@ -9,7 +9,8 @@ files are byte-identical (timestamps live only in the manifest itself).
 
 CSV files are UTF-8 with a header row, '.' decimal separator, LF line
 endings and floats rendered with repr-faithful '%.17g'; rows are flushed
-as they are written so partial results survive interruption.
+as they are written.  The commands compute every row before the file is
+opened, so a run stopped while it computes has written no rows.
 """
 
 from __future__ import annotations

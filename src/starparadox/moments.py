@@ -15,9 +15,9 @@ bounding factors behind the threshold certificate, and the threshold
 scans themselves.
 
 Everything gamma-related is evaluated through log-gamma (``math.lgamma``),
-so arguments up to 1e6 are safe.  scipy is imported only by the two
-quadratures, when they run.  The fractional/integer split {t}, [t] uses floor
-semantics.
+so arguments up to 1e6 are safe.  The moment quadratures go through
+``priors._quad``, which imports scipy when one runs.  The fractional/integer
+split {t}, [t] uses floor semantics.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import zeta_inv
-from .priors import Prior, QuadratureError
+from .priors import Prior, _quad
 
 __all__ = [
     "TailParams",
@@ -203,21 +203,9 @@ def series_moment_closed(params: TailParams, t: float, sign: int) -> float:
     return total
 
 
-_MOMENT_EPSREL = 1e-11  # requested relative tolerance of the moment quadratures
-
-
 def series_moment_quad(params: TailParams, t: float, sign: int) -> float:
     """Quadrature of the same integral, for the dual-route identity check."""
-    from scipy.integrate import quad
-
-    def integrand(u: float) -> float:
-        v = u ** (1.0 / t)
-        return float(params.series_tail(v, sign=sign))
-
-    value, err = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=_MOMENT_EPSREL, limit=300)
-    if err > 1e-8 * max(abs(value), 1e-12):
-        raise QuadratureError("series moment quadrature did not converge", value, err)
-    return value
+    return _quad(lambda u: float(params.series_tail(u ** (1.0 / t), sign=sign)), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +214,15 @@ def series_moment_quad(params: TailParams, t: float, sign: int) -> float:
 
 def moment_mt(dist, t: float) -> float:
     """M_t = E[V^t] = integral_0^1 t v^(t-1) P(V >= v) dv, via the substitution
-    v = u^(1/t) (uniform weight, stable for large t).  Relative error <= 1e-9."""
+    v = u^(1/t) (uniform weight, stable for large t).
+
+    QuadratureError is raised when quad's own error estimate exceeds 1e-9
+    relative; that estimate is not a proven bound on the error."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 1.0
-    from scipy.integrate import quad
-
-    def integrand(u: float) -> float:
-        return float(dist.tail(u ** (1.0 / t)))
-
-    value, err = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=_MOMENT_EPSREL, limit=400)
-    if err > 1e-9 * max(abs(value), 1e-300):
-        raise QuadratureError("moment quadrature did not converge", value, err)
-    return value
+    return _quad(lambda u: float(dist.tail(u ** (1.0 / t))), 0.0, 1.0)
 
 
 # Largest t of a moment curve.  R_t comes from two quadratures, each good to
@@ -465,9 +448,5 @@ class ConditionalZetaV:
         self.prior = prior
         self.z = float(z)
 
-    def tail(self, v):
-        v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        u = zeta_inv(v_arr)
-        s = u * (3.0 - self.z) / 2.0
-        out = np.array([self.prior.g(self.z, float(si)) for si in s])
-        return out if np.ndim(v) else float(out[0])
+    def tail(self, v: float) -> float:
+        return self.prior.g(self.z, float(zeta_inv(v)) * (3.0 - self.z) / 2.0)

@@ -50,6 +50,10 @@ TRIAL_CHUNK = 64
 _TAG_KERNEL = 1
 _TAG_SCAN = 2
 _TAG_SCAN_PRIOR = 3
+# The scan's counts stream of length index k, chunk c has key k * _SCAN_STRIDE + c,
+# so one length may have at most _SCAN_STRIDE chunks before it reaches the next's keys.
+_SCAN_STRIDE = 1_000_003
+_TRIALS_MAX = TRIAL_CHUNK * _SCAN_STRIDE
 _N_MAX = 2**63 - 1  # numpy's multinomial reads n as a C long
 
 
@@ -320,7 +324,7 @@ def _losing_trees(log_w: np.ndarray, epsilon: float, n: int) -> tuple[int, ...]:
 
 
 def _scan_chunk(prior, t, epsilon, n, n_samples, log_w, seed, n_index, chunk, n_trials):
-    rng = _chunk_rng(seed, _TAG_SCAN, n_index * 1_000_003 + chunk)
+    rng = _chunk_rng(seed, _TAG_SCAN, n_index * _SCAN_STRIDE + chunk)
     draws = rng.multinomial(n, star_probs(t).array, size=n_trials)
     losing = _losing_trees(log_w, epsilon, n)
     hits = 0
@@ -355,7 +359,9 @@ def paradox_scan(
     For each sequence length n, ``trials`` count vectors are simulated from
     the star tree at edge length t and the posterior is estimated with
     ``n_samples`` prior draws per trial; the hit fraction is reported with
-    a 95% Wilson interval.
+    a 95% Wilson interval.  ``trials`` may not exceed TRIAL_CHUNK *
+    1_000_003 (64,000,192), where one length's counts streams would run
+    into the next length's.
 
     A trial whose counts have n_j >= n_1 for a tree j in {2, 3} with
     w_1 / (w_1 + w_j) below 1 - epsilon (by a rounding allowance that
@@ -370,8 +376,8 @@ def paradox_scan(
     """
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must lie in (0, 1)")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= _TRIALS_MAX:
+        raise ValueError(f"trials (--trials) must be in [1, {_TRIALS_MAX}], got {trials!r}")
     if n_samples < 1:
         raise ValueError(f"n_samples (--samples) must be >= 1, got {n_samples!r}")
     n_list = [int(v) for v in n_list]

@@ -66,17 +66,20 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-_QUAD_LIMIT = 500  # subdivision cap; ~1e6 evaluations worst case per call
-_QUAD_EPSREL = 1e-11
-
-
 def _quad(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integral of f over [a, b] (0 when b <= a): the one adaptive quadrature of the package.
+
+    G/H sections and the moments all come here.  quad is asked for 1e-11
+    relative with at most 500 subintervals; QuadratureError is raised when
+    quad's own error estimate exceeds 1e-9 |value|.  That estimate is not a
+    proven bound, so a result can be off by more without raising.
+    """
     if b <= a:
         return 0.0
-    from scipy.integrate import quad  # only G/H quadrature needs scipy; keeps start-up light
+    from scipy.integrate import quad  # the only scipy.integrate import; keeps start-up light
 
-    value, err = quad(f, a, b, epsabs=0.0, epsrel=_QUAD_EPSREL, limit=_QUAD_LIMIT)
-    if err > 100.0 * _QUAD_EPSREL * abs(value) and err > 1e-9 * abs(value):
+    value, err = quad(f, a, b, epsabs=0.0, epsrel=1e-11, limit=500)
+    if err > 1e-9 * abs(value):
         raise QuadratureError("quadrature did not converge", value, err)
     return value
 

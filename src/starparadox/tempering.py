@@ -170,28 +170,23 @@ def _ladder_fit(s: np.ndarray, G: np.ndarray, alpha0: float):
     target = np.ones_like(G)
 
     def solve(alpha: float):
-        design = s[:, None] ** (alpha + eps_arr[None, :]) / G[:, None]
-        coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-        resid = target - design @ coef
-        return coef, resid
-
-    def sse(alpha: float) -> float:
-        _, resid = solve(alpha)
-        return float(resid @ resid)
+        return _lstsq(s[:, None] ** (alpha + eps_arr[None, :]) / G[:, None], target)
 
     res = minimize_scalar(
-        sse, bounds=(max(1e-3, alpha0 - _ALPHA_SPAN), alpha0 + _ALPHA_SPAN), method="bounded",
+        lambda alpha: solve(alpha)[2],
+        bounds=(max(1e-3, alpha0 - _ALPHA_SPAN), alpha0 + _ALPHA_SPAN), method="bounded",
         options={"xatol": 1e-13, "maxiter": 500},
     )
     alpha = float(res.x)
-    coef, resid = solve(alpha)
+    coef, resid, _ = solve(alpha)
     return alpha, coef, resid
 
 
-def _rss(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, float]:
+def _lstsq(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Least-squares coefficients, the residual vector and its sum of squares."""
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     r = target - design @ coef
-    return coef, float(r @ r)
+    return coef, r, float(r @ r)
 
 
 def _log_model_contest(x: np.ndarray, L: np.ndarray) -> tuple[float, float, float]:
@@ -207,7 +202,7 @@ def _log_model_contest(x: np.ndarray, L: np.ndarray) -> tuple[float, float, floa
 
     def pure_rss(eps1: float) -> float:
         design = np.column_stack([ones, x, np.exp(eps1 * (x - x[-1]))])
-        return _rss(design, L)[1]
+        return _lstsq(design, L)[2]
 
     res_p = minimize_scalar(pure_rss, bounds=(0.3, 3.0), method="bounded",
                             options={"xatol": 1e-6})
@@ -216,12 +211,12 @@ def _log_model_contest(x: np.ndarray, L: np.ndarray) -> tuple[float, float, floa
     design2 = np.column_stack([ones, x])
 
     def log_rss(x0: float) -> float:
-        return _rss(design2, L - np.log(x0 - x))[1]
+        return _lstsq(design2, L - np.log(x0 - x))[2]
 
     res_l = minimize_scalar(log_rss, bounds=(x[-1] + 0.05, x[-1] + 80.0),
                             method="bounded", options={"xatol": 1e-8})
     x0 = float(res_l.x)
-    coef, best_log = _rss(design2, L - np.log(x0 - x))
+    coef, _, best_log = _lstsq(design2, L - np.log(x0 - x))
     n = len(x)
     return math.sqrt(best_pure / n), math.sqrt(best_log / n), float(coef[1])
 

@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -185,7 +186,7 @@ class TestPriorArgumentsValidated:
 
 
 class TestDrawCountsValidated:
-    """Non-positive sample and band counts exit 2 naming the flag, before any prior draw."""
+    """Out-of-range sample, trial and band counts exit 2 naming the flag, before any prior draw."""
 
     SCAN = ("scan", "--spec", "uniform:1.0", "--t", "0.1", "--epsilon", "0.05", "--n-list", "100")
     CLAIMS = ("claims", "--spec", "uniform:1.0", "--t", "0.1")
@@ -194,7 +195,8 @@ class TestDrawCountsValidated:
         (SCAN + ("--samples", "0", "--trials", "3"), "--samples"),
         (SCAN + ("--samples", "0", "--trials", "100"), "--samples"),
         (CLAIMS + ("--samples", "0"), "--samples"),
-    ], ids=["scan-3-trials", "scan-100-trials", "claims"])
+        (SCAN + ("--trials", "100000000000000000000"), "--trials) must be in [1, 64000192]"),
+    ], ids=["scan-3-trials", "scan-100-trials", "claims", "scan-trials-above-bound"])
     def test_samples(self, tmp_path, capsys, monkeypatch, argv, named):
         from starparadox.priors import Prior
 
@@ -202,7 +204,9 @@ class TestDrawCountsValidated:
             raise AssertionError("prior sampled before the check")
 
         monkeypatch.setattr(Prior, "sample", no_draw)
+        start = time.perf_counter()
         assert run_main(*argv, "--out", str(tmp_path)) == 2
+        assert time.perf_counter() - start < 1.0
         assert named in capsys.readouterr().err
         assert not (tmp_path / "manifest.json").exists()
 

@@ -27,7 +27,7 @@ from starparadox.moments import (
     series_moment_quad,
     threshold_scan,
 )
-from starparadox.priors import UniformPrior
+from starparadox.priors import QuadratureError, UniformPrior
 
 mp.mp.dps = 40
 
@@ -96,6 +96,15 @@ class TestMoments:
     def test_rejects_negative_t(self):
         with pytest.raises(ValueError):
             moment_mt(UniformV(), -1.0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_oscillating_tail_raises(self):
+        class OscillatingTail:
+            def tail(self, v):
+                return 0.5 + 0.5 * math.sin(1.0 / (1.0 - v))
+
+        with pytest.raises(QuadratureError, match="did not converge"):
+            moment_mt(OscillatingTail(), 2.0)
 
 
 class TestThresholdScan:

@@ -18,6 +18,7 @@ from starparadox.posterior import (
     _EXP_ZERO,
     _TAG_SCAN,
     _TAG_SCAN_PRIOR,
+    _TRIALS_MAX,
     TRIAL_CHUNK,
     DegenerateEstimate,
     _chunk_rng,
@@ -479,6 +480,38 @@ class TestScanSkip:
         a = _chunk_rng(5, _TAG_SCAN_PRIOR, 0, 1_000_003).random(4)
         b = _chunk_rng(5, _TAG_SCAN_PRIOR, 1, 0).random(4)
         assert not np.any(a == b)
+
+    def test_trials_above_the_bound_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("prior sampled before the check")
+
+        monkeypatch.setattr(Prior, "sample", no_draw)
+        assert _TRIALS_MAX == 64_000_192
+        with pytest.raises(ValueError, match=r"trials \(--trials\) must be in \[1, 64000192\]"):
+            paradox_scan(UniformPrior(1.0), 0.1, 0.05, [100], _TRIALS_MAX + 1, 1024, 0)
+
+    def test_counts_streams_of_two_lengths_stay_apart_at_the_bound(self, monkeypatch):
+        import starparadox.posterior as posterior
+
+        keys = []
+        real = posterior._chunk_rng
+
+        def record(seed, tag, *index):
+            if tag == _TAG_SCAN:
+                keys.append(index)
+            return real(seed, tag, *index)
+
+        monkeypatch.setattr(posterior, "_chunk_rng", record)
+        log_w = _log_weights((1.0, 1.0, 1.0))
+        last = (_TRIALS_MAX - 1) // TRIAL_CHUNK  # the last chunk of a scan at the bound
+        for k in (0, 1, 7):
+            keys.clear()
+            for n_index, chunk in ((k, last), (k + 1, 0), (k, last + 1)):
+                posterior._scan_chunk(UniformPrior(1.0), 0.1, 0.05, 100, 1024, log_w, 0,
+                                      n_index, chunk, 0)
+            (last_key,), (first_next,), (beyond,) = keys
+            assert last_key < first_next
+            assert beyond == first_next  # one chunk more would reuse the next length's counts
 
     @pytest.mark.parametrize("spec", CATALOG)
     def test_rows_do_not_depend_on_jobs(self, spec):

@@ -14,11 +14,13 @@ from starparadox.priors import (
     LogPrior,
     PowerPrior,
     Prior,
+    QuadratureError,
     TamePrior,
     TLogPrior,
     UniformPrior,
     _discrete_table,
     _h_aux,
+    _quad,
     h_aux,
     parse_prior,
     prior_from_json,
@@ -405,6 +407,23 @@ class TestGPath:
             infos = list(pool.map(_table_cache_info, [prior] * 8, chunksize=1))
         assert max(misses for _, misses in infos) <= before + 1
         assert max(hits for hits, _ in infos) >= 1  # later batches reuse the table
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestQuadratureRejection:
+    """_quad raises when quad's error estimate exceeds 1e-9 of the value."""
+
+    def test_oscillating_integrand_raises_with_its_estimates(self):
+        with pytest.raises(QuadratureError) as info:
+            _quad(lambda x: math.sin(1.0 / x), 0.0, 1.0)
+        exc = info.value
+        assert math.isfinite(exc.value) and 0.0 < exc.value < 1.0
+        assert exc.error_estimate > 1e-9 * abs(exc.value)
+        assert f"value={exc.value!r}, error estimate={exc.error_estimate!r}" in str(exc)
+
+    def test_divergent_integrand_raises(self):
+        with pytest.raises(QuadratureError):
+            _quad(lambda x: 1.0 / x, 0.0, 1.0)
 
 
 def _table_cache_info(prior):

@@ -6,6 +6,10 @@ would otherwise go unnoticed until someone ran them by hand.  The traced
 benchmark run (``perfbench/run.py --trace 1``) wraps the functions and
 methods listed in ``perfbench/spans.py``; a rename would crash it, so those
 targets are resolved here too.
+
+The package's own sources are parsed for one more rule: ``scipy.integrate``
+is imported in one function only (``priors._quad``, the one quadrature
+routine), and no scipy module is imported when a module loads.
 """
 
 import ast
@@ -18,6 +22,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("tools/*.py")])
+PACKAGE = ROOT / "src" / "starparadox"
 
 
 def _parse(path: Path) -> ast.Module:
@@ -134,3 +139,71 @@ def test_traced_targets_resolve():
             missing.append(f"{kind}.sample(rng, size)")
     assert len(spans._FUNCTIONS) >= 10 and len(spans._METHODS) >= 5
     assert missing == []
+
+
+def _scipy_imports(path: Path) -> list[tuple[str | None, str]]:
+    """(enclosing function's dotted name or None, imported name) of each scipy import.
+
+    None marks an import that runs when the module loads, class bodies
+    included.  ``from scipy import integrate`` and ``from scipy.integrate
+    import quad`` both read as ``scipy.integrate...``.
+    """
+    found = []
+
+    def visit(node, names: tuple[str, ...], function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                imported = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                imported = [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                imported = []
+            scope = ".".join((path.stem, *names)) if function else None
+            found.extend((scope, name) for name in imported if name.partition(".")[0] == "scipy")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (*names, child.name), True)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, (*names, child.name), function)
+            else:
+                visit(child, names, function)
+
+    visit(_parse(path), (), False)
+    return found
+
+
+def _package_scipy_imports() -> list[tuple[str | None, str]]:
+    return [imp for path in sorted(PACKAGE.glob("*.py")) for imp in _scipy_imports(path)]
+
+
+def test_no_scipy_import_at_module_level():
+    assert [name for scope, name in _package_scipy_imports() if scope is None] == []
+
+
+def test_one_function_imports_scipy_integrate():
+    scopes = [scope for scope, name in _package_scipy_imports()
+              if f"{name}.".startswith("scipy.integrate.")]
+    assert scopes == ["priors._quad"]
+
+
+def test_scipy_import_check_sees_every_form(tmp_path):
+    module = tmp_path / "copies.py"
+    module.write_text(
+        "import scipy.special\n"
+        "class Table:\n"
+        "    from scipy import integrate\n"
+        "    def build(self):\n"
+        "        from scipy.integrate import quad\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        import scipy.integrate as si\n"
+        "    from scipy.optimize import brentq\n"
+        "    from .priors import _quad\n",
+        encoding="utf-8",
+    )
+    assert _scipy_imports(module) == [
+        (None, "scipy.special"),
+        (None, "scipy.integrate"),
+        ("copies.Table.build", "scipy.integrate.quad"),
+        ("copies.outer.inner", "scipy.integrate"),
+        ("copies.outer", "scipy.optimize.brentq"),
+    ]
