@@ -53,6 +53,7 @@ from .posterior import (
     LogMeanResult,
     ParadoxResult,
     PosteriorEstimate,
+    log_expected_kernel,
     log_likelihood_kernel,
     paradox_scan,
     simulate_counts,
@@ -76,4 +77,4 @@ from .moments import (
     threshold_scan,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

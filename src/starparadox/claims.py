@@ -207,10 +207,6 @@ def in_band_advantage(
         raise EmptyStratum("no draw fell in the band interval")
     if not np.any(~inside):
         raise EmptyStratum("no draw fell outside the band interval")
-    logs = kernel_log_values(counts, lp0, lp1, lp2, (j,))[0]
-    est_in = _finish(_partials(logs[inside]))
-    est_out = _finish(_partials(logs[~inside]))
-
     n = counts.n
     q = star_probs(t)
     kap = 5.0 * math.exp(-4.0 * t) / q.p0
@@ -222,7 +218,13 @@ def in_band_advantage(
     )
     ell = band_half_width(t)
     env_high = n * log_mu(t) - n * ell * ell / 32.0
-    out_ok = bool(np.all(logs[~inside] <= env_high + 1e-9 * abs(env_high)))
+
+    logs = kernel_log_values(counts, lp0, lp1, lp2, (j,))[0]
+    logs_in, logs_out = logs[inside], logs[~inside]
+    del logs  # one draw-sized array fewer while the larger stratum is reduced
+    est_in = _finish(_partials(logs_in))
+    out_ok = bool(np.all(logs_out <= env_high + 1e-9 * abs(env_high)))
+    est_out = _finish(_partials(logs_out))
     log_ratio = est_in.log_mean - est_out.log_mean
     se_ratio = math.hypot(est_in.stderr, est_out.stderr)
     return Claim1Report(

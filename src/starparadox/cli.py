@@ -13,8 +13,10 @@ Subcommands:
 Priors are given either as shorthand (``uniform:1.0``, ``power:0.5``,
 ``discrete:0.1,0.5``, ``logti``, ``tlogti``, ``tame``) via --spec, or as a
 JSON file via --spec-file, never both.  --jobs (worker processes) exists
-only on posterior, scan and replay, the commands that split their work into
-chunks.  Every command writes a ``manifest.json`` next to its outputs.
+only on posterior, scan and replay; only scan splits its work into chunks,
+and posterior, which integrates deterministically, validates --samples
+and --jobs but uses neither.  Every command writes a ``manifest.json`` next
+to its outputs.
 ``replay --manifest ...`` parses the manifest's argv as a fresh run would
 (a ``replay --jobs N`` last) and exits 3 naming each output whose SHA-256
 differs from the recorded one.  Exit codes: 0 success, 2 invalid usage,
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -104,19 +107,30 @@ def _cmd_simulate(args, out: Path) -> list[Path]:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 7]))
-    rows = []
-    for trial in range(args.trials):
-        c = simulate_counts(args.t, args.n, rng)
-        rows.append((trial, c.n0, c.n1, c.n2, c.n3))
+    draws = (simulate_counts(args.t, args.n, rng) for _ in range(args.trials))
+    first = next(draws)  # a bad --t or --n raises here, before counts.csv is opened
+    rows = ((trial, c.n0, c.n1, c.n2, c.n3)
+            for trial, c in enumerate(itertools.chain([first], draws)))
     path = out / "counts.csv"
     write_csv_rows(path, ("trial", "n0", "n1", "n2", "n3"), rows)
     return [path]
 
 
 def _cmd_posterior(args, out: Path) -> list[Path]:
+    """posterior.json from the deterministic rule of ``tree_posterior``.
+
+    ``--samples`` and ``--jobs`` are still validated, recorded and echoed
+    (``n_samples``), but the rule draws nothing and starts no process.
+    """
     counts = _parse_counts(args.counts)
     weights = tuple(float(v) for v in args.weights.split(","))
-    est = tree_posterior(args.prior, counts, weights, args.samples, args.seed, jobs=args.jobs)
+    if args.samples < 1000:
+        raise ValueError(f"samples (--samples) must be >= 1000, got {args.samples!r}")
+    if args.jobs < 1:
+        raise ValueError(f"jobs (--jobs) must be >= 1, got {args.jobs!r}")
+    print("note: posterior integrates E[K_i] deterministically; "
+          "--samples and --jobs do not change its numbers", file=sys.stderr)
+    est = tree_posterior(args.prior, counts, weights)
     path = out / "posterior.json"
     _write_json(
         path,
@@ -126,8 +140,8 @@ def _cmd_posterior(args, out: Path) -> list[Path]:
             "weights": list(weights),
             "posterior": est.posterior.tolist(),
             "log_expected_kernel": est.log_epi.tolist(),
-            "stderr_log": est.stderr.tolist(),
-            "n_samples": est.n_samples,
+            "stderr_log": est.error.tolist(),
+            "n_samples": args.samples,
         },
     )
     return [path]

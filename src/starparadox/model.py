@@ -182,17 +182,27 @@ def log_pattern_prob_arrays(
     (p1 at te = ti = 0, p2 at te = 0).  With x = exp(-4 te) and
     w = exp(-4 (te + ti)) <= x <= 1, the log1p arguments x - 2w >= -x and
     -x never fall below -1, and log1p(-1) is -inf, so no case needs a guard.
+    The arrays are computed in place (the same operations, so the same
+    values): three arrays of the draws' size at most, besides te and ti.
     """
     te = np.asarray(te, dtype=float)
     ti = np.asarray(ti, dtype=float)
-    x = np.exp(-4.0 * te)
-    w = np.exp(-4.0 * (te + ti))
+    x = np.multiply(te, -4.0, out=np.empty(te.shape))
+    np.exp(x, out=x)
+    w = np.add(te, ti, out=np.empty(np.broadcast(te, ti).shape))
+    w *= -4.0
+    np.exp(w, out=w)
     log4 = math.log(4.0)
+    lp0 = np.multiply(w, 2.0, out=np.empty(w.shape))
+    lp0 += x
+    lp1 = np.multiply(w, -2.0, out=w)
+    lp1 += x
+    lp2 = np.negative(x, out=x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lp0 = np.log1p(x + 2.0 * w) - log4
-        lp1 = np.log1p(x - 2.0 * w) - log4
-        lp2 = np.log1p(-x) - log4
-    return lp0, lp1, lp2
+        for lp in (lp0, lp1, lp2):
+            np.log1p(lp, out=lp)
+            lp -= log4
+    return lp0[()], lp1[()], lp2[()]  # numpy scalars for 0-d input, as arithmetic gives
 
 
 def band_half_width(t: float) -> float:

@@ -1,18 +1,19 @@
-"""Monte Carlo posteriors over resolved trees from star-tree data.
+"""Posteriors over resolved trees from star-tree data.
 
 The posterior ratio between two resolved trees given pattern counts is the
 ratio of prior expectations of the likelihood kernels
 
-    K_i = P0^n0 * P1^n_i * P2^(n - n0 - n_i),        i in {1, 2, 3},
+    K_i = P0^n0 * P1^n_i * P2^(n - n0 - n_i),        i in {1, 2, 3}.
 
-so everything reduces to estimating E[K_i] by averaging over prior draws.
-Kernels underflow at sequence lengths of a few hundred, so all accumulation
-happens in log scale with streaming log-sum-exp.
+``tree_posterior`` integrates each E[K_i] deterministically, by a product
+rule over (Se, Ti) placed around the kernel's mode (``log_expected_kernel``);
+it draws nothing.  Kernels underflow at sequence lengths of a few hundred,
+so everything happens in log scale.
 
-Reproducibility contract: work is split into fixed-size chunks, each chunk
-draws from a substream seeded by (seed, tag, chunk index), and reduction
-folds the per-chunk partials in ascending chunk order.  The scan's chunk
-substreams carry counts only; a scan trial whose posterior is computed
+The paradox scan still estimates E[K_i] by averaging over prior draws with
+streaming log-sum-exp.  Reproducibility contract: work is split into
+fixed-size chunks of trials; each chunk draws its counts from a substream
+seeded by (seed, tag, chunk key), and a trial whose posterior is computed
 draws its prior sample from its own substream, seeded by (seed, tag,
 n index, trial index).  Results are therefore bit-identical for any worker
 count.  The three trees share draws (common random numbers), which makes
@@ -22,6 +23,7 @@ ratios.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -39,15 +41,14 @@ __all__ = [
     "simulate_counts",
     "log_likelihood_kernel",
     "kernel_log_values",
+    "log_expected_kernel",
     "tree_posterior",
     "paradox_scan",
     "wilson_interval",
 ]
 
-DRAW_CHUNK = 8192
 TRIAL_CHUNK = 64
 
-_TAG_KERNEL = 1
 _TAG_SCAN = 2
 _TAG_SCAN_PRIOR = 3
 # The scan's counts stream of length index k, chunk c has key k * _SCAN_STRIDE + c,
@@ -127,10 +128,8 @@ class LogMeanResult:
 @dataclass(frozen=True)
 class PosteriorEstimate:
     log_epi: np.ndarray     # per-tree log E[K_i]
-    stderr: np.ndarray      # per-tree log-scale standard errors
+    error: np.ndarray       # per-tree error estimates of log E[K_i] (see log_expected_kernel)
     posterior: np.ndarray   # P(tree i | counts), sums to 1
-    n_samples: int
-    ess: np.ndarray         # per-tree effective sample sizes of the kernel weights
 
     def __post_init__(self) -> None:
         post = self.posterior
@@ -205,17 +204,6 @@ def _partials(logs: np.ndarray):
     return [(float(mi), float(si), float(ti), n) for mi, si, ti in zip(m, s, t)]
 
 
-def _merge(p, q):
-    m1, s1, t1, n1 = p
-    m2, s2, t2, n2 = q
-    m = max(m1, m2)
-    if m == -math.inf:
-        return -math.inf, 0.0, 0.0, n1 + n2
-    w1 = math.exp(m1 - m) if m1 > -math.inf else 0.0
-    w2 = math.exp(m2 - m) if m2 > -math.inf else 0.0
-    return m, s1 * w1 + s2 * w2, t1 * w1 * w1 + t2 * w2 * w2, n1 + n2
-
-
 def _finish(p) -> LogMeanResult:
     m, s, t, n = p
     if s <= 0.0:
@@ -242,56 +230,363 @@ def _run_chunks(fn, fixed: tuple, total: int, chunk: int, jobs: int, chunksize: 
     return [fn(*a) for a in args]
 
 
-def _kernel_chunk(prior: Prior, counts: PatternCounts, seed: int, index: int, size: int):
-    rng = _chunk_rng(seed, _TAG_KERNEL, index)
-    te, ti = prior.sample(rng, size)
-    lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
-    return _partials(kernel_log_values(counts, lp0, lp1, lp2, (1, 2, 3)))
-
-
 def _log_weights(tree_weights) -> np.ndarray:
     """Normalized log tree weights; rejects anything but three finite positive numbers."""
     w = np.asarray(tree_weights, dtype=float)
     if w.shape != (3,) or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("tree_weights must be three finite, strictly positive numbers")
-    return np.log(w / w.sum())
+    return np.log(w / math.fsum(w))
 
 
 def _posterior_probs(log_w: np.ndarray, log_epi: np.ndarray) -> np.ndarray:
-    """Probability vector proportional to w_i E[K_i], from log w and log E[K]."""
+    """Probability vector proportional to w_i E[K_i], from log w and log E[K].
+
+    The sums are exactly rounded (fsum), so permuting the trees permutes the
+    result exactly.
+    """
     log_post = log_w + log_epi
     log_post -= np.max(log_post)
     post = np.exp(log_post)
-    return post / post.sum()
+    return post / math.fsum(post)
+
+
+# ---------------------------------------------------------------------------
+# deterministic E[K_i]
+# ---------------------------------------------------------------------------
+
+# With x = Se = exp(-4 Te) and v = 1 - exp(-4 Ti), the kernel of a tree with
+# counts (n0, ni, m = n - n0 - ni) is
+#
+#     K = ((1 + 3x - 2xv)/4)^n0 ((1 - x + 2xv)/4)^ni ((1 - x)/4)^m.
+#
+# Se has the CDF x^c, c = rate_e / 4, so u = x^c is uniform: the Se rule is
+# Gauss-Legendre in u.  The Ti rule is a trapezoid Stieltjes sum
+# sum (f(a) + f(b))/2 (F(b) - F(a)) of the Se integrals f over bins in v,
+# with the prior's exact CDF F, extrapolated over bin halvings (Romberg).
+# Both rules cover windows set by a Gaussian model of log K: its Taylor
+# parabola at the maximum, or at the boundary where the maximum lies on
+# one.  The Ti mass left outside the bins is added at Ti = 0 and at
+# Ti = inf.  A rule and its doubled rule (twice the Se nodes, half the bin
+# width, one more halving) are evaluated; the doubled one is reported, and
+# their difference is its error estimate.
+
+_LOG4 = math.log(4.0)
+_WIDTH = 10.0  # windows reach 10 model standard deviations: 50 nats below the peak
+_SE_NODES = 24  # Gauss-Legendre nodes of the Se rule; the doubled rule has 48
+_BINS_PER_UNIT = 2  # coarsest Ti bins per unit of the kernel's Ti scale; see _ti_edges
+_V_MIN = 1e-12  # graded bins towards Ti = 0 stop at this fraction of that scale
+_LEVELS = 4  # trapezoid sums of the doubled Ti rule: 1, 2, 4 and 8 bins per group
+_REFINE = 16  # sub-bins per bin where the prior's mass is irregular (see _irregular_groups)
+_BLOCK = 1024  # Ti nodes per kernel block: at most 65536 kernel values at once
+
+
+def _window(mode, sd, lo: float, hi: float):
+    """The part of [lo, hi] where the Gaussian log-model N(mode, sd^2) lies within
+    _WIDTH^2 / 2 of its maximum over [lo, hi]; ``mode`` may lie outside [lo, hi]."""
+    reach = _WIDTH * sd
+    a = np.where(mode > hi, mode - np.hypot(mode - hi, reach), mode - reach)
+    b = np.where(mode < lo, mode + np.hypot(lo - mode, reach), mode + reach)
+    return np.clip(a, lo, hi), np.clip(b, lo, hi)
+
+
+def _se_model(n0: int, ni: int, m: int, v: np.ndarray):
+    """Gaussian model (mode, sd) of log K in x at each v; the mode may lie outside [0, 1].
+
+    log K is concave in x.  Its derivative times (1 + al x)(1 + be x)(1 - x),
+    with al = 3 - 2v and be = 2v - 1, is a quadratic q with q(1) <= 0, so
+    for q(0) > 0 the maximum is q's smallest root in (0, 1), or x = 1 when
+    m = 0 and q's other root lies beyond 1; for q(0) <= 0 it is x = 0.  A
+    maximum on the boundary gets the Taylor parabola there, whose vertex
+    lies outside; a kernel flat in x gets an infinite sd.
+    """
+    y = 1.0 - v
+    al, be = 3.0 - 2.0 * v, 2.0 * v - 1.0
+    a2 = -(n0 + ni + m) * al * be
+    a1 = -2.0 * y * (n0 * al - ni * be) - 2.0 * m
+    a0 = n0 * al + ni * be - m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if m > 0:  # log K falls to -inf at x = 1
+            disc = np.sqrt(np.maximum(a1 * a1 - 4.0 * a2 * a0, 0.0))
+            roots = [2.0 * a0 / (-a1 - r) for r in (disc, -disc)]
+            x = np.minimum(*(np.where((r > 0.0) & (r < 1.0), r, 1.0) for r in roots))
+            x = np.minimum(x, 1.0 - 2.0**-53)
+        else:  # q = (1 - x)(a0 - a2 x)
+            r = a0 / a2
+            x = np.where((r > 0.0) & (r < 1.0), r, 1.0)
+    x = np.where(a0 > 0.0, x, 0.0)
+    slope, curvature = np.zeros(v.shape), np.zeros(v.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = ((n0, al / (1.0 + al * x)), (ni, be / (1.0 + be * x)), (m, -1.0 / (1.0 - x)))
+        for count, d in terms:
+            if count > 0:
+                slope += count * d
+                curvature += count * d * d
+        edge = (x == 0.0) | (x == 1.0)
+        mode = np.where(edge & (curvature > 0.0), x + slope / curvature, x)
+        return mode, 1.0 / np.sqrt(curvature)
+
+
+@functools.lru_cache(maxsize=4)
+def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.legendre import leggauss  # not at import: keeps start-up light
+
+    return leggauss(k)
+
+
+def _log_se_integrals(n0: int, ni: int, m: int, v: np.ndarray, c: float, k: int) -> np.ndarray:
+    """log f(v) = log of the integral of K(x, v) over u = x^c in [0, 1], at each v.
+
+    Gauss-Legendre with k nodes on the image in u of each v's window in x.
+    """
+    nodes, weights = _gauss_legendre(k)
+    out = np.empty(v.shape)
+    for lo in range(0, v.size, _BLOCK):
+        vb = v[lo : lo + _BLOCK]
+        xa, xb = _window(*_se_model(n0, ni, m, vb), 0.0, 1.0)
+        ua, ub = xa**c, xb**c
+        half = 0.5 * (ub - ua)
+        u = (ua + half)[:, None] + half[:, None] * nodes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if c == 1.0:
+                x, rest = u, 1.0 - u
+            else:
+                log_x = np.where(u > 0.0, np.log(u) / c, -math.inf)
+                x, rest = np.exp(log_x), -np.expm1(log_x)
+            two_xv = 2.0 * x * vb[:, None]
+            log_k = np.full(u.shape, -(n0 + ni + m) * _LOG4)
+            if n0 > 0:
+                log_k += n0 * np.log1p(3.0 * x - two_xv)
+            if ni > 0:
+                log_k += ni * np.log(rest + two_xv)
+            if m > 0:
+                log_k += m * np.log(rest)
+            top = np.max(log_k, axis=1)
+            top = np.where(np.isfinite(top), top, 0.0)
+            total = np.exp(log_k - top[:, None]) @ weights
+            out[lo : lo + _BLOCK] = top + np.log(total * half)
+    return out
+
+
+def _ti_model(n0: int, ni: int, m: int) -> tuple[float, float]:
+    """Gaussian model (mode, sd) of log K in v = 1 - y; the mode may lie outside [0, 1].
+
+    With x held at its maximum 1 - 2m/n, log K = n0 log(a + 2xy) +
+    ni log(a - 2xy) + const, a = 1 + x, is concave in y.  The model is its
+    Taylor parabola at the vertex clipped to [0, 1], with the spread that
+    x's own sampling error carries into y added to the sd.
+    """
+    n = n0 + ni + m
+    x = max(1.0 - 2.0 * m / n, 1e-3)
+    a = 1.0 + x
+    y = min(max(a * (n0 - ni) / (2.0 * x * (n0 + ni)), 0.0), 1.0) if n0 + ni else 0.5
+    slope = curvature = 0.0
+    for count, sign in ((n0, 1.0), (ni, -1.0)):
+        if count:  # a - 2xy vanishes only where ni = 0 puts the vertex at y = 1
+            d = sign * 2.0 * x / (a + sign * 2.0 * x * y)
+            slope += count * d
+            curvature += count * d * d
+    if curvature == 0.0:  # K does not depend on Ti
+        return 0.5, math.inf
+    sd_x = 2.0 * math.sqrt(m / n * (1.0 - m / n) / n)
+    return 1.0 - (y + slope / curvature), math.hypot(1.0 / math.sqrt(curvature), y * sd_x / x)
+
+
+def _ti_edges(n0: int, ni: int, m: int) -> np.ndarray:
+    """Edges in v of the finest Ti bins: 2^(_LEVELS - 1) times the coarsest rule's bins.
+
+    The window comes from ``_ti_model``.  Bins are uniform at the kernel's
+    scale in v: the model's sd, or the shorter decay length sd^2 / d when
+    the vertex lies a distance d outside [0, 1].  A window that reaches
+    Ti = 0 is graded there instead, uniform in g = v/scale + log(v/scale):
+    a prior CDF may behave like Ti^alpha near 0, so the bins shrink in
+    proportion to v below the scale.
+    """
+    mode, sd = _ti_model(n0, ni, m)
+    lo, hi = (float(b) for b in _window(mode, sd, 0.0, 1.0))
+    outside = max(-mode, mode - 1.0, 0.0)
+    scale = 1.0 if math.isinf(sd) else min(sd * sd / math.hypot(outside, sd), 1.0)
+    if lo > 0.0:
+        bins = max(math.ceil(_BINS_PER_UNIT * (hi - lo) / scale), 8)
+        return np.linspace(lo, hi, 2 ** (_LEVELS - 1) * bins + 1)
+    g_lo = _V_MIN + math.log(_V_MIN)
+    g_hi = hi / scale + math.log(hi / scale)
+    bins = max(math.ceil(_BINS_PER_UNIT * (g_hi - g_lo)), 8)
+    g = np.linspace(g_lo, g_hi, 2 ** (_LEVELS - 1) * bins + 1)
+    # e^z + z = g for z = log(v/scale): Newton from above converges monotonically
+    z = np.where(g > 1.0, np.log(np.maximum(g, 1.0)), g)
+    for _ in range(12):
+        z -= (np.exp(z) + z - g) / (np.exp(z) + 1.0)
+    v = scale * np.exp(z)
+    v[0], v[-1] = _V_MIN * scale, hi
+    return v
+
+
+def _log_ti_cdf(prior: Prior, v: np.ndarray, log_f=None) -> np.ndarray:
+    """log P(Ti <= t) at t = -log(1 - v)/4 for each v (v = 1 is Ti = inf).
+
+    Given ``log_f`` at the (ascending) edges ``v``, the CDF is evaluated
+    from the top edge down, 32 edges at a time, only until the mass below
+    an edge, bounded by its CDF times the largest f below it, is at most
+    1e-18 of the trapezoid sum above it: below that edge the CDF is held at
+    its value there, so that mass joins the tail at Ti = 0.
+    """
+    with np.errstate(divide="ignore"):
+        ti = -np.log1p(-v) / 4.0
+    if log_f is None:
+        return np.array([prior.log_ti_cdf(float(t)) for t in ti])
+    f = np.exp(log_f - np.max(log_f))
+    f_below = np.maximum.accumulate(f)
+    out = np.empty(v.shape)
+    above, hi = 0.0, v.size
+    while hi > 0:
+        lo = max(hi - 32, 0)
+        out[lo:hi] = [prior.log_ti_cdf(float(t)) for t in ti[lo:hi]]
+        top = min(hi + 1, v.size)
+        cdf = np.exp(out[lo:top])
+        sums = above + np.cumsum(((f[lo : top - 1] + f[lo + 1 : top]) * np.diff(cdf))[::-1])[::-1]
+        stop = np.flatnonzero(cdf[: sums.size] * f_below[lo : lo + sums.size] <= 1e-18 * sums)
+        if stop.size:
+            out[: lo + stop[-1]] = out[lo + stop[-1]]
+            break
+        above = sums[0] if sums.size else above
+        hi = lo
+    return out
+
+
+def _romberg_weights(levels: int) -> np.ndarray:
+    """Weights of trapezoid sums with 1, 2, 4, ... bins (coarsest first) in Romberg's
+    extrapolation over ``levels`` halvings, which cancels the h^2, h^4, ... terms."""
+    rows = list(np.eye(levels))
+    for col in range(1, levels):
+        rows = [(4.0**col * hi - lo) / (4.0**col - 1.0) for lo, hi in zip(rows, rows[1:])]
+    return rows[0]
+
+
+def _romberg_groups(f: np.ndarray, cdf: np.ndarray, levels: int) -> np.ndarray:
+    """Per group of 2^(levels - 1) bins, Romberg's extrapolation of its trapezoid
+    Stieltjes sums (f(a) + f(b))/2 (F(b) - F(a)) over 1, 2, 4, ... bins."""
+    sums = []
+    for j in range(levels):
+        step = 2 ** (levels - 1 - j)
+        trap = (f[:-step:step] + f[step::step]) * np.diff(cdf[::step]) / 2.0
+        sums.append(trap.reshape(-1, 2**j).sum(axis=1))
+    return _romberg_weights(levels) @ np.array(sums)
+
+
+def _irregular_groups(f: np.ndarray, cdf: np.ndarray, total: float, size: int) -> np.ndarray:
+    """Groups of ``size`` bins holding a bin whose mass is irregular and matters.
+
+    Under a smooth CDF a bin's mass is the geometric mean of its
+    neighbours' to within a few percent; a mass 10% away from it marks an
+    atom or a kink (a CDF step a few atoms to a bin, or the end of a
+    support), where extrapolation is unsound.  It matters when its
+    first-order bound, mass times half the change of f across the bin,
+    exceeds 1e-13 of the total.
+    """
+    mass = np.diff(cdf)
+    near = np.sqrt(np.concatenate([[mass[0]], mass[:-1]]) * np.concatenate([mass[1:], [mass[-1]]]))
+    odd = np.abs(mass - near) > 0.1 * np.maximum(mass, near)
+    matters = mass * np.abs(np.diff(f)) > 2e-13 * total
+    return (odd & matters).reshape(-1, size).any(axis=1)
+
+
+def _ti_rule(log_f: np.ndarray, cdf: np.ndarray, tails: np.ndarray, levels: int, refine=None):
+    """log of the Ti rule's sum, and a bound on its tail error relative to that sum.
+
+    ``log_f`` holds log f at Ti = 0, at Ti = inf, then at the edges;
+    ``tails`` are the masses below the first and above the last edge.  f
+    is unimodal, so over each tail it lies between its values at the
+    tail's two ends.  With ``refine = (v, log_f_at, log_cdf_at)``, each
+    irregular group of bins (see ``_irregular_groups``) is summed by the
+    trapezoid rule on _REFINE sub-bins per bin instead of by extrapolation.
+    """
+    top = float(np.max(log_f))
+    if top == -math.inf:
+        raise DegenerateEstimate("the kernel vanished at every rule node")
+    f_ends, f = np.exp(log_f[:2] - top), np.exp(log_f[2:] - top)
+    groups = _romberg_groups(f, cdf, levels)
+    tail = float(tails @ f_ends)
+    if refine is not None:
+        size = 2 ** (levels - 1)
+        flagged = np.flatnonzero(_irregular_groups(f, cdf, float(groups.sum()) + tail, size))
+        if flagged.size:
+            groups[flagged] = _refined_groups(flagged, size, f, cdf, top, *refine)
+    inner = float(groups.sum())
+    if inner < 0.0:  # bins too coarse to extrapolate; the error estimate shows it
+        inner = float(np.dot(f[:-1] + f[1:], np.diff(cdf))) / 2.0
+    total = inner + tail
+    if total <= 0.0:
+        raise DegenerateEstimate("the kernel vanished at every rule node")
+    tail_error = tails[0] * abs(f[0] - f_ends[0]) + tails[1] * abs(f[-1] - f_ends[1])
+    return top + math.log(total), float(tail_error) / total
+
+
+def _refined_groups(groups, size, f, cdf, top, v, log_f_at, log_cdf_at):
+    """Trapezoid Stieltjes sums of the given groups of bins on _REFINE sub-bins per bin."""
+    bins = (size * groups[:, None] + np.arange(size)).ravel()
+    frac = np.arange(1, _REFINE) / _REFINE
+    inner = v[bins, None] + (v[bins + 1] - v[bins])[:, None] * frac
+    sub_f = np.exp(log_f_at(inner.ravel()) - top).reshape(inner.shape)
+    sub_cdf = np.exp(log_cdf_at(inner.ravel())).reshape(inner.shape)
+    sub_f = np.hstack([f[bins, None], sub_f, f[bins + 1, None]])
+    sub_cdf = np.hstack([cdf[bins, None], sub_cdf, cdf[bins + 1, None]])
+    sums = ((sub_f[:, :-1] + sub_f[:, 1:]) * np.diff(sub_cdf, axis=1)).sum(axis=1) / 2.0
+    return sums.reshape(-1, size).sum(axis=1)
+
+
+def _log_expected_kernel(prior: Prior, n0: int, ni: int, m: int) -> tuple[float, float]:
+    c = prior.rate_e / 4.0
+    v = _ti_edges(n0, ni, m)
+    ends = np.array([0.0, 1.0])
+
+    def log_f_at(k):
+        return lambda nodes: _log_se_integrals(n0, ni, m, nodes, c, k)
+
+    fine_log_f = log_f_at(2 * _SE_NODES)(np.concatenate([ends, v]))
+    log_cdf = _log_ti_cdf(prior, v, fine_log_f[2:])
+    cdf = np.exp(log_cdf)
+    tails = np.array([cdf[0], -math.expm1(log_cdf[-1])])
+    coarse, _ = _ti_rule(
+        log_f_at(_SE_NODES)(np.concatenate([ends, v[::2]])), cdf[::2], tails, _LEVELS - 1
+    )
+    fine, tail_error = _ti_rule(
+        fine_log_f, cdf, tails, _LEVELS,
+        refine=(v, log_f_at(2 * _SE_NODES), lambda nodes: _log_ti_cdf(prior, nodes)),
+    )
+    return fine, abs(fine - coarse) + tail_error
+
+
+def log_expected_kernel(prior: Prior, counts: PatternCounts, tree: int) -> tuple[float, float]:
+    """log E[K_tree] under the prior, and an estimate of its absolute error.
+
+    Deterministic: a product rule over (Se, Ti) placed around the kernel's
+    mode (see the comment above ``_WIDTH``).  The value depends on
+    (n0, n_tree, n - n0 - n_tree) only.  The error estimate is the
+    difference from the rule with half the Se nodes and twice the Ti bin
+    width, plus a bound on the Ti mass outside the bins.  Raises
+    ``DegenerateEstimate`` when the kernel vanishes at every rule node.
+    """
+    if tree not in (1, 2, 3):
+        raise ValueError("tree index must be 1, 2 or 3")
+    n_tree = int(counts.array[tree])
+    return _log_expected_kernel(prior, counts.n0, n_tree, counts.n - counts.n0 - n_tree)
 
 
 def tree_posterior(
-    prior: Prior,
-    counts: PatternCounts,
-    tree_weights,
-    n_samples: int,
-    seed: int,
-    jobs: int = 1,
+    prior: Prior, counts: PatternCounts, tree_weights=(1.0, 1.0, 1.0)
 ) -> PosteriorEstimate:
     """Posterior over the three resolved trees: posterior_i ~ w_i E[K_i].
 
     Weights must be strictly positive; they are normalized internally, so
-    common rescaling changes nothing.  All trees share the same draws.
+    common rescaling changes nothing.  Each log E[K_i] comes from
+    ``log_expected_kernel``: trees with equal counts get equal values, and
+    permuting (n1, n2, n3) permutes the posterior exactly.
     """
     log_w = _log_weights(tree_weights)
-    if n_samples < 1000:
-        raise ValueError("n_samples must be >= 1000")
-    parts = _run_chunks(
-        _kernel_chunk, (prior, counts, seed), n_samples, DRAW_CHUNK, jobs, chunksize=4
-    )
-    totals = parts[0]
-    for part in parts[1:]:
-        totals = [_merge(a, b) for a, b in zip(totals, part)]
-    results = [_finish(p) for p in totals]
-    log_epi = np.array([r.log_mean for r in results])
-    stderr = np.array([r.stderr for r in results])
-    ess = np.array([r.ess for r in results])
-    return PosteriorEstimate(log_epi, stderr, _posterior_probs(log_w, log_epi), n_samples, ess)
+    rows = [log_expected_kernel(prior, counts, tree) for tree in (1, 2, 3)]
+    log_epi = np.array([value for value, _ in rows])
+    error = np.array([err for _, err in rows])
+    return PosteriorEstimate(log_epi, error, _posterior_probs(log_w, log_epi))
 
 
 # ---------------------------------------------------------------------------

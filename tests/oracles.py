@@ -1,9 +1,12 @@
 """Brute-force oracles shared by the tests and the fixture generator."""
 
+import math
+
 import numpy as np
 from scipy.special import gammaln
 
-from starparadox.model import star_probs
+from starparadox.model import log_pattern_prob_arrays, star_probs
+from starparadox.posterior import _chunk_rng, _finish, _partials, _run_chunks, kernel_log_values
 
 
 def band_event_probability(n: int, t: float, c: float) -> float:
@@ -40,3 +43,169 @@ def band_event_probability(n: int, t: float, c: float) -> float:
         )
         total += float(np.exp(ll[ok]).sum())
     return total
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo log E[K_i]: the estimator ``tree_posterior`` used before it
+# integrated deterministically, with the same substreams (seed, 1, chunk
+# index), chunk size and merge order, so it reproduces that code's numbers
+# ---------------------------------------------------------------------------
+
+DRAW_CHUNK = 8192
+_TAG_KERNEL = 1
+
+
+def _kernel_chunk(prior, counts, seed, index, size):
+    rng = _chunk_rng(seed, _TAG_KERNEL, index)
+    te, ti = prior.sample(rng, size)
+    lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
+    return _partials(kernel_log_values(counts, lp0, lp1, lp2, (1, 2, 3)))
+
+
+def _merge(p, q):
+    """Two (max, sum, sum of squares, count) partials of log-sum-exp as one."""
+    m1, s1, t1, n1 = p
+    m2, s2, t2, n2 = q
+    m = max(m1, m2)
+    if m == -math.inf:
+        return -math.inf, 0.0, 0.0, n1 + n2
+    w1 = math.exp(m1 - m) if m1 > -math.inf else 0.0
+    w2 = math.exp(m2 - m) if m2 > -math.inf else 0.0
+    return m, s1 * w1 + s2 * w2, t1 * w1 * w1 + t2 * w2 * w2, n1 + n2
+
+
+def mc_log_expected_kernels(prior, counts, n_samples: int, seed: int, jobs: int = 1):
+    """``LogMeanResult`` of log E[K_i] for trees 1, 2, 3 from ``n_samples`` shared draws.
+
+    Chunks of DRAW_CHUNK draws, each from its own substream, reduced in
+    chunk order: bit-identical for any ``jobs``.  Raises ``DegenerateEstimate``
+    when every sampled kernel of a tree vanished.
+    """
+    if n_samples < 1000:
+        raise ValueError("n_samples must be >= 1000")
+    parts = _run_chunks(
+        _kernel_chunk, (prior, counts, seed), n_samples, DRAW_CHUNK, jobs, chunksize=4
+    )
+    totals = parts[0]
+    for part in parts[1:]:
+        totals = [_merge(a, b) for a, b in zip(totals, part)]
+    return [_finish(p) for p in totals]
+
+
+# ---------------------------------------------------------------------------
+# dense reference for log E[K] (independent of the route in posterior.py)
+# ---------------------------------------------------------------------------
+#
+# E[K] = int f dF over Ti, f(t) = E_Se[K | Ti = t], is integrated by parts,
+#
+#     int_[0,T] f dF = f(0) F(c) + int_0^c (F(c) - F) f' dt
+#                      + f(T) (F(T) - F(c)) - int_c^T (F - F(c)) f' dt,
+#
+# with c the peak of the kernel's profile in t, T the end of the support
+# (plus f(inf) (1 - F(T)) beyond it), by composite Gauss-Legendre panels in
+# t: geometric towards 0, uniform across the profile's 80-nat window, and
+# split at each of the first 2000 atoms of a discrete prior inside that window.  The inner
+# f and f' are composite Gauss-Legendre in u = Se^c over each t's 60-nat
+# window in Se, found by bisection.
+
+_DROP_SE = 60.0
+_DROP_TI = 80.0
+
+
+def _log_k_parts(n0, ni, m, x, t):
+    """log K and d log K / dt at Se = x and Ti = t (broadcast arrays)."""
+    y, w = np.exp(-4.0 * t), -np.expm1(-4.0 * t)
+    p0, p1, p2 = 1.0 + x + 2.0 * x * y, (1.0 - x) + 2.0 * x * w, 1.0 - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_k = -(n0 + ni + m) * math.log(4.0)
+        dt = 0.0
+        if n0:
+            log_k = log_k + n0 * np.log(p0)
+            dt = dt - 8.0 * n0 * x * y / p0
+        if ni:
+            log_k = log_k + ni * np.log(p1)
+            dt = dt + 8.0 * ni * x * y / p1
+        if m:
+            log_k = log_k + m * np.log(p2)
+    return log_k, dt
+
+
+def _d_log_k_dx(n0, ni, m, x, t):
+    y, w = np.exp(-4.0 * t), -np.expm1(-4.0 * t)
+    out = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if n0:
+            out = out + n0 * (1.0 + 2.0 * y) / (1.0 + x + 2.0 * x * y)
+        if ni:
+            out = out + ni * (1.0 - 2.0 * y) / ((1.0 - x) + 2.0 * x * w)
+        if m:
+            out = out - m / (1.0 - x)
+    return out
+
+
+def _bisect(pred, lo, hi, iterations=56):
+    """Largest x in [lo, hi] with pred(x) true, for pred true below a threshold (arrays)."""
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        ok = pred(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return lo
+
+
+def _se_integrals(n0, ni, m, t, c, scale, panels=6, order=16):
+    """f(t) and f'(t), both divided by exp(scale), at each t (array)."""
+    zero, one = np.zeros_like(t), np.ones_like(t)
+    mode = _bisect(lambda x: _d_log_k_dx(n0, ni, m, x, t) > 0.0, zero, one)
+    top = _log_k_parts(n0, ni, m, mode, t)[0]
+    level = top - _DROP_SE
+    a = np.where(_log_k_parts(n0, ni, m, zero, t)[0] >= level, zero,
+                 1.0 - _bisect(lambda s: _log_k_parts(n0, ni, m, 1.0 - s, t)[0] >= level,
+                               1.0 - mode, one))
+    b = np.where(_log_k_parts(n0, ni, m, one, t)[0] >= level, one,
+                 _bisect(lambda x: _log_k_parts(n0, ni, m, x, t)[0] >= level, mode, one))
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    ua, ub = a**c, b**c
+    edges = ua[:, None] + (ub - ua)[:, None] * np.linspace(0.0, 1.0, panels + 1)
+    half = 0.5 * np.diff(edges, axis=1)
+    u = ((edges[:, :-1] + half)[:, :, None] + half[:, :, None] * nodes).reshape(t.size, -1)
+    wt = (half[:, :, None] * weights).reshape(t.size, -1)
+    log_k, dt = _log_k_parts(n0, ni, m, u ** (1.0 / c), t[:, None])
+    k = np.exp(log_k - scale)
+    return (k * wt).sum(axis=1), np.nan_to_num(k * dt * wt).sum(axis=1)
+
+
+def dense_log_expected_kernel(prior, n0: int, ni: int, m: int) -> float:
+    """log E[K] of a tree with counts (n0, ni, m = n - n0 - ni), by a dense rule."""
+    c = prior.rate_e / 4.0
+    end = {"uniform": getattr(prior, "theta", 1.0), "tame": 200.0 / getattr(prior, "rate_i", 1.0)}
+    end = end.get(prior.kind, 1.0)
+    # the kernel's profile in t locates its peak and its window
+    grid = np.unique(np.concatenate([np.geomspace(1e-16 * end, end, 300),
+                                     np.linspace(0.0, end, 501)]))
+    x = _bisect(lambda x: _d_log_k_dx(n0, ni, m, x, grid) > 0.0,
+                np.zeros_like(grid), np.ones_like(grid))
+    profile = _log_k_parts(n0, ni, m, x, grid)[0]
+    peak = int(np.argmax(profile))
+    inside = np.flatnonzero(profile >= profile[peak] - _DROP_TI)
+    lo, hi = grid[max(inside[0] - 1, 0)], grid[min(inside[-1] + 1, grid.size - 1)]
+    centre, scale = grid[peak], float(profile[peak])
+    breaks = [np.geomspace(1e-16 * end, max(hi, 1e-15 * end), 80), np.linspace(lo, hi, 161),
+              [0.0, centre, end]]
+    if prior.kind == "discrete":
+        atoms = np.arange(1.0, 2001.0) ** -prior.a
+        breaks.append(atoms[(atoms > lo) & (atoms < hi)])
+    breaks = np.unique(np.clip(np.concatenate(breaks), 0.0, end))
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    half = 0.5 * np.diff(breaks)
+    t = ((breaks[:-1] + half)[:, None] + half[:, None] * nodes).ravel()
+    wt = (half[:, None] * weights).ravel()
+    _, df = _se_integrals(n0, ni, m, t, c, scale)
+    cdf = np.exp([prior.log_ti_cdf(float(v)) for v in t])
+    cdf_c = math.exp(prior.log_ti_cdf(centre))
+    f0, f_end, f_inf = _se_integrals(n0, ni, m, np.array([0.0, end, 60.0]), c, scale)[0]
+    below = t < centre
+    total = (f0 * cdf_c + np.sum(((cdf_c - cdf) * df * wt)[below])
+             + f_end * (math.exp(prior.log_ti_cdf(end)) - cdf_c)
+             - np.sum(((cdf - cdf_c) * df * wt)[~below])
+             + f_inf * -math.expm1(prior.log_ti_cdf(end)))
+    return scale + math.log(total)

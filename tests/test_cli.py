@@ -107,6 +107,31 @@ class TestSimulate:
         assert json.loads((a / "manifest.json").read_text())["seed"] == 123
 
 
+class TestSimulateRows:
+    """simulate writes each counts.csv row as it draws it."""
+
+    # counts.csv of simulate --t 0.1 --n 1000 --trials 500 --seed 9 under 0.2.0, which
+    # collected every row in a list before writing
+    DIGEST = "e331eb49a0d73ec695ecc7882a08d23cf730a766fb06a2ef30d5ff8fd9d432ed"
+
+    def test_counts_csv_unchanged(self, tmp_path):
+        assert run_main("simulate", "--t", "0.1", "--n", "1000", "--trials", "500", "--seed", "9",
+                        "--out", str(tmp_path)) == 0
+        assert hashlib.sha256((tmp_path / "counts.csv").read_bytes()).hexdigest() == self.DIGEST
+
+    def test_memory_does_not_grow_with_trials(self, tmp_path):
+        import tracemalloc
+
+        peaks = {}
+        for trials in (1000, 100_000):
+            tracemalloc.start()
+            assert run_main("simulate", "--t", "0.1", "--n", "50", "--trials", str(trials),
+                            "--out", str(tmp_path / str(trials))) == 0
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[100_000] <= 2 * peaks[1000], peaks
+
+
 class TestPosterior:
     def test_symmetric_counts(self, tmp_path):
         r = run_cli("posterior", "--spec", "uniform:1.0", "--counts", "700,100,100,100",
@@ -135,6 +160,69 @@ class TestPosterior:
         r = run_cli("posterior", "--spec", "levy:1.0", "--counts", "7,1,1,1",
                     "--out", str(tmp_path))
         assert r.returncode == 2
+
+
+class TestPosteriorDeterministic:
+    """posterior integrates E[K_i] by a rule: no draw, no pool; --samples and --jobs are inert."""
+
+    ARGV = ("posterior", "--spec", "discrete:0.1,0.5", "--counts", "7464,827,851,858")
+
+    def test_jobs_2_starts_no_process_pool(self, tmp_path, monkeypatch, capsys):
+        import concurrent.futures
+
+        import starparadox.posterior as posterior
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was constructed")
+
+        monkeypatch.setattr(posterior, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert run_main(*self.ARGV, "--samples", "1048576", "--jobs", "2",
+                        "--out", str(tmp_path)) == 0
+        d = json.loads((tmp_path / "posterior.json").read_text())
+        assert [round(p, 4) for p in d["posterior"]] == [0.0423, 0.3217, 0.636]
+        assert d["n_samples"] == 1048576
+        assert "--samples and --jobs do not change its numbers" in capsys.readouterr().err
+
+    def test_samples_jobs_and_seed_change_no_number(self, tmp_path):
+        outs = []
+        for extra in (("--samples", "1000"), ("--samples", "65536", "--jobs", "2", "--seed", "9")):
+            out = tmp_path / str(len(outs))
+            assert run_main(*self.ARGV, *extra, "--out", str(out)) == 0
+            outs.append(json.loads((out / "posterior.json").read_text()))
+        assert [o.pop("n_samples") for o in outs] == [1000, 65536]
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("samples", ["999", "0"])
+    def test_samples_below_1000_rejected(self, tmp_path, capsys, samples):
+        assert run_main(*self.ARGV, "--samples", samples, "--out", str(tmp_path)) == 2
+        assert f"--samples) must be >= 1000, got {samples}" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    FRESH = ("posterior", "--spec", "uniform:1.0", "--counts", "753,130,59,58",
+             "--samples", "4096", "--seed", "3")
+    # posterior.json of FRESH under 0.2.0, which averaged the kernels over 4096 prior draws
+    DIGEST_0_2_0 = "a676d19eea59ed0e6ad7f58dc78d12538e1c0ea26e61e3833dd23be4623a1d21"
+
+    def test_manifest_of_0_2_0_replays_with_exit_3(self, tmp_path, capsys):
+        manifest = fresh_manifest(self.FRESH, tmp_path / "fresh")
+        assert manifest["version"] == "0.3.0"
+        manifest["version"] = "0.2.0"
+        manifest["outputs"]["posterior.json"] = self.DIGEST_0_2_0
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_main("replay", "--manifest", str(path), "--out", str(tmp_path / "replayed")) == 3
+        assert "digests: posterior.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_fresh_manifest_replays_byte_identically(self, tmp_path, jobs):
+        fresh_manifest(self.FRESH, tmp_path / "fresh")
+        replayed = tmp_path / "replayed"
+        assert run_main("replay", "--manifest", str(tmp_path / "fresh" / "manifest.json"),
+                        "--jobs", jobs, "--out", str(replayed)) == 0
+        assert ((replayed / "posterior.json").read_bytes()
+                == (tmp_path / "fresh" / "posterior.json").read_bytes())
 
 
 class TestPriorArgumentsValidated:

@@ -26,10 +26,10 @@ from starparadox.posterior import (
     _finish,
     _log_weights,
     _losing_trees,
-    _merge,
     _partials,
     _posterior_probs,
     kernel_log_values,
+    log_expected_kernel,
     log_likelihood_kernel,
     paradox_scan,
     simulate_counts,
@@ -37,6 +37,8 @@ from starparadox.posterior import (
     wilson_interval,
 )
 from starparadox.priors import DiscretePrior, Prior, UniformPrior, parse_prior
+
+from oracles import _merge, dense_log_expected_kernel, mc_log_expected_kernels
 
 mp.mp.dps = 40
 
@@ -183,42 +185,253 @@ class TestKernelBlock:
 
 
 class _DegeneratePrior(Prior):
+    """Te = Ti = 0: P1 = P2 = 0, so any count on patterns 1, 2 or 3 has zero likelihood."""
+
     kind = "synthetic-degenerate"
+    rate_e = math.inf
 
     def sample(self, rng, size):
         return np.zeros(size), np.zeros(size)
 
+    def log_ti_cdf(self, x):
+        return 0.0 if x >= 0.0 else -math.inf
+
 
 class TestExpectedKernel:
-    """Per-tree log E[K] estimates, read from the matching row of tree_posterior."""
+    """Per-tree log E[K] and its error estimate, read from the matching row of tree_posterior."""
 
     @staticmethod
-    def _row(prior, counts, tree, n_samples, seed):
-        est = tree_posterior(prior, counts, (1.0, 1.0, 1.0), n_samples, seed)
-        return SimpleNamespace(log_mean=est.log_epi[tree - 1], stderr=est.stderr[tree - 1])
+    def _row(prior, counts, tree):
+        est = tree_posterior(prior, counts, (1.0, 1.0, 1.0))
+        return SimpleNamespace(log_mean=est.log_epi[tree - 1], error=est.error[tree - 1])
 
     def test_single_pattern_against_quadrature(self):
         # E[K] for counts (1,0,0,0) is E[P0]; closed form for the uniform prior
         prior = UniformPrior(1.0)
         counts = PatternCounts(1, 0, 0, 0)
-        est = self._row(prior, counts, 1, 10**5, 31)
+        est = self._row(prior, counts, 1)
         e_se = 0.5  # E[exp(-4 Te)], Te ~ Exp(4)
         e_si = (1 - math.exp(-4.0)) / 4.0  # E[exp(-4 Ti)], Ti ~ U[0,1]
         expected = (1 + e_se + 2 * e_se * e_si) / 4.0
-        assert est.log_mean == pytest.approx(math.log(expected), abs=3 * est.stderr)
+        # one site: the kernel is flat across the support, whose end at Ti = 1 is a kink of
+        # the CDF inside the rule's window; the error estimate covers what that costs
+        assert est.log_mean == pytest.approx(math.log(expected), abs=1e-5)
+        assert abs(est.log_mean - math.log(expected)) <= est.error
 
     def test_symmetric_counts_equal_estimates(self):
         prior = UniformPrior(1.0)
         counts = PatternCounts(700, 100, 100, 100)
-        vals = [self._row(prior, counts, tr, 5000, 8).log_mean for tr in (1, 2, 3)]
+        vals = [self._row(prior, counts, tr).log_mean for tr in (1, 2, 3)]
         assert vals[0] == vals[1] == vals[2]
+
+    def test_degenerate_reported(self):
+        counts = PatternCounts(1, 1, 0, 0)  # p1 = 0 at te = ti = 0
+        with pytest.raises(DegenerateEstimate):
+            self._row(_DegeneratePrior(), counts, 1)
+
+    def test_value_depends_on_tree_counts_only(self):
+        prior = DiscretePrior(0.1, 0.5)
+        a = log_expected_kernel(prior, PatternCounts(700, 150, 90, 60), 1)
+        b = log_expected_kernel(prior, PatternCounts(700, 30, 150, 120), 2)  # same (n0, n_i, rest)
+        assert a == b
+        with pytest.raises(ValueError):
+            log_expected_kernel(prior, PatternCounts(7, 1, 1, 1), 4)
+
+    def test_draws_nothing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("prior sampled")
+
+        monkeypatch.setattr(Prior, "sample", no_draw)
+        est = tree_posterior(DiscretePrior(0.1, 0.5), PatternCounts(753, 130, 59, 58))
+        assert np.all(np.isfinite(est.log_epi))
+
+    def test_memory_stays_bounded(self):
+        # the Se x Ti rule is evaluated in blocks of at most 65536 nodes: a few MB at n = 10^6
+        import tracemalloc
+
+        counts = simulate_counts(0.1, 10**6, 5)
+        tree_posterior(UniformPrior(1.0), counts)
+        tracemalloc.start()
+        tree_posterior(UniformPrior(1.0), counts)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+CATALOG = ("tame", "uniform:1.0", "power:0.5", "logti", "tlogti", "discrete:0.1,0.5")
+
+
+class TestDenseReference:
+    """log E[K_i] of every catalog prior against the dense rule in tests/oracles.py.
+
+    The dense rule integrates by parts in Ti with fixed composite
+    Gauss-Legendre panels and finds its Se windows by bisection: no node,
+    window or extrapolation of the route is shared.
+    """
+
+    @pytest.mark.parametrize("spec", CATALOG)
+    def test_star_counts_n_1e2_to_1e6(self, spec):
+        prior = parse_prior(spec)
+        for k, n in enumerate((10**2, 10**3, 10**4, 10**5, 10**6)):
+            counts = simulate_counts(0.1, n, 40 + k)
+            for tree in (1, 2, 3):
+                value, error = log_expected_kernel(prior, counts, tree)
+                n_tree = int(counts.array[tree])
+                ref = dense_log_expected_kernel(prior, counts.n0, n_tree, n - counts.n0 - n_tree)
+                off = abs(value - ref)
+                assert off <= 1e-8 * abs(ref), (n, tree, value, ref)
+                # the error estimate covers the actual error (the reference is good to ~1e-12)
+                assert off <= error + 1e-11 * abs(ref), (n, tree, off, error)
+
+    def test_discrete_atoms_few_to_a_bin(self):
+        # n = 100: the kernel still sees the sparse atoms n^-0.1 near Ti = 1
+        prior = DiscretePrior(0.1, 0.5)
+        for counts in ((68, 15, 17), (81, 5, 14), (81, 9, 10)):
+            n0, n1, rest = counts
+            value, error = log_expected_kernel(prior, PatternCounts(n0, n1, 0, rest), 1)
+            ref = dense_log_expected_kernel(prior, *counts)
+            assert abs(value - ref) <= 1e-8 * abs(ref)
+            assert abs(value - ref) <= error
+
+
+class TestLimitFormula:
+    """At n = 10^6 the posterior is close to its n -> inf limit (Steel & Matsen, MBE 2007).
+
+    post_i ~ w_i exp(W_i^2 / 4) D_{-alpha}(-W_i), with r = (1 - exp(-4t)) / 4,
+    W_i = sqrt(3 / (2r)) (n_i - mean(n_1, n_2, n_3)) / sqrt(n), and alpha the
+    exponent of P(Ti <= x) ~ c x^alpha.
+    """
+
+    @pytest.mark.parametrize("spec, alpha", [("uniform:1.0", 1.0), ("power:0.5", 0.5),
+                                             ("discrete:0.1,0.5", 5.0)])
+    def test_three_seeds(self, spec, alpha):
+        from scipy.special import pbdv
+
+        t = 0.1
+        r = (1.0 - math.exp(-4.0 * t)) / 4.0
+        for seed in (1, 2, 3):
+            counts = simulate_counts(t, 10**6, seed)
+            n_i = counts.array[1:].astype(float)
+            w = math.sqrt(3.0 / (2.0 * r)) * (n_i - n_i.mean()) / math.sqrt(counts.n)
+            limit = np.array([math.exp(v * v / 4.0) * pbdv(-alpha, -v)[0] for v in w])
+            limit /= limit.sum()
+            post = tree_posterior(parse_prior(spec), counts).posterior
+            assert np.max(np.abs(post - limit)) <= 2e-3, (seed, post, limit)
+
+
+class TestTreePosterior:
+    def test_symmetric_counts_uniform_posterior(self):
+        prior = UniformPrior(1.0)
+        counts = PatternCounts(700, 100, 100, 100)
+        est = tree_posterior(prior, counts, (1.0, 1.0, 1.0))
+        assert np.allclose(est.posterior, 1 / 3, atol=1e-15)
+
+    def test_weight_rescaling_invariant(self):
+        prior = UniformPrior(1.0)
+        counts = PatternCounts(500, 260, 130, 110)
+        a = tree_posterior(prior, counts, (1.0, 1.0, 1.0))
+        b = tree_posterior(prior, counts, (7.0, 7.0, 7.0))
+        assert np.array_equal(a.posterior, b.posterior)
+
+    def test_weights_validated(self):
+        prior = UniformPrior(1.0)
+        counts = PatternCounts(5, 3, 1, 1)
+        with pytest.raises(ValueError):
+            tree_posterior(prior, counts, (1.0, 0.0, 1.0))
+        with pytest.raises(ValueError):
+            tree_posterior(prior, counts, (1.0, -1.0, 1.0))
+
+    def test_reference_counts_direction_and_oracle(self, oracle):
+        prior = UniformPrior(1.0)
+        counts = PatternCounts(753, 130, 59, 58)
+        est = tree_posterior(prior, counts, (1.0, 1.0, 1.0))
+        assert est.posterior[0] > est.posterior[1]
+        assert est.posterior[0] > est.posterior[2]
+        ref = oracle["posterior_753"]
+        for i in range(3):
+            se = math.hypot(est.error[i], ref["stderr"][i])
+            assert est.log_epi[i] == pytest.approx(ref["log_epi"][i], abs=3 * se + 1e-6)
+
+    def test_benchmark_star_counts_discrete(self):
+        # the benchmark's n = 10^4 star counts, where 2^20 prior draws gave [0.000, 0.001, 0.999]
+        est = tree_posterior(DiscretePrior(0.1, 0.5), PatternCounts(7464, 827, 851, 858))
+        assert est.posterior.round(4).tolist() == [0.0423, 0.3217, 0.636]
+        assert est.posterior == pytest.approx([0.0423, 0.3217, 0.6360], abs=5e-5)
+
+    def test_permutation_symmetry(self):
+        # permuting (n1,n2,n3) and tree labels together permutes the posterior
+        prior = UniformPrior(1.0)
+        base = PatternCounts(500, 260, 130, 110)
+        est = tree_posterior(prior, base, (1.0, 1.0, 1.0))
+        perm = PatternCounts(500, 130, 110, 260)  # cyclic shift of (n1,n2,n3)
+        est_p = tree_posterior(prior, perm, (1.0, 1.0, 1.0))
+        # tree holding count 260 is tree 1 before, tree 3 after, etc.
+        assert np.array_equal(est_p.posterior, est.posterior[[1, 2, 0]])
+
+    @given(
+        counts=st.tuples(*[st.integers(0, 3000)] * 4).filter(lambda c: sum(c) > 0),
+        order=st.permutations((0, 1, 2)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_permutation_permutes_exactly(self, counts, order):
+        prior = DiscretePrior(0.1, 0.5)
+        n0, *rest = counts
+        est = tree_posterior(prior, PatternCounts(n0, *rest))
+        est_p = tree_posterior(prior, PatternCounts(n0, *(rest[k] for k in order)))
+        assert np.array_equal(est_p.posterior, est.posterior[list(order)])
+        assert np.array_equal(est_p.log_epi, est.log_epi[list(order)])
+
+
+class TestMonteCarloOracle:
+    """The Monte Carlo log E[K_i] estimator kept in tests/oracles.py.
+
+    It is the estimator ``tree_posterior`` used before it integrated
+    deterministically: same substreams, chunk size and merge order.
+    """
+
+    # log E[K_i], stderr and ESS of the former tree_posterior(prior, counts, (1, 1, 1),
+    # 3 * 8192 + 100, 11), copied from a run of that code
+    FORMER = {
+        ("uniform:1.0", (753, 130, 59, 58)): (
+            [-817.8963413414567, -839.173774192851, -839.2016469776534],
+            [0.133995550064551, 0.3503270641837619, 0.3538334380706652],
+            [55.57221171597348, 8.145670426192819, 7.985080456906704],
+        ),
+        ("discrete:0.1,0.5", (777, 68, 78, 77)): (
+            [-868.5546878003844, -858.1330863039499, -859.1752464658524],
+            [0.9999998308432323, 0.999999988647521, 0.999999985126589],
+            [1.0000003382999112, 1.0000000227040382, 1.000000029745617],
+        ),
+    }
+
+    @pytest.mark.parametrize("key", sorted(FORMER))
+    def test_reproduces_the_former_estimator(self, key):
+        spec, counts = key
+        prior = parse_prior(spec)
+        rows = mc_log_expected_kernels(prior, PatternCounts(*counts), 3 * 8192 + 100, 11)
+        got = ([r.log_mean for r in rows], [r.stderr for r in rows], [r.ess for r in rows])
+        assert got == tuple(self.FORMER[key])
+
+    def test_jobs_bit_identical(self):
+        prior = UniformPrior(1.0)
+        counts = PatternCounts(753, 130, 59, 58)
+        a = mc_log_expected_kernels(prior, counts, 30000, 11, jobs=1)
+        b = mc_log_expected_kernels(prior, counts, 30000, 11, jobs=3)
+        assert a == b
+
+    def test_jobs_bit_identical_discrete(self):
+        prior = DiscretePrior(0.1, 0.5)
+        counts = PatternCounts(777, 68, 78, 77)
+        a = mc_log_expected_kernels(prior, counts, 30000, 11, jobs=1)
+        b = mc_log_expected_kernels(prior, counts, 30000, 11, jobs=2)
+        assert a == b
 
     def test_stderr_scaling_with_samples(self):
         prior = UniformPrior(1.0)
         counts = PatternCounts(753, 130, 59, 58)
         ratios = [
-            self._row(prior, counts, 1, 20000, 1000 + r).stderr
-            / self._row(prior, counts, 1, 40000, 5000 + r).stderr
+            mc_log_expected_kernels(prior, counts, 20000, 1000 + r)[0].stderr
+            / mc_log_expected_kernels(prior, counts, 40000, 5000 + r)[0].stderr
             for r in range(20)
         ]
         assert 1.3 <= float(np.mean(ratios)) <= 1.55
@@ -226,77 +439,24 @@ class TestExpectedKernel:
     def test_degenerate_reported(self):
         counts = PatternCounts(1, 1, 0, 0)  # p1 = 0 at te = ti = 0
         with pytest.raises(DegenerateEstimate):
-            self._row(_DegeneratePrior(), counts, 1, 2000, 3)
+            mc_log_expected_kernels(_DegeneratePrior(), counts, 2000, 3)
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
-            self._row(UniformPrior(1.0), PatternCounts(1, 0, 0, 0), 1, 10, 0)
-
-
-class TestTreePosterior:
-    def test_symmetric_counts_uniform_posterior(self):
-        prior = UniformPrior(1.0)
-        counts = PatternCounts(700, 100, 100, 100)
-        est = tree_posterior(prior, counts, (1.0, 1.0, 1.0), 4000, 5)
-        assert np.allclose(est.posterior, 1 / 3, atol=1e-15)
-
-    def test_weight_rescaling_invariant(self):
-        prior = UniformPrior(1.0)
-        counts = PatternCounts(500, 260, 130, 110)
-        a = tree_posterior(prior, counts, (1.0, 1.0, 1.0), 4000, 5)
-        b = tree_posterior(prior, counts, (7.0, 7.0, 7.0), 4000, 5)
-        assert np.array_equal(a.posterior, b.posterior)
-
-    def test_weights_validated(self):
-        prior = UniformPrior(1.0)
-        counts = PatternCounts(5, 3, 1, 1)
-        with pytest.raises(ValueError):
-            tree_posterior(prior, counts, (1.0, 0.0, 1.0), 2000, 1)
-        with pytest.raises(ValueError):
-            tree_posterior(prior, counts, (1.0, -1.0, 1.0), 2000, 1)
-
-    def test_reference_counts_direction_and_oracle(self, oracle):
-        prior = UniformPrior(1.0)
-        counts = PatternCounts(753, 130, 59, 58)
-        est = tree_posterior(prior, counts, (1.0, 1.0, 1.0), 10**5, 2024)
-        assert est.posterior[0] > est.posterior[1]
-        assert est.posterior[0] > est.posterior[2]
-        ref = oracle["posterior_753"]
-        for i in range(3):
-            se = math.hypot(est.stderr[i], ref["stderr"][i])
-            assert est.log_epi[i] == pytest.approx(ref["log_epi"][i], abs=3 * se + 1e-6)
-
-    def test_permutation_symmetry(self):
-        # permuting (n1,n2,n3) and tree labels together permutes the posterior
-        prior = UniformPrior(1.0)
-        base = PatternCounts(500, 260, 130, 110)
-        est = tree_posterior(prior, base, (1.0, 1.0, 1.0), 4000, 9)
-        perm = PatternCounts(500, 130, 110, 260)  # cyclic shift of (n1,n2,n3)
-        est_p = tree_posterior(prior, perm, (1.0, 1.0, 1.0), 4000, 9)
-        # tree holding count 260 is tree 1 before, tree 3 after, etc.
-        assert np.array_equal(est_p.posterior, est.posterior[[1, 2, 0]])
-
-    def test_jobs_bit_identical(self):
-        prior = UniformPrior(1.0)
-        counts = PatternCounts(753, 130, 59, 58)
-        a = tree_posterior(prior, counts, (1.0, 1.0, 1.0), 30000, 11, jobs=1)
-        b = tree_posterior(prior, counts, (1.0, 1.0, 1.0), 30000, 11, jobs=3)
-        assert np.array_equal(a.log_epi, b.log_epi)
-        assert np.array_equal(a.posterior, b.posterior)
-
-    def test_jobs_bit_identical_discrete(self):
-        prior = DiscretePrior(0.1, 0.5)
-        counts = PatternCounts(777, 68, 78, 77)
-        a = tree_posterior(prior, counts, (1.0, 1.0, 1.0), 30000, 11, jobs=1)
-        b = tree_posterior(prior, counts, (1.0, 1.0, 1.0), 30000, 11, jobs=2)
-        for field in ("log_epi", "stderr", "posterior", "ess"):
-            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+            mc_log_expected_kernels(UniformPrior(1.0), PatternCounts(1, 0, 0, 0), 10, 0)
 
     def test_ess_per_tree(self):
         counts = PatternCounts(500, 260, 130, 110)
-        est = tree_posterior(UniformPrior(1.0), counts, (1.0, 1.0, 1.0), 20000, 3)
-        assert est.ess.shape == (3,)
-        assert np.all((est.ess >= 1.0) & (est.ess <= 20000))
+        rows = mc_log_expected_kernels(UniformPrior(1.0), counts, 20000, 3)
+        assert all(1.0 <= r.ess <= 20000 for r in rows)
+
+    def test_agrees_with_the_route_where_draws_suffice(self):
+        # uniform:1.0 at (753, 130, 59, 58): ESS 8-60 at 2^15 draws
+        counts = PatternCounts(753, 130, 59, 58)
+        rows = mc_log_expected_kernels(UniformPrior(1.0), counts, 2**15, 7)
+        est = tree_posterior(UniformPrior(1.0), counts)
+        for r, value in zip(rows, est.log_epi):
+            assert abs(r.log_mean - value) <= 4 * r.stderr
 
 
 class TestEffectiveSampleSize:
@@ -368,9 +528,6 @@ class TestParadoxScan:
         r = res[0]
         lo, hi = wilson_interval(round(r.delta_hat * r.trials), r.trials)
         assert (r.ci_lo, r.ci_hi) == (lo, hi)
-
-
-CATALOG = ("tame", "uniform:1.0", "power:0.5", "logti", "tlogti", "discrete:0.1,0.5")
 
 
 def _full_path_posterior(counts, te, ti, log_w):

@@ -2,8 +2,8 @@
 """Regenerate the frozen oracle fixtures used by the regression tests.
 
 The expensive reference quantities (high-trial paradox scan, 1e7-draw
-posterior, claim magnitudes, band-event enumeration, conditional-moment
-thresholds) are computed once here and frozen into
+Monte Carlo posterior, claim magnitudes, band-event enumeration,
+conditional-moment thresholds) are computed once here and frozen into
 tests/fixtures/oracle.json.  Rerunning this script reproduces the file
 bit for bit; the tests then recheck desk-scale runs against these values
 within combined Monte Carlo error.
@@ -37,13 +37,13 @@ from starparadox.cli import main as cli_main
 from starparadox.claims import conditional_ratio_scan, in_band_advantage
 from starparadox.model import PatternCounts, counts_in_band
 from starparadox.moments import ConditionalZetaV, geometric_grid, threshold_scan
-from starparadox.posterior import paradox_scan, tree_posterior
+from starparadox.posterior import paradox_scan
 from starparadox.priors import UniformPrior
 from starparadox.tempering import default_z_grid
 
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_ROOT / "tests"))
-from oracles import band_event_probability  # noqa: E402
+from oracles import band_event_probability, mc_log_expected_kernels  # noqa: E402
 
 OUT = _ROOT / "tests" / "fixtures" / "oracle.json"
 SCAN_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "scan_digests.json"
@@ -115,6 +115,24 @@ def write_threshold_digests() -> None:
     print(f"wrote {THRESHOLD_DIGESTS_OUT}")
 
 
+def posterior_753(prior) -> dict:
+    """log E[K_i] of the counts (753, 130, 59, 58) from 10^7 prior draws (tests/oracles.py)."""
+    counts = PatternCounts(753, 130, 59, 58)
+    rows = mc_log_expected_kernels(prior, counts, 10**7, POSTERIOR_SEED)
+    log_epi = np.array([r.log_mean for r in rows])
+    # normalised by np.sum, as when this fixture was frozen; tree_posterior now uses fsum
+    log_post = np.log(np.full(3, 1.0 / 3.0)) + log_epi
+    post = np.exp(log_post - log_post.max())
+    return {
+        "counts": counts.array.tolist(),
+        "n_samples": 10**7,
+        "seed": POSTERIOR_SEED,
+        "log_epi": log_epi.tolist(),
+        "stderr": [r.stderr for r in rows],
+        "posterior": (post / post.sum()).tolist(),
+    }
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description="Regenerate the frozen test fixtures.")
     only = parser.add_mutually_exclusive_group()
@@ -149,17 +167,8 @@ def main(argv=None) -> None:
         "ci_hi": [r.ci_hi for r in rows],
     }
 
-    # 2. high-sample posterior for the reference count vector
-    counts = PatternCounts(753, 130, 59, 58)
-    est = tree_posterior(prior, counts, (1.0, 1.0, 1.0), 10**7, POSTERIOR_SEED)
-    fx["posterior_753"] = {
-        "counts": counts.array.tolist(),
-        "n_samples": est.n_samples,
-        "seed": POSTERIOR_SEED,
-        "log_epi": est.log_epi.tolist(),
-        "stderr": est.stderr.tolist(),
-        "posterior": est.posterior.tolist(),
-    }
+    # 2. high-sample Monte Carlo posterior for the reference count vector
+    fx["posterior_753"] = posterior_753(prior)
 
     # 3. claim magnitudes on a band count vector at n = 1e4
     band = counts_in_band(10000, 0.1, 1.5)
