@@ -77,4 +77,4 @@ from .moments import (
     threshold_scan,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"

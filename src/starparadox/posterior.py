@@ -262,13 +262,15 @@ def _posterior_probs(log_w: np.ndarray, log_epi: np.ndarray) -> np.ndarray:
 # Se has the CDF x^c, c = rate_e / 4, so u = x^c is uniform: the Se rule is
 # Gauss-Legendre in u.  The Ti rule is a trapezoid Stieltjes sum
 # sum (f(a) + f(b))/2 (F(b) - F(a)) of the Se integrals f over bins in v,
-# with the prior's exact CDF F, extrapolated over bin halvings (Romberg).
+# extrapolated over bin halvings (Romberg).  The prior's exact CDF F is read
+# once at every edge, so each bin carries its exact mass F(b) - F(a).
 # Both rules cover windows set by a Gaussian model of log K: its Taylor
 # parabola at the maximum, or at the boundary where the maximum lies on
 # one.  The Ti mass left outside the bins is added at Ti = 0 and at
-# Ti = inf.  A rule and its doubled rule (twice the Se nodes, half the bin
-# width, one more halving) are evaluated; the doubled one is reported, and
-# their difference is its error estimate.
+# Ti = inf, or at the top of the prior's Ti support where the Ti window
+# ends there (see _ti_edges).  A rule and its doubled rule (twice the Se
+# nodes, half the bin width, one more halving) are evaluated; the doubled
+# one is reported, and their difference is its error estimate.
 
 _LOG4 = math.log(4.0)
 _WIDTH = 10.0  # windows reach 10 model standard deviations: 50 nats below the peak
@@ -391,23 +393,29 @@ def _ti_model(n0: int, ni: int, m: int) -> tuple[float, float]:
     return 1.0 - (y + slope / curvature), math.hypot(1.0 / math.sqrt(curvature), y * sd_x / x)
 
 
-def _ti_edges(n0: int, ni: int, m: int) -> np.ndarray:
-    """Edges in v of the finest Ti bins: 2^(_LEVELS - 1) times the coarsest rule's bins.
+def _ti_edges(n0: int, ni: int, m: int, top: float) -> tuple[np.ndarray, float]:
+    """Edges in v of the finest Ti bins (2^(_LEVELS - 1) times the coarsest rule's
+    bins), and the v at which the mass above the last edge is weighted.
 
-    The window comes from ``_ti_model``.  Bins are uniform at the kernel's
-    scale in v: the model's sd, or the shorter decay length sd^2 / d when
-    the vertex lies a distance d outside [0, 1].  A window that reaches
-    Ti = 0 is graded there instead, uniform in g = v/scale + log(v/scale):
-    a prior CDF may behave like Ti^alpha near 0, so the bins shrink in
+    ``top`` is v at the top of the prior's Ti support.  The window comes
+    from ``_ti_model``, within [0, 1]; where the model's mode lies above
+    ``top``, within [0, top (1 - 1e-9)] instead, with the mass above it
+    (an atom at the top included) weighted at ``top`` rather than at
+    Ti = inf.  Bins are uniform at the kernel's scale in v: the model's
+    sd, or the shorter decay length sd^2 / d when the vertex lies a
+    distance d outside the window's range.  A window that reaches Ti = 0
+    is graded there instead, uniform in g = v/scale + log(v/scale): a
+    prior CDF may behave like Ti^alpha near 0, so the bins shrink in
     proportion to v below the scale.
     """
     mode, sd = _ti_model(n0, ni, m)
-    lo, hi = (float(b) for b in _window(mode, sd, 0.0, 1.0))
-    outside = max(-mode, mode - 1.0, 0.0)
+    ceiling, end = (top, top * (1.0 - 1e-9)) if mode > top else (1.0, 1.0)
+    lo, hi = (float(b) for b in _window(mode, sd, 0.0, end))
+    outside = max(-mode, mode - end, 0.0)
     scale = 1.0 if math.isinf(sd) else min(sd * sd / math.hypot(outside, sd), 1.0)
     if lo > 0.0:
         bins = max(math.ceil(_BINS_PER_UNIT * (hi - lo) / scale), 8)
-        return np.linspace(lo, hi, 2 ** (_LEVELS - 1) * bins + 1)
+        return np.linspace(lo, hi, 2 ** (_LEVELS - 1) * bins + 1), ceiling
     g_lo = _V_MIN + math.log(_V_MIN)
     g_hi = hi / scale + math.log(hi / scale)
     bins = max(math.ceil(_BINS_PER_UNIT * (g_hi - g_lo)), 8)
@@ -418,39 +426,14 @@ def _ti_edges(n0: int, ni: int, m: int) -> np.ndarray:
         z -= (np.exp(z) + z - g) / (np.exp(z) + 1.0)
     v = scale * np.exp(z)
     v[0], v[-1] = _V_MIN * scale, hi
-    return v
+    return v, ceiling
 
 
-def _log_ti_cdf(prior: Prior, v: np.ndarray, log_f=None) -> np.ndarray:
-    """log P(Ti <= t) at t = -log(1 - v)/4 for each v (v = 1 is Ti = inf).
-
-    Given ``log_f`` at the (ascending) edges ``v``, the CDF is evaluated
-    from the top edge down, 32 edges at a time, only until the mass below
-    an edge, bounded by its CDF times the largest f below it, is at most
-    1e-18 of the trapezoid sum above it: below that edge the CDF is held at
-    its value there, so that mass joins the tail at Ti = 0.
-    """
+def _log_ti_cdf(prior: Prior, v: np.ndarray) -> np.ndarray:
+    """log P(Ti <= t) at t = -log(1 - v)/4 for each v (v = 1 is Ti = inf)."""
     with np.errstate(divide="ignore"):
         ti = -np.log1p(-v) / 4.0
-    if log_f is None:
-        return np.array([prior.log_ti_cdf(float(t)) for t in ti])
-    f = np.exp(log_f - np.max(log_f))
-    f_below = np.maximum.accumulate(f)
-    out = np.empty(v.shape)
-    above, hi = 0.0, v.size
-    while hi > 0:
-        lo = max(hi - 32, 0)
-        out[lo:hi] = [prior.log_ti_cdf(float(t)) for t in ti[lo:hi]]
-        top = min(hi + 1, v.size)
-        cdf = np.exp(out[lo:top])
-        sums = above + np.cumsum(((f[lo : top - 1] + f[lo + 1 : top]) * np.diff(cdf))[::-1])[::-1]
-        stop = np.flatnonzero(cdf[: sums.size] * f_below[lo : lo + sums.size] <= 1e-18 * sums)
-        if stop.size:
-            out[: lo + stop[-1]] = out[lo + stop[-1]]
-            break
-        above = sums[0] if sums.size else above
-        hi = lo
-    return out
+    return np.array([prior.log_ti_cdf(float(t)) for t in ti])
 
 
 def _romberg_weights(levels: int) -> np.ndarray:
@@ -493,12 +476,14 @@ def _irregular_groups(f: np.ndarray, cdf: np.ndarray, total: float, size: int) -
 def _ti_rule(log_f: np.ndarray, cdf: np.ndarray, tails: np.ndarray, levels: int, refine=None):
     """log of the Ti rule's sum, and a bound on its tail error relative to that sum.
 
-    ``log_f`` holds log f at Ti = 0, at Ti = inf, then at the edges;
-    ``tails`` are the masses below the first and above the last edge.  f
-    is unimodal, so over each tail it lies between its values at the
-    tail's two ends.  With ``refine = (v, log_f_at, log_cdf_at)``, each
-    irregular group of bins (see ``_irregular_groups``) is summed by the
-    trapezoid rule on _REFINE sub-bins per bin instead of by extrapolation.
+    ``log_f`` holds log f at Ti = 0, at the upper tail's weight point, then
+    at the edges; ``cdf`` holds the exact CDF at the edges, so each bin
+    carries its exact mass; ``tails`` are the masses below the first and
+    above the last edge.  f is unimodal, so over each tail it lies between
+    its values at the tail's two ends.  With ``refine = (v, log_f_at,
+    log_cdf_at)``, each irregular group of bins (see ``_irregular_groups``)
+    is summed by the trapezoid rule on _REFINE sub-bins per bin instead of
+    by extrapolation.
     """
     top = float(np.max(log_f))
     if top == -math.inf:
@@ -536,21 +521,20 @@ def _refined_groups(groups, size, f, cdf, top, v, log_f_at, log_cdf_at):
 
 def _log_expected_kernel(prior: Prior, n0: int, ni: int, m: int) -> tuple[float, float]:
     c = prior.rate_e / 4.0
-    v = _ti_edges(n0, ni, m)
-    ends = np.array([0.0, 1.0])
+    v, ceiling = _ti_edges(n0, ni, m, 1.0 - (prior.y_min - 1.0) / 2.0)
+    ends = np.array([0.0, ceiling])
 
     def log_f_at(k):
         return lambda nodes: _log_se_integrals(n0, ni, m, nodes, c, k)
 
-    fine_log_f = log_f_at(2 * _SE_NODES)(np.concatenate([ends, v]))
-    log_cdf = _log_ti_cdf(prior, v, fine_log_f[2:])
+    log_cdf = _log_ti_cdf(prior, v)
     cdf = np.exp(log_cdf)
     tails = np.array([cdf[0], -math.expm1(log_cdf[-1])])
     coarse, _ = _ti_rule(
         log_f_at(_SE_NODES)(np.concatenate([ends, v[::2]])), cdf[::2], tails, _LEVELS - 1
     )
     fine, tail_error = _ti_rule(
-        fine_log_f, cdf, tails, _LEVELS,
+        log_f_at(2 * _SE_NODES)(np.concatenate([ends, v])), cdf, tails, _LEVELS,
         refine=(v, log_f_at(2 * _SE_NODES), lambda nodes: _log_ti_cdf(prior, nodes)),
     )
     return fine, abs(fine - coarse) + tail_error

@@ -477,22 +477,21 @@ class DiscretePrior(Prior):
             total += b * c / a * x ** -(b + j) * _gamma_series((b + j) / a, m)
         return total
 
-    def _em_f(self, x: float) -> float:
-        return (1.0 - math.exp(-4.0 * x**-self.a)) * (x**-self.b - (x + 1.0) ** -self.b)
-
-    def _em_fprime(self, x: float) -> float:
-        a, b = self.a, self.b
-        A = 1.0 - math.exp(-4.0 * x**-a)
-        Ap = -math.exp(-4.0 * x**-a) * 4.0 * a * x ** (-a - 1.0)
-        B = x**-b - (x + 1.0) ** -b
-        Bp = -b * x ** (-b - 1.0) + b * (x + 1.0) ** (-b - 1.0)
-        return Ap * B + A * Bp
-
     def _tail_beyond(self, m: int) -> float:
-        """sum_{n > m} y_n (n^-b - (n+1)^-b) for m >= the table size."""
+        """sum_{n > m} y_n (n^-b - (n+1)^-b) for m >= the table size.
+
+        The sum of 3 (n^-b - (n+1)^-b) telescopes to 3 x^-b, x = m + 1; the
+        rest, 2 sum_{n >= x} f(n) with f(u) = (1 - exp(-4 u^-a)) (u^-b -
+        (u+1)^-b), is Euler-Maclaurin's integral + f(x)/2 - f'(x)/12.
+        """
+        a, b = self.a, self.b
         x = float(m + 1)
-        e = 2.0 * (self._em_integral(x) + self._em_f(x) / 2.0 - self._em_fprime(x) / 12.0)
-        return 3.0 * x**-self.b - e
+        e4 = math.exp(-4.0 * x**-a)
+        k = x**-b - (x + 1.0) ** -b
+        f = (1.0 - e4) * k
+        fprime = -e4 * 4.0 * a * x ** (-a - 1.0) * k + (1.0 - e4) * (
+            -b * x ** (-b - 1.0) + b * (x + 1.0) ** (-b - 1.0))
+        return 3.0 * x**-b - 2.0 * (self._em_integral(x) + f / 2.0 - fprime / 12.0)
 
     def _table(self) -> np.ndarray:
         return _discrete_table(self.a, self.b)
@@ -509,14 +508,6 @@ class DiscretePrior(Prior):
         yn = 1.0 + 2.0 * math.exp(-4.0 * n**-self.a)
         return yn * (n**-self.b - (n + 1.0) ** -self.b) / self.r
 
-    def _tail_from(self, m0: int) -> float:
-        """sum_{n >= m0} y_n (n^-b - (n+1)^-b)."""
-        if m0 <= 1:
-            return self.r
-        if m0 - 1 <= self._N_TABLE:
-            return float(self._table()[m0 - 1])
-        return self._tail_beyond(m0 - 1)
-
     def log_ti_cdf(self, x: float) -> float:
         if x <= 0.0:
             return -math.inf
@@ -530,8 +521,9 @@ class DiscretePrior(Prior):
             p = self.b / self.a
             log_tail = math.log(3.0 - 2.0 * p * _gamma_series(p, 4.0 * x)) + p * math.log(x)
             return log_tail - math.log(self.r)
-        m0 = math.ceil(x ** (-1.0 / self.a))
-        return math.log(self._tail_from(m0)) - math.log(self.r)
+        m = math.ceil(x ** (-1.0 / self.a)) - 1  # the atoms n > m lie at or below x
+        tail = self._table()[m] if m <= self._N_TABLE else self._tail_beyond(m)
+        return math.log(tail) - math.log(self.r)
 
     # ---- exact step section function -------------------------------------
     def index_n(self, z: float, s: float) -> int:

@@ -141,6 +141,13 @@ class TestPosterior:
         assert d["posterior"] == [d["posterior"][0]] * 3
         assert abs(sum(d["posterior"]) - 1.0) < 1e-12
 
+    def test_ti_mode_above_the_support(self, tmp_path):
+        # tree 1's Ti mode lies above uniform:1.0's support; 0.3.0 exited 3 (DegenerateEstimate)
+        assert run_main("posterior", "--spec", "uniform:1.0", "--counts", "0,2706,0,0",
+                        "--out", str(tmp_path)) == 0
+        d = json.loads((tmp_path / "posterior.json").read_text())
+        assert all(math.isfinite(v) for v in d["log_expected_kernel"] + d["stderr_log"])
+
     def test_malformed_spec_file(self, tmp_path):
         bad = tmp_path / "spec.json"
         bad.write_text("{not json")
@@ -206,7 +213,7 @@ class TestPosteriorDeterministic:
 
     def test_manifest_of_0_2_0_replays_with_exit_3(self, tmp_path, capsys):
         manifest = fresh_manifest(self.FRESH, tmp_path / "fresh")
-        assert manifest["version"] == "0.3.0"
+        assert manifest["version"] == "0.3.1"
         manifest["version"] = "0.2.0"
         manifest["outputs"]["posterior.json"] = self.DIGEST_0_2_0
         path = tmp_path / "manifest.json"
@@ -679,6 +686,26 @@ class TestThresholdDigests:
         assert run_main(*case["argv"], "--out", str(tmp_path)) == 0
         for name, digest in sorted(case["sha256"].items()):
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+class TestPosteriorDigests:
+    """posterior.json of every catalog prior at the benchmark's counts matches its SHA-256.
+
+    Regenerate with ``tools/generate_fixtures.py --posterior-digests`` only when
+    a change to the deterministic posterior rule is intended.
+    """
+
+    FIXTURE = json.loads(
+        (Path(__file__).parent / "fixtures" / "posterior_digests.json").read_text(encoding="utf-8")
+    )
+
+    @pytest.mark.parametrize("spec", sorted(FIXTURE["sha256"]))
+    def test_digests(self, tmp_path, spec):
+        for counts, digest in sorted(self.FIXTURE["sha256"][spec].items()):
+            out = tmp_path / counts
+            assert run_main(*self.FIXTURE["argv"], "--spec", spec, "--counts", counts,
+                            "--out", str(out)) == 0
+            assert hashlib.sha256((out / "posterior.json").read_bytes()).hexdigest() == digest
 
 
 class TestSmallADiscrete:

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starparadox.model import (
@@ -283,6 +283,26 @@ class TestDenseReference:
                 # the error estimate covers the actual error (the reference is good to ~1e-12)
                 assert off <= error + 1e-11 * abs(ref), (n, tree, off, error)
 
+    @pytest.mark.parametrize("spec", CATALOG)
+    def test_ti_mode_above_the_support(self, spec):
+        # counts (0, n, 0, 0) put the kernel's Ti mode above v = 1: for a bounded Ti law
+        # the bins end just below the top of its support, where the rest of its mass sits
+        prior = parse_prior(spec)
+        tol = 1e-7 if prior.kind == "discrete" else 1e-8
+        for n in (500, 2706, 10**4):
+            value, error = log_expected_kernel(prior, PatternCounts(0, n, 0, 0), 1)
+            ref = dense_log_expected_kernel(prior, 0, n, 0)
+            assert math.isfinite(value) and math.isfinite(error), (n, value, error)
+            assert abs(value - ref) <= tol * abs(ref), (n, value, ref)
+            assert abs(value - ref) <= error, (n, value, ref, error)
+
+    @pytest.mark.parametrize("spec", [*CATALOG, "uniform:0.3"])
+    def test_ti_mode_above_the_support_is_not_degenerate(self, spec):
+        prior = parse_prior(spec)
+        for n in (100, 500, 2000, 2500, 2706, 10**4):
+            value, error = log_expected_kernel(prior, PatternCounts(0, n, 0, 0), 1)
+            assert math.isfinite(value) and math.isfinite(error), (n, value, error)
+
     def test_discrete_atoms_few_to_a_bin(self):
         # n = 100: the kernel still sees the sparse atoms n^-0.1 near Ti = 1
         prior = DiscretePrior(0.1, 0.5)
@@ -373,6 +393,7 @@ class TestTreePosterior:
         order=st.permutations((0, 1, 2)),
     )
     @settings(max_examples=25, deadline=None)
+    @example(counts=(0, 0, 0, 2706), order=[0, 1, 2])  # tree 3's Ti mode above the support
     def test_any_permutation_permutes_exactly(self, counts, order):
         prior = DiscretePrior(0.1, 0.5)
         n0, *rest = counts

@@ -7,9 +7,11 @@ benchmark run (``perfbench/run.py --trace 1``) wraps the functions and
 methods listed in ``perfbench/spans.py``; a rename would crash it, so those
 targets are resolved here too.
 
-The package's own sources are parsed for one more rule: ``scipy.integrate``
+The package's own sources are parsed for two more rules: ``scipy.integrate``
 is imported in one function only (``priors._quad``, the one quadrature
-routine), and no scipy module is imported when a module loads.
+routine), and no scipy module is imported when a module loads; and the
+posterior rule reads the prior through a fixed interface, with one CDF call
+site.
 """
 
 import ast
@@ -207,3 +209,36 @@ def test_scipy_import_check_sees_every_form(tmp_path):
         ("copies.outer.inner", "scipy.integrate"),
         ("copies.outer", "scipy.optimize.brentq"),
     ]
+
+
+def _prior_reads(path: Path) -> tuple[list[int], set[str]]:
+    """Lines of the calls ``<x>.log_ti_cdf(...)``, and the attributes read from a name ``prior``."""
+    sites, attrs = [], set()
+    for node in ast.walk(_parse(path)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "log_ti_cdf"):
+            sites.append(node.lineno)
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "prior"):
+            attrs.add(node.attr)
+    return sites, attrs
+
+
+def test_posterior_reads_the_prior_through_one_cdf_site():
+    # the deterministic rule reads the Ti law only through exact CDF values at its
+    # nodes, and the Te law through rate_e; the scan draws with sample
+    sites, attrs = _prior_reads(PACKAGE / "posterior.py")
+    assert len(sites) == 1, sites
+    assert attrs <= {"rate_e", "y_min", "log_ti_cdf", "sample"}, attrs
+
+
+def test_prior_read_check_sees_every_site(tmp_path):
+    module = tmp_path / "reads.py"
+    module.write_text(
+        "def f(prior, other, v):\n"
+        "    a = prior.log_ti_cdf(v)\n"
+        "    b = [other.log_ti_cdf(t) for t in v]\n"
+        "    return prior.theta * prior.rate_e\n",
+        encoding="utf-8",
+    )
+    assert _prior_reads(module) == ([2, 3], {"log_ti_cdf", "theta", "rate_e"})

@@ -19,7 +19,13 @@ SHA-256 of ``verdict.json`` for each catalog prior at ``--t 0.1``, and of
 (the benchmark's ``moments`` job).  These outputs are deterministic, so the
 tests pin them byte for byte.
 
-    PYTHONPATH=src python tools/generate_fixtures.py [--scan-digests | --threshold-digests]
+``--posterior-digests`` writes tests/fixtures/posterior_digests.json: the
+SHA-256 of ``posterior.json`` for each catalog prior at the benchmark's
+count vectors, with the default ``--samples`` and ``--jobs``.  The
+posterior rule is deterministic, so the tests pin its bytes.
+
+    PYTHONPATH=src python tools/generate_fixtures.py \
+        [--scan-digests | --threshold-digests | --posterior-digests]
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from oracles import band_event_probability, mc_log_expected_kernels  # noqa: E40
 OUT = _ROOT / "tests" / "fixtures" / "oracle.json"
 SCAN_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "scan_digests.json"
 THRESHOLD_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "threshold_digests.json"
+POSTERIOR_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "posterior_digests.json"
 
 SCAN_SEED = 777001
 POSTERIOR_SEED = 777002
@@ -59,6 +66,8 @@ SCAN_DIGEST_ARGV = (
     "scan", "--t", "0.1", "--epsilon", "0.05", "--n-list", "100,1000,10000",
     "--trials", "60", "--samples", "1024", "--seed", str(SCAN_DIGEST_SEED),
 )
+# the benchmark's posterior count vectors: two fixed ones and its n = 10^4 star counts
+POSTERIOR_COUNTS = ("753,130,59,58", "777,68,78,77", "7464,827,851,858")
 
 PRIOR_CHECK_ARGV = ("prior-check", "--t", "0.1")
 MOMENTS_ARGV = (
@@ -115,6 +124,22 @@ def write_threshold_digests() -> None:
     print(f"wrote {THRESHOLD_DIGESTS_OUT}")
 
 
+def write_posterior_digests() -> None:
+    """Freeze the SHA-256 of posterior.json per catalog prior and count vector."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec in CATALOG:
+            digests[spec] = {}
+            for counts in POSTERIOR_COUNTS:
+                out = Path(tmp) / f"{spec}-{counts}"
+                _run(["posterior", "--spec", spec, "--counts", counts], out)
+                digests[spec][counts] = _sha256(out / "posterior.json")
+    with open(POSTERIOR_DIGESTS_OUT, "w", encoding="utf-8") as fh:
+        json.dump({"argv": ["posterior"], "sha256": digests}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {POSTERIOR_DIGESTS_OUT}")
+
+
 def posterior_753(prior) -> dict:
     """log E[K_i] of the counts (753, 130, 59, 58) from 10^7 prior draws (tests/oracles.py)."""
     counts = PatternCounts(753, 130, 59, 58)
@@ -140,12 +165,17 @@ def main(argv=None) -> None:
                       help=f"write only {SCAN_DIGESTS_OUT.relative_to(_ROOT)}")
     only.add_argument("--threshold-digests", action="store_true",
                       help=f"write only {THRESHOLD_DIGESTS_OUT.relative_to(_ROOT)}")
+    only.add_argument("--posterior-digests", action="store_true",
+                      help=f"write only {POSTERIOR_DIGESTS_OUT.relative_to(_ROOT)}")
     args = parser.parse_args(argv)
     if args.scan_digests:
         write_scan_digests()
         return
     if args.threshold_digests:
         write_threshold_digests()
+        return
+    if args.posterior_digests:
+        write_posterior_digests()
         return
     prior = UniformPrior(1.0)
     fx: dict = {"prior": prior.to_dict(), "t": 0.1}
