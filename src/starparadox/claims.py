@@ -13,14 +13,15 @@ two facts connect the kernels K_j to the band interval I_t of 4 P0 - 1:
   of c.
 
 Both are estimated here by stratified Monte Carlo over prior draws; the
-point conditioning in the second uses hard bands z +- delta_z.  Every
-estimator with the same prior instance, sample size and seed reads one
-draw set: the prior is sampled and its pattern log-probabilities computed
-once, and the read-only arrays are kept until the prior is freed or asked
-for another (size, seed).  The module
-also exposes the per-draw factorizations of the kernels (through the
-centered statistics, and through mu_t, U_t, W_j) used to verify the
-machinery sample by sample.
+point conditioning in the second uses hard bands z +- delta_z, each a
+contiguous slice of the draws stable-sorted by band.  Every estimator
+with the same prior instance, sample size and seed reads one draw set,
+sampled and turned into pattern log-probabilities once and kept read-only
+until the prior is freed or asked for another (size, seed).  Where
+n_2 = n_3 (as ``counts_in_band`` builds them) K_2 = K_3 draw by draw.
+The module also exposes the per-draw factorizations of the kernels
+(through the centered statistics, and through mu_t, U_t, W_j) used to
+verify the machinery sample by sample.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .model import (
     star_probs,
     zeta,
 )
-from .posterior import _exp_inplace, _finish, _partials, kernel_log_values
+from .posterior import DegenerateEstimate, _exp_inplace, _finish, _partials, kernel_log_values
 from .priors import Prior
 
 __all__ = [
@@ -154,13 +155,16 @@ def _draw(prior: Prior, n_samples: int, seed: int):
     return arrays
 
 
-def _paired_log_ratio_se(l1: np.ndarray, l2: np.ndarray) -> float:
-    """Delta-method s.e. of log(sum e^l1 / sum e^l2) with shared draws."""
-    m1, m2 = float(np.max(l1)), float(np.max(l2))
-    a = _exp_inplace(l1 - m1)
-    b = _exp_inplace(l2 - m2)
-    infl = a / a.sum() - b / b.sum()
-    return math.sqrt(float((infl * infl).sum()))
+def _paired_log_ratio(band: np.ndarray) -> tuple[float, float]:
+    """log(mean e^l1 / mean e^l2) over the rows (l1, l2) of ``band`` and its delta-method
+    s.e. with shared draws, from one exp per row: a = exp(l - max l), influence a / sum a."""
+    m = np.max(band, axis=1)
+    if np.any(m == -math.inf):
+        raise DegenerateEstimate("all kernel samples vanished")
+    a = _exp_inplace(band - m[:, None])
+    (m1, m2), (s1, s2), n = m.tolist(), a.sum(axis=1).tolist(), band.shape[1]
+    infl = a[0] / s1 - a[1] / s2
+    return m1 + math.log(s1 / n) - (m2 + math.log(s2 / n)), math.sqrt(float((infl * infl).sum()))
 
 
 @dataclass(frozen=True)
@@ -285,23 +289,26 @@ def conditional_ratio_scan(
     edges = np.linspace(iv.lo, iv.hi, z_points + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     lp0, lp1, lp2, zval = _draw(prior, n_samples, seed)
-    # only draws in the union of the bands reach a stratum; order is kept
-    grid = (zval >= edges[0]) & (zval < edges[-1])
-    zval = zval[grid]
-    block = kernel_log_values(counts, lp0[grid], lp1[grid], lp2[grid], (1, j))
+    # band k holds the draws with edges[k] <= z < edges[k + 1]; a stable sort
+    # by band keeps draw order inside each band and makes each a contiguous slice
+    grid = np.flatnonzero((zval >= edges[0]) & (zval < edges[-1]))
+    keys = np.searchsorted(edges, zval[grid], side="right") - 1
+    keys = keys.astype(np.min_scalar_type(z_points - 1))  # small ints: a radix sort
+    band_n = np.bincount(keys, minlength=z_points)
+    order = grid[np.argsort(keys, kind="stable")]
+    del grid, keys
+    block = kernel_log_values(counts, lp0[order], lp1[order], lp2[order], (1, j))
+    del order
 
     log_ratio = np.empty(z_points)
     se_ratio = np.empty(z_points)
-    band_n = np.empty(z_points, dtype=int)
-    for k in range(z_points):
-        mask = (zval >= edges[k]) & (zval < edges[k + 1])
-        band_n[k] = int(mask.sum())
+    for k, stop in enumerate(np.cumsum(band_n)):
         if band_n[k] == 0:
-            raise EmptyStratum(f"z band {k} around {centers[k]:.4f} is empty")
-        band = block[:, mask]
-        m1, mj = (_finish(p).log_mean for p in _partials(band))
-        log_ratio[k] = m1 - mj
-        se_ratio[k] = _paired_log_ratio_se(*band)
+            raise EmptyStratum(
+                f"z band {k} around {centers[k]:.4f} is empty: {block.shape[1]} of {n_samples} "
+                "draws fall in I_t; use fewer --z-points or more --samples"
+            )
+        log_ratio[k], se_ratio[k] = _paired_log_ratio(block[:, stop - band_n[k]:stop])
     gap = log_ratio - 2.0 * math.log(c)
     k_min = int(np.argmin(gap))
     min_gap = float(gap[k_min])

@@ -22,12 +22,13 @@ from starparadox.claims import (
 )
 from starparadox.model import (
     PatternCounts,
+    band_interval,
     counts_in_band,
     log_pattern_prob_arrays,
     star_probs,
     zeta,
 )
-from starparadox.posterior import kernel_log_values
+from starparadox.posterior import _finish, _partials, kernel_log_values
 from starparadox.priors import Prior, UniformPrior
 
 
@@ -210,6 +211,53 @@ class TestClaim2:
         with pytest.raises(EmptyStratum):
             conditional_ratio_scan(_ConcentratedPrior(t), t, counts, 1.5, 2, 8, 5000, 1)
 
+    T, C, Z_POINTS = 0.1, 1.5, 4
+
+    def _scan_on(self, monkeypatch, zval):
+        """conditional_ratio_scan over a stub draw set whose 4P0 - 1 values are ``zval``."""
+        rng = np.random.default_rng(5)
+        lp = log_pattern_prob_arrays(*UniformPrior(1.0).sample(rng, zval.size))
+        monkeypatch.setattr(claims, "_draw", lambda prior, size, seed: (*lp, zval))
+        counts = counts_in_band(10**4, self.T, self.C)
+        rep = conditional_ratio_scan(UniformPrior(1.0), self.T, counts, self.C, 2,
+                                     self.Z_POINTS, zval.size, 1)
+        return rep, kernel_log_values(counts, *lp, (1, 2))
+
+    def _edges(self):
+        iv = band_interval(self.T)
+        return np.linspace(iv.lo, iv.hi, self.Z_POINTS + 1)
+
+    def test_band_edges_follow_hard_band_rule(self, monkeypatch):
+        edges = self._edges()
+        # every edge (the top one is excluded), each band's midpoint and the last
+        # float below its top, and two points below the bottom edge, shuffled
+        zval = np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:]),
+                               np.nextafter(edges[1:], -np.inf),
+                               [np.nextafter(edges[0], -np.inf), edges[0] - 1e-3]])
+        zval = np.random.default_rng(7).permutation(zval)
+        rep, block = self._scan_on(monkeypatch, zval)
+        masks = [(zval >= lo) & (zval < hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        assert rep.band_counts.tolist() == [int(m.sum()) for m in masks] == [3] * self.Z_POINTS
+        # each band's ratio and s.e. are those of its draws picked by a per-band mask
+        for k, mask in enumerate(masks):
+            band = block[:, mask]
+            m1, m2 = (_finish(p).log_mean for p in _partials(band))
+            w = np.exp(band - band.max(axis=1, keepdims=True))
+            infl = w[0] / w[0].sum() - w[1] / w[1].sum()
+            assert rep.log_ratio[k] == pytest.approx(m1 - m2, rel=1e-13, abs=1e-13)
+            assert rep.se_ratio[k] == pytest.approx(math.sqrt((infl * infl).sum()), rel=1e-12)
+
+    def test_lowest_empty_band_named(self, monkeypatch):
+        edges = self._edges()
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        zval = np.repeat(centers[[2, 0]], 5)  # bands 1 and 3 stay empty
+        with pytest.raises(EmptyStratum) as err:
+            self._scan_on(monkeypatch, zval)
+        message = str(err.value)
+        assert message.startswith(f"z band 1 around {centers[1]:.4f} is empty")
+        assert "10 of 10 draws fall in I_t" in message
+        assert "--z-points" in message and "--samples" in message
+
     def test_reports_both_normalizations(self):
         prior = UniformPrior(1.0)
         counts = counts_in_band(10**4, 0.1, 1.5)
@@ -233,11 +281,21 @@ class TestSharedDraw:
             return original(self, rng, size)
 
         monkeypatch.setattr(UniformPrior, "sample", counted)
+        blocks = []
+
+        def counted_kernels(*args):
+            blocks.append(args[-1])
+            return kernel_log_values(*args)
+
+        monkeypatch.setattr(claims, "kernel_log_values", counted_kernels)
         argv = ["claims", "--spec", "uniform:1.0", "--t", str(self.T), "--c", str(self.C),
                 "--n", str(self.N), "--samples", str(self.SAMPLES), "--seed", str(self.SEED),
                 "--out", str(tmp_path)]
         assert cli.main(argv) == 0
+        # one draw set, one (1, 2) block for claim 2 and one (2,) row for claim 1:
+        # the j = 3 reports reuse the j = 2 ones
         assert calls == [self.SAMPLES]
+        assert blocks == [(1, 2), (2,)]
         report = json.loads((tmp_path / "claims.json").read_text())
         # fresh prior instances share no draws; their reports must be the same
         counts = counts_in_band(self.N, self.T, self.C)

@@ -708,6 +708,25 @@ class TestPosteriorDigests:
             assert hashlib.sha256((out / "posterior.json").read_bytes()).hexdigest() == digest
 
 
+class TestClaimsDigests:
+    """claims.json of every continuous catalog prior, at the benchmark's claims
+    arguments and one fixed seed, matches its SHA-256.
+
+    Regenerate with ``tools/generate_fixtures.py --claims-digests`` only when a
+    change to the claims draws or estimators is intended.
+    """
+
+    FIXTURE = json.loads(
+        (Path(__file__).parent / "fixtures" / "claims_digests.json").read_text(encoding="utf-8")
+    )
+
+    @pytest.mark.parametrize("spec", sorted(FIXTURE["sha256"]))
+    def test_digests(self, tmp_path, spec):
+        assert run_main(*self.FIXTURE["argv"], "--spec", spec, "--out", str(tmp_path)) == 0
+        digest = hashlib.sha256((tmp_path / "claims.json").read_bytes()).hexdigest()
+        assert digest == self.FIXTURE["sha256"][spec]
+
+
 class TestSmallADiscrete:
     """Valid discrete priors with small a, where p = (b + j)/a in the tail series passes 171."""
 
@@ -911,6 +930,17 @@ class TestRuntimeFailures:
                     "--seed", "1", "--out", str(tmp_path))
         assert r.returncode == 3
         assert "EmptyStratum" in r.stderr
+
+    @pytest.mark.parametrize("seed,band,inside", [(1, 6, 1910), (2, 7, 1963)])
+    def test_empty_stratum_names_remedy(self, tmp_path, capsys, seed, band, inside):
+        # discrete:0.1,0.5 puts about 0.2% of its draws in I_t, too few for 8 bands
+        assert run_main("claims", "--spec", "discrete:0.1,0.5", "--t", "0.1", "--c", "1.5",
+                        "--n", "10000", "--samples", "1000000", "--seed", str(seed),
+                        "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert f"EmptyStratum: z band {band} around" in err
+        assert f"{inside} of 1000000 draws fall in I_t" in err
+        assert "--z-points" in err and "--samples" in err
 
 
 class TestMomentsZetaDist:

@@ -195,6 +195,17 @@ class TestBandEvent:
         d = delta_stats(counts, t)
         assert d.d1 == pytest.approx(3 * c, abs=0.1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 10**9), t=st.floats(1e-3, 5.0),
+           c=st.floats(1.0, 20.0, exclude_min=True))
+    def test_constructed_tail_counts_equal(self, n, t, c):
+        # the claims CLI writes its j = 3 reports as the j = 2 reports on this
+        try:
+            counts = counts_in_band(n, t, c)
+        except ValueError:
+            return
+        assert counts.n2 == counts.n3 and counts.n == n and in_band_fc(counts, c, t)
+
     def test_typical_counts_outside(self):
         counts = PatternCounts(7527, 825, 824, 824)
         assert not in_band_fc(counts, 1.5, 0.1)

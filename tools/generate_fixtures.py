@@ -24,8 +24,13 @@ SHA-256 of ``posterior.json`` for each catalog prior at the benchmark's
 count vectors, with the default ``--samples`` and ``--jobs``.  The
 posterior rule is deterministic, so the tests pin its bytes.
 
+``--claims-digests`` writes tests/fixtures/claims_digests.json: the SHA-256
+of ``claims.json`` for each continuous catalog prior at the benchmark's
+``claims`` arguments and one fixed seed.  The draws are seeded, so the tests
+pin the Monte Carlo reports byte for byte.
+
     PYTHONPATH=src python tools/generate_fixtures.py \
-        [--scan-digests | --threshold-digests | --posterior-digests]
+        [--scan-digests | --threshold-digests | --posterior-digests | --claims-digests]
 """
 
 from __future__ import annotations
@@ -55,11 +60,13 @@ OUT = _ROOT / "tests" / "fixtures" / "oracle.json"
 SCAN_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "scan_digests.json"
 THRESHOLD_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "threshold_digests.json"
 POSTERIOR_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "posterior_digests.json"
+CLAIMS_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "claims_digests.json"
 
 SCAN_SEED = 777001
 POSTERIOR_SEED = 777002
 CLAIM_SEED = 777003
 SCAN_DIGEST_SEED = 777004
+CLAIMS_DIGEST_SEED = 777005
 
 CATALOG = ("tame", "uniform:1.0", "power:0.5", "logti", "tlogti", "discrete:0.1,0.5")
 SCAN_DIGEST_ARGV = (
@@ -68,6 +75,12 @@ SCAN_DIGEST_ARGV = (
 )
 # the benchmark's posterior count vectors: two fixed ones and its n = 10^4 star counts
 POSTERIOR_COUNTS = ("753,130,59,58", "777,68,78,77", "7464,827,851,858")
+# the benchmark's claims arguments; discrete:0.1,0.5 leaves a z band empty there
+CLAIMS_SPECS = CATALOG[:5]
+CLAIMS_ARGV = (
+    "claims", "--t", "0.1", "--c", "1.5", "--n", "10000", "--samples", "1000000",
+    "--seed", str(CLAIMS_DIGEST_SEED),
+)
 
 PRIOR_CHECK_ARGV = ("prior-check", "--t", "0.1")
 MOMENTS_ARGV = (
@@ -140,6 +153,20 @@ def write_posterior_digests() -> None:
     print(f"wrote {POSTERIOR_DIGESTS_OUT}")
 
 
+def write_claims_digests() -> None:
+    """Freeze the SHA-256 of claims.json per continuous catalog prior."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for spec in CLAIMS_SPECS:
+            out = Path(tmp) / spec
+            _run([*CLAIMS_ARGV, "--spec", spec], out)
+            digests[spec] = _sha256(out / "claims.json")
+    with open(CLAIMS_DIGESTS_OUT, "w", encoding="utf-8") as fh:
+        json.dump({"argv": list(CLAIMS_ARGV), "sha256": digests}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {CLAIMS_DIGESTS_OUT}")
+
+
 def posterior_753(prior) -> dict:
     """log E[K_i] of the counts (753, 130, 59, 58) from 10^7 prior draws (tests/oracles.py)."""
     counts = PatternCounts(753, 130, 59, 58)
@@ -167,6 +194,8 @@ def main(argv=None) -> None:
                       help=f"write only {THRESHOLD_DIGESTS_OUT.relative_to(_ROOT)}")
     only.add_argument("--posterior-digests", action="store_true",
                       help=f"write only {POSTERIOR_DIGESTS_OUT.relative_to(_ROOT)}")
+    only.add_argument("--claims-digests", action="store_true",
+                      help=f"write only {CLAIMS_DIGESTS_OUT.relative_to(_ROOT)}")
     args = parser.parse_args(argv)
     if args.scan_digests:
         write_scan_digests()
@@ -176,6 +205,9 @@ def main(argv=None) -> None:
         return
     if args.posterior_digests:
         write_posterior_digests()
+        return
+    if args.claims_digests:
+        write_claims_digests()
         return
     prior = UniformPrior(1.0)
     fx: dict = {"prior": prior.to_dict(), "t": 0.1}
