@@ -521,7 +521,7 @@ def _refined_groups(groups, size, f, cdf, top, v, log_f_at, log_cdf_at):
 
 def _log_expected_kernel(prior: Prior, n0: int, ni: int, m: int) -> tuple[float, float]:
     c = prior.rate_e / 4.0
-    v, ceiling = _ti_edges(n0, ni, m, 1.0 - (prior.y_min - 1.0) / 2.0)
+    v, ceiling = _ti_edges(n0, ni, m, -math.expm1(-4.0 * prior.ti_max))
     ends = np.array([0.0, ceiling])
 
     def log_f_at(k):

@@ -53,7 +53,6 @@ __all__ = [
     "parse_prior",
 ]
 
-_Y_UNIT = 1.0 + 2.0 * math.exp(-4.0)  # bottom of the Si support when Ti <= 1
 _LOG_1E17 = math.log(1e17)
 
 
@@ -107,13 +106,14 @@ class Prior:
     """Base class: joint law of (Te, Ti) plus the G(z, .) machinery.
 
     Te ~ Exp(rate_e), independent of Ti.  A catalog subclass declares its Ti
-    law (``_sample_ti``, ``log_ti_cdf``, ``_h``, and ``y_min`` where Ti is not
+    law (``_sample_ti``, ``log_ti_cdf``, ``_h``, and ``ti_max`` where Ti is not
     bounded by 1) and its constructor arguments, stored under their own names
     as the only instance attributes that are not caches (``params()``).
     """
 
     kind: str = "abstract"
     rate_e: float = 4.0  # Te rate; at 4, Se = exp(-4 Te) is uniform on [0, 1]
+    ti_max: float = 1.0  # top of the Ti support
     g_accuracy: float = 3e-10  # relative accuracy of g(); tightened where closed forms exist
     _CACHES: tuple[str, ...] = ("_h_sat_memo",)  # per-instance memos, never pickled
 
@@ -165,8 +165,8 @@ class Prior:
     # ---- section integral H and conditional CDF G ----------------------
     @property
     def y_min(self) -> float:
-        """Bottom of the Si support, 1 + 2 exp(-4 sup Ti): here for Ti <= 1."""
-        return _Y_UNIT
+        """Bottom of the Si support, 1 + 2 exp(-4 ti_max)."""
+        return 1.0 + 2.0 * math.exp(-4.0 * self.ti_max)
 
     def s_sat(self, z: float) -> float:
         """Saturation point: G(z, s) = 1 for s >= s_sat(z)."""
@@ -250,8 +250,8 @@ class UniformPrior(_ExpIndepPrior):
         self.theta = theta
 
     @property
-    def y_min(self) -> float:
-        return 1.0 + 2.0 * math.exp(-4.0 * self.theta)
+    def ti_max(self) -> float:
+        return self.theta
 
     def _rho(self, k):
         return 1.0
@@ -379,16 +379,13 @@ class TamePrior(Prior):
 
     kind = "tame"
     g_accuracy = 1e-12
+    ti_max = math.inf
 
     def __init__(self, rate_e: float = 4.0, rate_i: float = 4.0):
         for name, v in (("rate_e", rate_e), ("rate_i", rate_i)):
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{name} must be > 0, got {v!r}")
             setattr(self, name, float(v))
-
-    @property
-    def y_min(self) -> float:
-        return 1.0
 
     def _sample_ti(self, rng, size):
         return rng.exponential(scale=1.0 / self.rate_i, size=size)

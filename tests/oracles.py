@@ -102,11 +102,12 @@ def mc_log_expected_kernels(prior, counts, n_samples: int, seed: int, jobs: int 
 #                      + f(T) (F(T) - F(c)) - int_c^T (F - F(c)) f' dt,
 #
 # with c the peak of the kernel's profile in t, T the end of the support
-# (plus f(inf) (1 - F(T)) beyond it), by composite Gauss-Legendre panels in
-# t: geometric towards 0, uniform across the profile's 80-nat window, and
-# split at each of the first 2000 atoms of a discrete prior inside that window.  The inner
-# f and f' are composite Gauss-Legendre in u = Se^c over each t's 60-nat
-# window in Se, found by bisection.
+# (plus f(inf) (1 - F(T)) beyond it, where that mass is positive), by
+# composite Gauss-Legendre panels in t: geometric towards 0, uniform across
+# the profile's 80-nat window, and split at each of the first 2000 atoms of
+# a discrete prior inside that window.  The inner f and f' are composite
+# Gauss-Legendre in u = Se^c over each t's 60-nat window in Se, found by
+# bisection.
 
 _DROP_SE = 60.0
 _DROP_TI = 80.0
@@ -202,10 +203,12 @@ def dense_log_expected_kernel(prior, n0: int, ni: int, m: int) -> float:
     _, df = _se_integrals(n0, ni, m, t, c, scale)
     cdf = np.exp([prior.log_ti_cdf(float(v)) for v in t])
     cdf_c = math.exp(prior.log_ti_cdf(centre))
-    f0, f_end, f_inf = _se_integrals(n0, ni, m, np.array([0.0, end, 60.0]), c, scale)[0]
+    f0, f_end = _se_integrals(n0, ni, m, np.array([0.0, end]), c, scale)[0]
     below = t < centre
     total = (f0 * cdf_c + np.sum(((cdf_c - cdf) * df * wt)[below])
              + f_end * (math.exp(prior.log_ti_cdf(end)) - cdf_c)
-             - np.sum(((cdf - cdf_c) * df * wt)[~below])
-             + f_inf * -math.expm1(prior.log_ti_cdf(end)))
+             - np.sum(((cdf - cdf_c) * df * wt)[~below]))
+    beyond = -math.expm1(prior.log_ti_cdf(end))
+    if beyond > 0.0:  # f at Ti = inf may overflow where the prior has no mass there
+        total += _se_integrals(n0, ni, m, np.array([60.0]), c, scale)[0][0] * beyond
     return scale + math.log(total)

@@ -47,6 +47,10 @@ def fresh_manifest(argv, out) -> dict:
     return json.loads((out / "manifest.json").read_text())
 
 
+PINS = json.loads((Path(__file__).parent / "fixtures" / "pinned_outputs.json").read_text(
+    encoding="utf-8"))
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -110,15 +114,6 @@ class TestSimulate:
 class TestSimulateRows:
     """simulate writes each counts.csv row as it draws it."""
 
-    # counts.csv of simulate --t 0.1 --n 1000 --trials 500 --seed 9 under 0.2.0, which
-    # collected every row in a list before writing
-    DIGEST = "e331eb49a0d73ec695ecc7882a08d23cf730a766fb06a2ef30d5ff8fd9d432ed"
-
-    def test_counts_csv_unchanged(self, tmp_path):
-        assert run_main("simulate", "--t", "0.1", "--n", "1000", "--trials", "500", "--seed", "9",
-                        "--out", str(tmp_path)) == 0
-        assert hashlib.sha256((tmp_path / "counts.csv").read_bytes()).hexdigest() == self.DIGEST
-
     def test_memory_does_not_grow_with_trials(self, tmp_path):
         import tracemalloc
 
@@ -147,6 +142,14 @@ class TestPosterior:
                         "--out", str(tmp_path)) == 0
         d = json.loads((tmp_path / "posterior.json").read_text())
         assert all(math.isfinite(v) for v in d["log_expected_kernel"] + d["stderr_log"])
+
+    @pytest.mark.parametrize("theta", ["2e-17", "1e-20", "1e-300"])
+    def test_tiny_uniform_support(self, tmp_path, theta):
+        # v at the top of the support, -expm1(-4 theta), stays above 0 here, where
+        # 1 - (y_min - 1)/2 rounds to 0 (math domain error, exit 2)
+        assert run_main("posterior", "--spec", f"uniform:{theta}", "--counts", "0,1,0,0",
+                        "--out", str(tmp_path)) == 0
+        assert json.loads((tmp_path / "posterior.json").read_text())["posterior"] == [1 / 3] * 3
 
     def test_malformed_spec_file(self, tmp_path):
         bad = tmp_path / "spec.json"
@@ -623,37 +626,13 @@ class TestScan:
         # the stored prior is passed straight through: nothing else lands in --out
         assert sorted(p.name for p in replayed.iterdir()) == ["manifest.json", "scan.csv"]
 
-
-class TestScanDigests:
-    """scan.csv of every catalog prior matches its frozen SHA-256, at --jobs 1 and 2.
-
-    The --jobs 2 leg is ``replay --jobs 2`` of the --jobs 1 run's manifest, so
-    the digests pin replay's spelling of each catalog prior as well.
-    Regenerate with ``tools/generate_fixtures.py --scan-digests`` only when a
-    change to the scan's random streams or hit decisions is intended.
-    """
-
-    FIXTURE = json.loads(
-        (Path(__file__).parent / "fixtures" / "scan_digests.json").read_text(encoding="utf-8")
-    )
-
-    @pytest.mark.parametrize("spec", sorted(FIXTURE["sha256"]))
-    def test_digests(self, tmp_path, spec):
-        fresh, replayed = tmp_path / "1", tmp_path / "2"
-        assert run_main(*self.FIXTURE["argv"], "--spec", spec, "--jobs", "1",
-                        "--out", str(fresh)) == 0
-        assert run_main("replay", "--manifest", str(fresh / "manifest.json"), "--jobs", "2",
-                        "--out", str(replayed)) == 0
-        for jobs, digest in sorted(self.FIXTURE["sha256"][spec].items()):
-            assert hashlib.sha256((tmp_path / jobs / "scan.csv").read_bytes()).hexdigest() == digest
-
-    # scan.csv of uniform:1.0 under 0.1.0, whose scan drew every trial's prior
-    # sample from the chunk's count stream
+    # scan.csv of the pinned uniform:1.0 scan under 0.1.0, whose scan drew every
+    # trial's prior sample from the chunk's count stream
     DIGEST_0_1_0 = "758bd0afb411ab728497615680b625cb63644ab3ad6137d767693db9da6ee8a0"
 
     def test_manifest_of_0_1_0_replays_to_new_bytes(self, tmp_path, capsys):
-        manifest = fresh_manifest((*self.FIXTURE["argv"], "--spec", "uniform:1.0"),
-                                  tmp_path / "fresh")
+        argv = next(c["argv"] for c in PINS if c["argv"][:3] == ["scan", "--spec", "uniform:1.0"])
+        manifest = fresh_manifest(argv, tmp_path / "fresh")
         manifest["version"] = "0.1.0"
         manifest["outputs"]["scan.csv"] = self.DIGEST_0_1_0
         path = tmp_path / "manifest.json"
@@ -663,68 +642,28 @@ class TestScanDigests:
         assert "digests: scan.csv" in capsys.readouterr().err
 
 
-class TestThresholdDigests:
-    """verdict.json of every catalog prior, and the moments scan outputs, match their SHA-256.
+class TestPinnedOutputs:
+    """Each case of tests/fixtures/pinned_outputs.json writes the outputs it pins.
 
-    Regenerate with ``tools/generate_fixtures.py --threshold-digests`` only when a
-    change to the tempered-prior check or the moment quadrature is intended.
+    A case is a CLI argv, the SHA-256 of each output as its manifest records
+    it, and the ``replay --jobs`` values whose replays must reproduce those
+    digests (replay itself exits 3 on a mismatch).  Regenerate the file with
+    ``tools/generate_fixtures.py --pins`` only when a change to an output is
+    intended.
     """
 
-    FIXTURE = json.loads(
-        (Path(__file__).parent / "fixtures" / "threshold_digests.json").read_text(encoding="utf-8")
-    )
+    @pytest.mark.parametrize("case", PINS, ids=lambda case: " ".join(case["argv"]))
+    def test_run(self, tmp_path, case):
+        assert fresh_manifest(case["argv"], tmp_path / "fresh")["outputs"] == case["outputs"]
+        for jobs in case["replay_jobs"]:
+            assert run_main("replay", "--manifest", str(tmp_path / "fresh" / "manifest.json"),
+                            "--jobs", str(jobs), "--out", str(tmp_path / f"replay-{jobs}")) == 0
 
-    @pytest.mark.parametrize("spec", sorted(FIXTURE["prior_check"]["sha256"]))
-    def test_verdict(self, tmp_path, spec):
-        case = self.FIXTURE["prior_check"]
-        assert run_main(*case["argv"], "--spec", spec, "--out", str(tmp_path)) == 0
-        digest = hashlib.sha256((tmp_path / "verdict.json").read_bytes()).hexdigest()
-        assert digest == case["sha256"][spec]
+    def test_commands(self):
+        from starparadox.cli import _COMMANDS
 
-    def test_moments(self, tmp_path):
-        case = self.FIXTURE["moments"]
-        assert run_main(*case["argv"], "--out", str(tmp_path)) == 0
-        for name, digest in sorted(case["sha256"].items()):
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
-
-
-class TestPosteriorDigests:
-    """posterior.json of every catalog prior at the benchmark's counts matches its SHA-256.
-
-    Regenerate with ``tools/generate_fixtures.py --posterior-digests`` only when
-    a change to the deterministic posterior rule is intended.
-    """
-
-    FIXTURE = json.loads(
-        (Path(__file__).parent / "fixtures" / "posterior_digests.json").read_text(encoding="utf-8")
-    )
-
-    @pytest.mark.parametrize("spec", sorted(FIXTURE["sha256"]))
-    def test_digests(self, tmp_path, spec):
-        for counts, digest in sorted(self.FIXTURE["sha256"][spec].items()):
-            out = tmp_path / counts
-            assert run_main(*self.FIXTURE["argv"], "--spec", spec, "--counts", counts,
-                            "--out", str(out)) == 0
-            assert hashlib.sha256((out / "posterior.json").read_bytes()).hexdigest() == digest
-
-
-class TestClaimsDigests:
-    """claims.json of every continuous catalog prior, at the benchmark's claims
-    arguments and one fixed seed, matches its SHA-256.
-
-    Regenerate with ``tools/generate_fixtures.py --claims-digests`` only when a
-    change to the claims draws or estimators is intended.
-    """
-
-    FIXTURE = json.loads(
-        (Path(__file__).parent / "fixtures" / "claims_digests.json").read_text(encoding="utf-8")
-    )
-
-    @pytest.mark.parametrize("spec", sorted(FIXTURE["sha256"]))
-    def test_digests(self, tmp_path, spec):
-        assert run_main(*self.FIXTURE["argv"], "--spec", spec, "--out", str(tmp_path)) == 0
-        digest = hashlib.sha256((tmp_path / "claims.json").read_bytes()).hexdigest()
-        assert digest == self.FIXTURE["sha256"][spec]
+        assert {case["argv"][0] for case in PINS} == set(_COMMANDS)
+        assert all(case["outputs"] for case in PINS)
 
 
 class TestSmallADiscrete:

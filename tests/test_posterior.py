@@ -283,13 +283,13 @@ class TestDenseReference:
                 # the error estimate covers the actual error (the reference is good to ~1e-12)
                 assert off <= error + 1e-11 * abs(ref), (n, tree, off, error)
 
-    @pytest.mark.parametrize("spec", CATALOG)
+    @pytest.mark.parametrize("spec", [*CATALOG, "uniform:0.3"])
     def test_ti_mode_above_the_support(self, spec):
         # counts (0, n, 0, 0) put the kernel's Ti mode above v = 1: for a bounded Ti law
         # the bins end just below the top of its support, where the rest of its mass sits
         prior = parse_prior(spec)
         tol = 1e-7 if prior.kind == "discrete" else 1e-8
-        for n in (500, 2706, 10**4):
+        for n in (500, 2000, 2706, 10**4):
             value, error = log_expected_kernel(prior, PatternCounts(0, n, 0, 0), 1)
             ref = dense_log_expected_kernel(prior, 0, n, 0)
             assert math.isfinite(value) and math.isfinite(error), (n, value, error)

@@ -112,10 +112,10 @@ class TestSharedTeLaw:
 
     def test_catalog_declares_only_its_ti_law(self):
         for cls in PRIOR_KINDS.values():
-            for name in ("sample", "log_te_band", "params"):
+            for name in ("sample", "log_te_band", "params", "y_min"):
                 assert getattr(cls, name) is getattr(Prior, name), (cls.kind, name)
-        own_y_min = {cls.kind for cls in PRIOR_KINDS.values() if cls.y_min is not Prior.y_min}
-        assert own_y_min == {"uniform", "tame"}
+        own_ti_max = {cls.kind for cls in PRIOR_KINDS.values() if cls.ti_max is not Prior.ti_max}
+        assert own_ti_max == {"uniform", "tame"}
 
 
 class TestSampling:

@@ -229,7 +229,7 @@ def test_posterior_reads_the_prior_through_one_cdf_site():
     # nodes, and the Te law through rate_e; the scan draws with sample
     sites, attrs = _prior_reads(PACKAGE / "posterior.py")
     assert len(sites) == 1, sites
-    assert attrs <= {"rate_e", "y_min", "log_ti_cdf", "sample"}, attrs
+    assert attrs <= {"rate_e", "ti_max", "log_ti_cdf", "sample"}, attrs
 
 
 def test_prior_read_check_sees_every_site(tmp_path):

@@ -41,6 +41,16 @@ class _BoundedAwayTi(Prior):
         return 0.0 if x >= 1.0 else -math.inf
 
 
+class _LogPeriodicG(Prior):
+    """G(z, s) = s (1 + 0.05 sin(2 log s)): a power law modulated in log s."""
+
+    kind = "synthetic-log-periodic"
+    g_accuracy = 1e-12
+
+    def g(self, z, s):
+        return s * (1.0 + 0.05 * math.sin(2.0 * math.log(s)))
+
+
 class TestCondition2:
     def test_uniform_exponent(self):
         res = check_condition2(UniformPrior(1.0), 0.1)
@@ -112,6 +122,12 @@ class TestFitTaylor:
         assert isinstance(res, ExpansionViolation)
         assert res.diagnostic == "s^2·log s"
         assert res.leading_exponent == pytest.approx(2.0, abs=0.1)
+
+    def test_non_power_structure_without_log_term(self):
+        res = fit_taylor(_LogPeriodicG(), default_z_grid(0.1), default_s_grid(0.1))
+        assert isinstance(res, ExpansionViolation)
+        assert res.diagnostic == "non-power structure (no log term identified)"
+        assert 0.9 < res.leading_exponent < 1.0
 
     def test_short_grid_reported(self):
         spec = UniformPrior(1.0)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the frozen oracle fixtures used by the regression tests.
+"""Regenerate the frozen fixtures used by the regression tests.
 
 The expensive reference quantities (high-trial paradox scan, 1e7-draw
 Monte Carlo posterior, claim magnitudes, band-event enumeration,
@@ -8,35 +8,22 @@ tests/fixtures/oracle.json.  Rerunning this script reproduces the file
 bit for bit; the tests then recheck desk-scale runs against these values
 within combined Monte Carlo error.
 
-``--scan-digests`` instead writes tests/fixtures/scan_digests.json: the
-SHA-256 of ``scan.csv`` for each catalog prior at a small configuration and
-``--jobs 1`` and ``2``.  The tests recompute them, so any change to the
-scan's random streams or hit decisions shows up as a digest mismatch.
+``--pins`` instead writes tests/fixtures/pinned_outputs.json, one case per
+line: a CLI argv, the SHA-256 of each output as that run's manifest.json
+records it, and the ``replay --jobs`` values whose replays must reproduce
+them.  The cases cover every command: ``scan`` per catalog prior at a small
+configuration (replayed at ``--jobs 2``), ``posterior`` per catalog prior at
+the benchmark's count vectors, ``prior-check`` per catalog prior, the
+benchmark's ``moments`` job, its ``claims`` arguments per continuous catalog
+prior at one fixed seed, and one ``simulate`` run.  tests/test_cli.py reruns
+every case; regenerate the pins only when a change to an output is intended.
 
-``--threshold-digests`` writes tests/fixtures/threshold_digests.json: the
-SHA-256 of ``verdict.json`` for each catalog prior at ``--t 0.1``, and of
-``moments.csv`` and ``threshold.json`` for one conditional-zeta moment scan
-(the benchmark's ``moments`` job).  These outputs are deterministic, so the
-tests pin them byte for byte.
-
-``--posterior-digests`` writes tests/fixtures/posterior_digests.json: the
-SHA-256 of ``posterior.json`` for each catalog prior at the benchmark's
-count vectors, with the default ``--samples`` and ``--jobs``.  The
-posterior rule is deterministic, so the tests pin its bytes.
-
-``--claims-digests`` writes tests/fixtures/claims_digests.json: the SHA-256
-of ``claims.json`` for each continuous catalog prior at the benchmark's
-``claims`` arguments and one fixed seed.  The draws are seeded, so the tests
-pin the Monte Carlo reports byte for byte.
-
-    PYTHONPATH=src python tools/generate_fixtures.py \
-        [--scan-digests | --threshold-digests | --posterior-digests | --claims-digests]
+    PYTHONPATH=src python tools/generate_fixtures.py [--pins]
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import tempfile
@@ -57,114 +44,58 @@ sys.path.insert(0, str(_ROOT / "tests"))
 from oracles import band_event_probability, mc_log_expected_kernels  # noqa: E402
 
 OUT = _ROOT / "tests" / "fixtures" / "oracle.json"
-SCAN_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "scan_digests.json"
-THRESHOLD_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "threshold_digests.json"
-POSTERIOR_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "posterior_digests.json"
-CLAIMS_DIGESTS_OUT = _ROOT / "tests" / "fixtures" / "claims_digests.json"
+PINS_OUT = _ROOT / "tests" / "fixtures" / "pinned_outputs.json"
 
 SCAN_SEED = 777001
 POSTERIOR_SEED = 777002
 CLAIM_SEED = 777003
-SCAN_DIGEST_SEED = 777004
-CLAIMS_DIGEST_SEED = 777005
+SCAN_PIN_SEED = 777004
+CLAIMS_PIN_SEED = 777005
 
 CATALOG = ("tame", "uniform:1.0", "power:0.5", "logti", "tlogti", "discrete:0.1,0.5")
-SCAN_DIGEST_ARGV = (
-    "scan", "--t", "0.1", "--epsilon", "0.05", "--n-list", "100,1000,10000",
-    "--trials", "60", "--samples", "1024", "--seed", str(SCAN_DIGEST_SEED),
+# each pinned argv names its prior first, so that a case's name tells it apart early
+SCAN_ARGS = (
+    "--t", "0.1", "--epsilon", "0.05", "--n-list", "100,1000,10000",
+    "--trials", "60", "--samples", "1024", "--seed", str(SCAN_PIN_SEED), "--jobs", "1",
 )
 # the benchmark's posterior count vectors: two fixed ones and its n = 10^4 star counts
 POSTERIOR_COUNTS = ("753,130,59,58", "777,68,78,77", "7464,827,851,858")
 # the benchmark's claims arguments; discrete:0.1,0.5 leaves a z band empty there
-CLAIMS_SPECS = CATALOG[:5]
-CLAIMS_ARGV = (
-    "claims", "--t", "0.1", "--c", "1.5", "--n", "10000", "--samples", "1000000",
-    "--seed", str(CLAIMS_DIGEST_SEED),
+CLAIMS_ARGS = (
+    "--t", "0.1", "--c", "1.5", "--n", "10000", "--samples", "1000000",
+    "--seed", str(CLAIMS_PIN_SEED),
 )
-
-PRIOR_CHECK_ARGV = ("prior-check", "--t", "0.1")
 MOMENTS_ARGV = (
     "moments", "--dist", "zeta", "--spec", "uniform:1.0", "--z", "2.0109601381069178",
     "--alpha", "0.5", "--t-lo", "0.5", "--t-hi", "500.0", "--per-decade", "1",
 )
+SIMULATE_ARGV = ("simulate", "--t", "0.1", "--n", "1000", "--trials", "500", "--seed", "9")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def pinned_cases() -> list[tuple[list[str], list[int]]]:
+    """Each pinned run's argv, and the ``replay --jobs`` values that must reproduce it."""
+    cases = [(["scan", "--spec", spec, *SCAN_ARGS], [2]) for spec in CATALOG]
+    cases += [(["posterior", "--spec", spec, "--counts", counts], [])
+              for spec in CATALOG for counts in POSTERIOR_COUNTS]
+    cases += [(["prior-check", "--spec", spec, "--t", "0.1"], []) for spec in CATALOG]
+    cases += [(["claims", "--spec", spec, *CLAIMS_ARGS], []) for spec in CATALOG[:5]]
+    return cases + [(list(MOMENTS_ARGV), []), (list(SIMULATE_ARGV), [])]
 
 
-def _run(argv, out: Path) -> None:
-    code = cli_main([*argv, "--out", str(out)])
-    if code != 0:
-        raise RuntimeError(f"{' '.join(argv)} exited {code}")
-
-
-def write_scan_digests() -> None:
-    """Freeze the SHA-256 of scan.csv per catalog prior and worker count."""
-    digests = {}
+def write_pins() -> None:
+    """Run every pinned case and write its argv, output digests and replay legs."""
+    lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for spec in CATALOG:
-            digests[spec] = {}
-            for jobs in ("1", "2"):
-                out = Path(tmp) / f"{spec}-{jobs}"
-                _run([*SCAN_DIGEST_ARGV, "--spec", spec, "--jobs", jobs], out)
-                digests[spec][jobs] = _sha256(out / "scan.csv")
-    with open(SCAN_DIGESTS_OUT, "w", encoding="utf-8") as fh:
-        json.dump({"argv": list(SCAN_DIGEST_ARGV), "sha256": digests}, fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {SCAN_DIGESTS_OUT}")
-
-
-def write_threshold_digests() -> None:
-    """Freeze the SHA-256 of the prior-check and moments outputs."""
-    with tempfile.TemporaryDirectory() as tmp:
-        verdicts = {}
-        for spec in CATALOG:
-            out = Path(tmp) / spec
-            _run([*PRIOR_CHECK_ARGV, "--spec", spec], out)
-            verdicts[spec] = _sha256(out / "verdict.json")
-        out = Path(tmp) / "moments"
-        _run(MOMENTS_ARGV, out)
-        moments = {name: _sha256(out / name) for name in ("moments.csv", "threshold.json")}
-    fixture = {
-        "prior_check": {"argv": list(PRIOR_CHECK_ARGV), "sha256": verdicts},
-        "moments": {"argv": list(MOMENTS_ARGV), "sha256": moments},
-    }
-    with open(THRESHOLD_DIGESTS_OUT, "w", encoding="utf-8") as fh:
-        json.dump(fixture, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {THRESHOLD_DIGESTS_OUT}")
-
-
-def write_posterior_digests() -> None:
-    """Freeze the SHA-256 of posterior.json per catalog prior and count vector."""
-    digests = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for spec in CATALOG:
-            digests[spec] = {}
-            for counts in POSTERIOR_COUNTS:
-                out = Path(tmp) / f"{spec}-{counts}"
-                _run(["posterior", "--spec", spec, "--counts", counts], out)
-                digests[spec][counts] = _sha256(out / "posterior.json")
-    with open(POSTERIOR_DIGESTS_OUT, "w", encoding="utf-8") as fh:
-        json.dump({"argv": ["posterior"], "sha256": digests}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {POSTERIOR_DIGESTS_OUT}")
-
-
-def write_claims_digests() -> None:
-    """Freeze the SHA-256 of claims.json per continuous catalog prior."""
-    digests = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for spec in CLAIMS_SPECS:
-            out = Path(tmp) / spec
-            _run([*CLAIMS_ARGV, "--spec", spec], out)
-            digests[spec] = _sha256(out / "claims.json")
-    with open(CLAIMS_DIGESTS_OUT, "w", encoding="utf-8") as fh:
-        json.dump({"argv": list(CLAIMS_ARGV), "sha256": digests}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {CLAIMS_DIGESTS_OUT}")
+        for k, (argv, replay_jobs) in enumerate(pinned_cases()):
+            out = Path(tmp) / str(k)
+            code = cli_main([*argv, "--out", str(out)])
+            if code != 0:
+                raise RuntimeError(f"{' '.join(argv)} exited {code}")
+            outputs = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["outputs"]
+            case = {"argv": argv, "outputs": outputs, "replay_jobs": replay_jobs}
+            lines.append(json.dumps(case, sort_keys=True))
+    PINS_OUT.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
+    print(f"wrote {PINS_OUT}")
 
 
 def posterior_753(prior) -> dict:
@@ -187,27 +118,10 @@ def posterior_753(prior) -> dict:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description="Regenerate the frozen test fixtures.")
-    only = parser.add_mutually_exclusive_group()
-    only.add_argument("--scan-digests", action="store_true",
-                      help=f"write only {SCAN_DIGESTS_OUT.relative_to(_ROOT)}")
-    only.add_argument("--threshold-digests", action="store_true",
-                      help=f"write only {THRESHOLD_DIGESTS_OUT.relative_to(_ROOT)}")
-    only.add_argument("--posterior-digests", action="store_true",
-                      help=f"write only {POSTERIOR_DIGESTS_OUT.relative_to(_ROOT)}")
-    only.add_argument("--claims-digests", action="store_true",
-                      help=f"write only {CLAIMS_DIGESTS_OUT.relative_to(_ROOT)}")
-    args = parser.parse_args(argv)
-    if args.scan_digests:
-        write_scan_digests()
-        return
-    if args.threshold_digests:
-        write_threshold_digests()
-        return
-    if args.posterior_digests:
-        write_posterior_digests()
-        return
-    if args.claims_digests:
-        write_claims_digests()
+    parser.add_argument("--pins", action="store_true",
+                        help=f"write only {PINS_OUT.relative_to(_ROOT)}")
+    if parser.parse_args(argv).pins:
+        write_pins()
         return
     prior = UniformPrior(1.0)
     fx: dict = {"prior": prior.to_dict(), "t": 0.1}
