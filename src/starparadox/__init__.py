@@ -50,11 +50,9 @@ from .tempering import (
 )
 from .posterior import (
     DegenerateEstimate,
-    LogMeanResult,
     ParadoxResult,
     PosteriorEstimate,
     log_expected_kernel,
-    log_likelihood_kernel,
     paradox_scan,
     simulate_counts,
     tree_posterior,

@@ -42,7 +42,7 @@ from .model import (
     star_probs,
     zeta,
 )
-from .posterior import DegenerateEstimate, _exp_inplace, _finish, _partials, kernel_log_values
+from .posterior import _shifted_exp, kernel_log_values
 from .priors import Prior
 
 __all__ = [
@@ -155,14 +155,21 @@ def _draw(prior: Prior, n_samples: int, seed: int):
     return arrays
 
 
+def _log_mean_se(logs: np.ndarray) -> tuple[float, float]:
+    """log of the mean of e^l over ``logs`` and its delta-method s.e. (log scale)."""
+    m, a, s = _shifted_exp(logs[None, :])
+    np.multiply(a, a, out=a)  # in place: a is draw-sized
+    (m,), (s,), (t,), n = m.tolist(), s.tolist(), a.sum(axis=1).tolist(), logs.size
+    mu = s / n
+    var = max(t / n - mu * mu, 0.0) * (n / max(n - 1, 1))
+    return m + math.log(mu), math.sqrt(var / n) / mu
+
+
 def _paired_log_ratio(band: np.ndarray) -> tuple[float, float]:
     """log(mean e^l1 / mean e^l2) over the rows (l1, l2) of ``band`` and its delta-method
     s.e. with shared draws, from one exp per row: a = exp(l - max l), influence a / sum a."""
-    m = np.max(band, axis=1)
-    if np.any(m == -math.inf):
-        raise DegenerateEstimate("all kernel samples vanished")
-    a = _exp_inplace(band - m[:, None])
-    (m1, m2), (s1, s2), n = m.tolist(), a.sum(axis=1).tolist(), band.shape[1]
+    m, a, s = _shifted_exp(band)
+    (m1, m2), (s1, s2), n = m.tolist(), s.tolist(), band.shape[1]
     infl = a[0] / s1 - a[1] / s2
     return m1 + math.log(s1 / n) - (m2 + math.log(s2 / n)), math.sqrt(float((infl * infl).sum()))
 
@@ -226,19 +233,19 @@ def in_band_advantage(
     logs = kernel_log_values(counts, lp0, lp1, lp2, (j,))[0]
     logs_in, logs_out = logs[inside], logs[~inside]
     del logs  # one draw-sized array fewer while the larger stratum is reduced
-    est_in = _finish(_partials(logs_in))
+    mean_in, se_in = _log_mean_se(logs_in)
     out_ok = bool(np.all(logs_out <= env_high + 1e-9 * abs(env_high)))
-    est_out = _finish(_partials(logs_out))
-    log_ratio = est_in.log_mean - est_out.log_mean
-    se_ratio = math.hypot(est_in.stderr, est_out.stderr)
+    mean_out, se_out = _log_mean_se(logs_out)
+    log_ratio = mean_in - mean_out
+    se_ratio = math.hypot(se_in, se_out)
     return Claim1Report(
         j=j,
         n_in=int(inside.sum()),
         n_out=int((~inside).sum()),
-        log_mean_in=est_in.log_mean,
-        log_mean_out=est_out.log_mean,
-        se_in=est_in.stderr,
-        se_out=est_out.stderr,
+        log_mean_in=mean_in,
+        log_mean_out=mean_out,
+        se_in=se_in,
+        se_out=se_out,
         log_ratio=log_ratio,
         se_ratio=se_ratio,
         significant=bool(log_ratio > 3.0 * se_ratio),
@@ -285,6 +292,9 @@ def conditional_ratio_scan(
         raise ValueError("counts must lie in the band event F_c")
     if z_points < 1:
         raise ValueError(f"z_points (--z-points) must be >= 1, got {z_points!r}")
+    if z_points > n_samples:  # the bands tile I_t: at most n_samples of them can fill
+        raise ValueError(f"z_points (--z-points) must not exceed n_samples (--samples), "
+                         f"got {z_points!r} > {n_samples!r}")
     iv = band_interval(t)
     edges = np.linspace(iv.lo, iv.hi, z_points + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])

@@ -10,15 +10,16 @@ rule over (Se, Ti) placed around the kernel's mode (``log_expected_kernel``);
 it draws nothing.  Kernels underflow at sequence lengths of a few hundred,
 so everything happens in log scale.
 
-The paradox scan still estimates E[K_i] by averaging over prior draws with
-streaming log-sum-exp.  Reproducibility contract: work is split into
-fixed-size chunks of trials; each chunk draws its counts from a substream
-seeded by (seed, tag, chunk key), and a trial whose posterior is computed
-draws its prior sample from its own substream, seeded by (seed, tag,
-n index, trial index).  Results are therefore bit-identical for any worker
-count.  The three trees share draws (common random numbers), which makes
-equal counts give exactly equal estimates and shrinks the variance of
-ratios.
+The paradox scan still estimates E[K_i] by averaging over prior draws: each
+row of log-kernels is reduced by ``_shifted_exp`` (the one log-mean-exp
+reduction, shared with ``claims``).  Reproducibility contract: work is
+split into fixed-size chunks of trials; each chunk draws its counts from a
+substream seeded by (seed, tag, chunk key), and a trial whose posterior is
+computed draws its prior sample from its own substream, seeded by (seed,
+tag, n index, trial index).  Results are therefore bit-identical for any
+worker count.  The three trees share draws (common random numbers), which
+makes equal counts give exactly equal estimates and shrinks the variance
+of ratios.
 """
 
 from __future__ import annotations
@@ -30,16 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PatternCounts, PatternProbs, log_pattern_prob_arrays, star_probs
+from .model import PatternCounts, log_pattern_prob_arrays, star_probs
 from .priors import Prior
 
 __all__ = [
     "DegenerateEstimate",
-    "LogMeanResult",
     "PosteriorEstimate",
     "ParadoxResult",
     "simulate_counts",
-    "log_likelihood_kernel",
     "kernel_log_values",
     "log_expected_kernel",
     "tree_posterior",
@@ -76,30 +75,14 @@ def simulate_counts(t: float, n: int, seed) -> PatternCounts:
     return PatternCounts(*map(int, draw))
 
 
-def log_likelihood_kernel(counts: PatternCounts, probs: PatternProbs, tree: int) -> float:
-    """log of P0^n0 P1^n_tree P2^(n - n0 - n_tree); -inf when a zero-probability
-    pattern carries positive count.  Zero counts contribute nothing even
-    against vanishing probabilities."""
-    if tree not in (1, 2, 3):
-        raise ValueError("tree index must be 1, 2 or 3")
-    lp = probs.log_array
-    n_tree = counts.array[tree]
-    rest = counts.n - counts.n0 - n_tree
-    total = 0.0
-    for count, logp in ((counts.n0, lp[0]), (n_tree, lp[1]), (rest, lp[2])):
-        if count > 0:
-            total += count * logp
-    return total
-
-
 def kernel_log_values(
     counts: PatternCounts, lp0: np.ndarray, lp1: np.ndarray, lp2: np.ndarray, trees
 ) -> np.ndarray:
     """Log-kernels of the given trees over arrays of per-draw log pattern probabilities.
 
-    Returns a ``(len(trees), N)`` block, row k for tree ``trees[k]``.  Each
-    value is the sum of ``log_likelihood_kernel``'s terms in its order
-    (n0 log P0, then n_tree log P1, then rest log P2), and terms with a zero
+    Returns a ``(len(trees), N)`` block, row k for tree ``trees[k]``: the log of
+    P0^n0 P1^n_tree P2^rest, rest = n - n0 - n_tree, summed in that order
+    (n0 log P0, then n_tree log P1, then rest log P2).  Terms with a zero
     count are skipped, so a zero count never meets a -inf log-probability.
     """
     block = np.zeros((len(trees),) + np.shape(lp0))
@@ -113,16 +96,6 @@ def kernel_log_values(
             if count > 0:
                 row += np.multiply(count, logp, out=term)
     return block
-
-
-@dataclass(frozen=True)
-class LogMeanResult:
-    """log of a Monte Carlo mean with a delta-method standard error (log scale)."""
-
-    log_mean: float
-    stderr: float
-    n_samples: int
-    ess: float  # effective sample size (sum w)^2 / sum w^2 of the weights w = exp(log)
 
 
 @dataclass(frozen=True)
@@ -169,7 +142,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# streaming log-sum-exp accumulation
+# the log-mean-exp reduction
 # ---------------------------------------------------------------------------
 
 # np.exp is exactly 0.0 below this argument (it first differs from 0 near
@@ -187,34 +160,20 @@ def _exp_inplace(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _partials(logs: np.ndarray):
-    """(max, sum exp(l - max), sum exp(2(l - max)), count) along the last axis.
+def _shifted_exp(rows: np.ndarray):
+    """(m, a, s) of a ``(k, N)`` block of logs: per row its maximum m, a = exp(row - m)
+    and s = a.sum(axis=1).  The log-mean of row i is m[i] + log(s[i] / N).
 
-    A 1-D array gives one tuple; a ``(trees, N)`` block gives a list with
-    one tuple per row.  An all -inf row gives (-inf, 0, 0, count).
+    Raises ``DegenerateEstimate`` on a row that is -inf throughout.
     """
-    m = np.max(logs, axis=-1)
-    a = _exp_inplace(logs - np.where(m == -math.inf, 0.0, m)[..., None])
-    s = a.sum(axis=-1)
-    np.multiply(a, a, out=a)
-    t = a.sum(axis=-1)
-    n = logs.shape[-1]
-    if logs.ndim == 1:
-        return float(m), float(s), float(t), n
-    return [(float(mi), float(si), float(ti), n) for mi, si, ti in zip(m, s, t)]
-
-
-def _finish(p) -> LogMeanResult:
-    m, s, t, n = p
-    if s <= 0.0:
+    m = np.max(rows, axis=1)
+    if np.any(m == -math.inf):
         raise DegenerateEstimate("all kernel samples vanished")
-    mu = s / n
-    var = max(t / n - mu * mu, 0.0) * (n / max(n - 1, 1))
-    se_log = math.sqrt(var / n) / mu
-    return LogMeanResult(m + math.log(mu), se_log, n, s * s / t)
+    a = _exp_inplace(rows - m[:, None])
+    return m, a, a.sum(axis=1)
 
 
-def _run_chunks(fn, fixed: tuple, total: int, chunk: int, jobs: int, chunksize: int) -> list:
+def _run_chunks(fn, fixed: tuple, total: int, chunk: int, jobs: int) -> list:
     """fn(*fixed, index, size) over consecutive chunks of ``total`` items, in chunk order.
 
     With jobs > 1 the chunks run in a process pool; the results, and their
@@ -226,7 +185,7 @@ def _run_chunks(fn, fixed: tuple, total: int, chunk: int, jobs: int, chunksize: 
     args = [(*fixed, i, min(chunk, total - i * chunk)) for i in range(n_chunks)]
     if jobs > 1 and n_chunks > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, *zip(*args), chunksize=chunksize))
+            return list(pool.map(fn, *zip(*args)))
     return [fn(*a) for a in args]
 
 
@@ -235,6 +194,7 @@ def _log_weights(tree_weights) -> np.ndarray:
     w = np.asarray(tree_weights, dtype=float)
     if w.shape != (3,) or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("tree_weights must be three finite, strictly positive numbers")
+    w = w / np.max(w)  # three weights near the float maximum would overflow the sum
     return np.log(w / math.fsum(w))
 
 
@@ -614,8 +574,8 @@ def _scan_chunk(prior, t, epsilon, n, n_samples, log_w, seed, n_index, chunk, n_
         te, ti = prior.sample(trial_rng, n_samples)
         counts = PatternCounts(*map(int, draw))
         lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
-        block = kernel_log_values(counts, lp0, lp1, lp2, (1, 2, 3))
-        log_epi = np.array([_finish(p).log_mean for p in _partials(block)])
+        m, _, s = _shifted_exp(kernel_log_values(counts, lp0, lp1, lp2, (1, 2, 3)))
+        log_epi = np.array([mi + math.log(si / n_samples) for mi, si in zip(m, s)])
         post = _posterior_probs(log_w, log_epi)
         if post[0] >= 1.0 - epsilon:
             hits += 1
@@ -668,7 +628,7 @@ def paradox_scan(
     results = []
     for n_index, n in enumerate(n_list):
         fixed = (prior, t, epsilon, n, n_samples, log_w, seed, n_index)
-        hits = sum(_run_chunks(_scan_chunk, fixed, trials, TRIAL_CHUNK, jobs, chunksize=1))
+        hits = sum(_run_chunks(_scan_chunk, fixed, trials, TRIAL_CHUNK, jobs))
         lo, hi = wilson_interval(hits, trials)
         results.append(ParadoxResult(n, epsilon, hits / trials, lo, hi, trials))
     return results

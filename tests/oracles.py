@@ -1,12 +1,13 @@
 """Brute-force oracles shared by the tests and the fixture generator."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
 from starparadox.model import log_pattern_prob_arrays, star_probs
-from starparadox.posterior import _chunk_rng, _finish, _partials, _run_chunks, kernel_log_values
+from starparadox.posterior import DegenerateEstimate, _chunk_rng, _run_chunks, kernel_log_values
 
 
 def band_event_probability(n: int, t: float, c: float) -> float:
@@ -45,6 +46,20 @@ def band_event_probability(n: int, t: float, c: float) -> float:
     return total
 
 
+def log_likelihood_kernel(counts, probs, tree: int) -> float:
+    """log of P0^n0 P1^n_tree P2^(n - n0 - n_tree), one draw at a time: the reference
+    formula for ``kernel_log_values``.  -inf when a zero-probability pattern carries
+    positive count; zero counts contribute nothing even against vanishing probabilities."""
+    lp = probs.log_array
+    n_tree = counts.array[tree]
+    rest = counts.n - counts.n0 - n_tree
+    total = 0.0
+    for count, logp in ((counts.n0, lp[0]), (n_tree, lp[1]), (rest, lp[2])):
+        if count > 0:
+            total += count * logp
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo log E[K_i]: the estimator ``tree_posterior`` used before it
 # integrated deterministically, with the same substreams (seed, 1, chunk
@@ -55,11 +70,22 @@ DRAW_CHUNK = 8192
 _TAG_KERNEL = 1
 
 
-def _kernel_chunk(prior, counts, seed, index, size):
-    rng = _chunk_rng(seed, _TAG_KERNEL, index)
-    te, ti = prior.sample(rng, size)
-    lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
-    return _partials(kernel_log_values(counts, lp0, lp1, lp2, (1, 2, 3)))
+@dataclass(frozen=True)
+class LogMean:
+    """log of a Monte Carlo mean with a delta-method standard error (log scale)."""
+
+    log_mean: float
+    stderr: float
+    ess: float  # effective sample size (sum w)^2 / sum w^2 of the weights w = exp(log)
+
+
+def _partials(block):
+    """(max, sum exp(l - max), sum exp(2(l - max)), count) of each row of a block of
+    logs; a row that is -inf throughout gives (-inf, 0, 0, count)."""
+    m = np.max(block, axis=1)
+    a = np.exp(block - np.where(m == -math.inf, 0.0, m)[:, None])
+    s, t = a.sum(axis=1), (a * a).sum(axis=1)
+    return [(float(mi), float(si), float(ti), block.shape[1]) for mi, si, ti in zip(m, s, t)]
 
 
 def _merge(p, q):
@@ -74,8 +100,24 @@ def _merge(p, q):
     return m, s1 * w1 + s2 * w2, t1 * w1 * w1 + t2 * w2 * w2, n1 + n2
 
 
+def _finish(p) -> LogMean:
+    m, s, t, n = p
+    if s <= 0.0:
+        raise DegenerateEstimate("all kernel samples vanished")
+    mu = s / n
+    var = max(t / n - mu * mu, 0.0) * (n / max(n - 1, 1))
+    return LogMean(m + math.log(mu), math.sqrt(var / n) / mu, s * s / t)
+
+
+def _kernel_chunk(prior, counts, seed, index, size):
+    rng = _chunk_rng(seed, _TAG_KERNEL, index)
+    te, ti = prior.sample(rng, size)
+    lp0, lp1, lp2 = log_pattern_prob_arrays(te, ti)
+    return _partials(kernel_log_values(counts, lp0, lp1, lp2, (1, 2, 3)))
+
+
 def mc_log_expected_kernels(prior, counts, n_samples: int, seed: int, jobs: int = 1):
-    """``LogMeanResult`` of log E[K_i] for trees 1, 2, 3 from ``n_samples`` shared draws.
+    """``LogMean`` of log E[K_i] for trees 1, 2, 3 from ``n_samples`` shared draws.
 
     Chunks of DRAW_CHUNK draws, each from its own substream, reduced in
     chunk order: bit-identical for any ``jobs``.  Raises ``DegenerateEstimate``
@@ -83,9 +125,7 @@ def mc_log_expected_kernels(prior, counts, n_samples: int, seed: int, jobs: int 
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
-    parts = _run_chunks(
-        _kernel_chunk, (prior, counts, seed), n_samples, DRAW_CHUNK, jobs, chunksize=4
-    )
+    parts = _run_chunks(_kernel_chunk, (prior, counts, seed), n_samples, DRAW_CHUNK, jobs)
     totals = parts[0]
     for part in parts[1:]:
         totals = [_merge(a, b) for a, b in zip(totals, part)]

@@ -28,8 +28,10 @@ from starparadox.model import (
     star_probs,
     zeta,
 )
-from starparadox.posterior import _finish, _partials, kernel_log_values
+from starparadox.posterior import kernel_log_values
 from starparadox.priors import Prior, UniformPrior
+
+from oracles import _finish, _partials
 
 
 def _random_counts(rng, n):
@@ -166,6 +168,21 @@ class TestClaim1:
         assert rep.samplewise_upper_ok
         assert rep.log_mean_in >= rep.envelope_low_log
         assert rep.log_mean_out <= rep.envelope_high_log + 3 * rep.se_out
+
+    def test_strata_match_the_reference_reduction(self):
+        # each stratum's log-mean and s.e. are the former (max, sum, sum of squares) ones
+        prior = UniformPrior(1.0)
+        t, c = 0.1, 1.5
+        counts = counts_in_band(10**4, t, c)
+        rep = in_band_advantage(prior, t, counts, c, 2, 50000, 5)
+        lp0, lp1, lp2 = log_pattern_prob_arrays(*prior.sample(np.random.default_rng(5), 50000))
+        zval = 4.0 * np.exp(lp0) - 1.0
+        iv = band_interval(t)
+        inside = (zval >= iv.lo) & (zval <= iv.hi)
+        logs = kernel_log_values(counts, lp0, lp1, lp2, (2,))
+        est_in, est_out = (_finish(*_partials(logs[:, mask])) for mask in (inside, ~inside))
+        assert (rep.log_mean_in, rep.se_in) == (est_in.log_mean, est_in.stderr)
+        assert (rep.log_mean_out, rep.se_out) == (est_out.log_mean, est_out.stderr)
 
     def test_counts_must_be_in_band(self):
         prior = UniformPrior(1.0)

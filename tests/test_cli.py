@@ -151,6 +151,18 @@ class TestPosterior:
                         "--out", str(tmp_path)) == 0
         assert json.loads((tmp_path / "posterior.json").read_text())["posterior"] == [1 / 3] * 3
 
+    @pytest.mark.parametrize("huge, unit", [("1e308,1e308,1e308", "1,1,1"),
+                                            ("1e308,1e308,1e307", "10,10,1")])
+    def test_huge_finite_weights(self, tmp_path, huge, unit):
+        # their sum overflows; 0.3.1 exited 3 (OverflowError: intermediate overflow in fsum)
+        posteriors = []
+        for weights in (huge, unit):
+            out = tmp_path / weights
+            assert run_main("posterior", "--spec", "uniform:1.0", "--counts", "753,130,59,58",
+                            "--weights", weights, "--out", str(out)) == 0
+            posteriors.append(json.loads((out / "posterior.json").read_text())["posterior"])
+        assert posteriors[0] == pytest.approx(posteriors[1], rel=1e-14)
+
     def test_malformed_spec_file(self, tmp_path):
         bad = tmp_path / "spec.json"
         bad.write_text("{not json")
@@ -294,7 +306,11 @@ class TestDrawCountsValidated:
         (SCAN + ("--samples", "0", "--trials", "100"), "--samples"),
         (CLAIMS + ("--samples", "0"), "--samples"),
         (SCAN + ("--trials", "100000000000000000000"), "--trials) must be in [1, 64000192]"),
-    ], ids=["scan-3-trials", "scan-100-trials", "claims", "scan-trials-above-bound"])
+        # the bands tile I_t, which at most --samples draws reach: some band would stay empty
+        (CLAIMS + ("--samples", "1000", "--z-points", "2000000"),
+         "--z-points) must not exceed n_samples (--samples), got 2000000 > 1000"),
+    ], ids=["scan-3-trials", "scan-100-trials", "claims", "scan-trials-above-bound",
+            "claims-z-points-above-samples"])
     def test_samples(self, tmp_path, capsys, monkeypatch, argv, named):
         from starparadox.priors import Prior
 

@@ -23,14 +23,12 @@ from starparadox.posterior import (
     DegenerateEstimate,
     _chunk_rng,
     _exp_inplace,
-    _finish,
     _log_weights,
     _losing_trees,
-    _partials,
     _posterior_probs,
+    _shifted_exp,
     kernel_log_values,
     log_expected_kernel,
-    log_likelihood_kernel,
     paradox_scan,
     simulate_counts,
     tree_posterior,
@@ -38,7 +36,14 @@ from starparadox.posterior import (
 )
 from starparadox.priors import DiscretePrior, Prior, UniformPrior, parse_prior
 
-from oracles import _merge, dense_log_expected_kernel, mc_log_expected_kernels
+from oracles import (
+    _finish,
+    _merge,
+    _partials,
+    dense_log_expected_kernel,
+    log_likelihood_kernel,
+    mc_log_expected_kernels,
+)
 
 mp.mp.dps = 40
 
@@ -165,23 +170,21 @@ class TestKernelBlock:
         assert _exp_inplace(x.copy()).tobytes() == np.exp(x).tobytes()
         assert np.exp(np.linspace(-5000.0, _EXP_ZERO, 100001)).max() == 0.0
 
-    def test_partials_per_row(self):
+    def test_shifted_exp_per_row(self):
         rng = np.random.default_rng(4)
         block = rng.normal(-500.0, 600.0, (3, 4096))  # wide: many exact-zero weights
-        block[1] = -np.inf
         block[2, ::7] = -np.inf
-        rows = _partials(block)
-        # the former one-row reduction, with a plain np.exp
-        for row, got in zip(block, rows):
-            m = float(np.max(row))
-            if m == -math.inf:
-                assert got == (-math.inf, 0.0, 0.0, 4096)
-            else:
-                a = np.exp(row - m)
-                assert got == (m, float(a.sum()), float((a * a).sum()), 4096)
-            assert _partials(row) == got
+        m, a, s = _shifted_exp(block)
+        # each row against a plain np.exp, and the oracle's partials of it
+        for k, row in enumerate(block):
+            w = np.exp(row - row.max())
+            assert m[k] == row.max()
+            assert a[k].tobytes() == w.tobytes() and s[k] == w.sum()
+            assert _partials(row[None, :]) == [(m[k], s[k], float((w * w).sum()), 4096)]
+        block[1] = -np.inf
+        assert _partials(block)[1] == (-math.inf, 0.0, 0.0, 4096)
         with pytest.raises(DegenerateEstimate):
-            _finish(rows[1])
+            _shifted_exp(block)
 
 
 class _DegeneratePrior(Prior):
@@ -361,6 +364,13 @@ class TestTreePosterior:
         with pytest.raises(ValueError):
             tree_posterior(prior, counts, (1.0, -1.0, 1.0))
 
+    def test_huge_finite_weights(self):
+        # the scan and the posterior share _log_weights; a sum of these overflows
+        assert _log_weights((1e308, 1e308, 1e308)).tolist() == _log_weights((1, 1, 1)).tolist()
+        assert _log_weights((1.7976931348623157e308, 1.0, 1.0))[0] == pytest.approx(0.0, abs=1e-15)
+        assert paradox_scan(UniformPrior(1.0), 0.1, 0.05, [100], 5, 1000, 1,
+                            tree_weights=(1e308, 1e308, 1e308))[0].trials == 5
+
     def test_reference_counts_direction_and_oracle(self, oracle):
         prior = UniformPrior(1.0)
         counts = PatternCounts(753, 130, 59, 58)
@@ -481,17 +491,23 @@ class TestMonteCarloOracle:
 
 
 class TestEffectiveSampleSize:
+    """ESS = s^2 / sum a^2 of ``_shifted_exp``'s (a, s), and of the oracle's partials."""
+
     def test_matches_direct_formula(self):
         logs = np.random.default_rng(8).normal(-700.0, 3.0, 5000)
         w = np.exp(logs - logs.max())
         direct = w.sum() ** 2 / (w * w).sum()
-        assert _finish(_partials(logs)).ess == pytest.approx(direct, rel=1e-12)
-        merged = _merge(_partials(logs[:1234]), _partials(logs[1234:]))
+        _, a, (s,) = _shifted_exp(logs[None, :])
+        assert s * s / (a * a).sum() == pytest.approx(direct, rel=1e-12)
+        assert _finish(*_partials(logs[None, :])).ess == pytest.approx(direct, rel=1e-12)
+        merged = _merge(*_partials(logs[None, :1234]), *_partials(logs[None, 1234:]))
         assert _finish(merged).ess == pytest.approx(direct, rel=1e-12)
 
     def test_constant_weights_give_n(self):
-        assert _finish(_partials(np.full(4096, -123.4))).ess == 4096.0
-        assert _finish(_partials(np.array([-5.0, -math.inf, -5.0]))).ess == 2.0
+        _, a, (s,) = _shifted_exp(np.full((1, 4096), -123.4))
+        assert s * s / (a * a).sum() == 4096.0
+        assert _finish(*_partials(np.full((1, 4096), -123.4))).ess == 4096.0
+        assert _finish(*_partials(np.array([[-5.0, -math.inf, -5.0]]))).ess == 2.0
 
 
 class TestWilson:

@@ -9,9 +9,10 @@ targets are resolved here too.
 
 The package's own sources are parsed for two more rules: ``scipy.integrate``
 is imported in one function only (``priors._quad``, the one quadrature
-routine), and no scipy module is imported when a module loads; and the
+routine), and no scipy module is imported when a module loads; the
 posterior rule reads the prior through a fixed interface, with one CDF call
-site.
+site; and Monte Carlo log-means are reduced in one place (``_exp_inplace``
+is used only by ``posterior._shifted_exp``).
 """
 
 import ast
@@ -242,3 +243,48 @@ def test_prior_read_check_sees_every_site(tmp_path):
         encoding="utf-8",
     )
     assert _prior_reads(module) == ([2, 3], {"log_ti_cdf", "theta", "rate_e"})
+
+
+def _uses(path: Path, name: str) -> list[str]:
+    """Enclosing scope's dotted name of each use of ``name``: a load of the bare name or
+    of an attribute, or an import of it (under any alias)."""
+    found = []
+
+    def visit(node, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            used = (
+                (isinstance(child, ast.Name) and child.id == name)
+                or (isinstance(child, ast.Attribute) and child.attr == name)
+                or (isinstance(child, ast.ImportFrom) and any(a.name == name for a in child.names))
+            )
+            if used:
+                found.append(".".join((path.stem, *scope)))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, (*scope, child.name) if named else scope)
+
+    visit(_parse(path), ())
+    return found
+
+
+def test_one_log_mean_exp_reduction():
+    # the scan and both claims reduce their kernel rows through _shifted_exp
+    uses = [use for path in sorted(PACKAGE.glob("*.py")) for use in _uses(path, "_exp_inplace")]
+    assert uses == ["posterior._shifted_exp"]
+
+
+def test_use_check_sees_every_site(tmp_path):
+    module = tmp_path / "copies.py"
+    module.write_text(
+        "from .posterior import _exp_inplace as exp\n"
+        "from . import posterior\n"
+        "def _exp_inplace(a):\n"
+        "    return a\n"
+        "class Reducer:\n"
+        "    def reduce(self, a):\n"
+        "        return posterior._exp_inplace(a)\n"
+        "def reduce(a):\n"
+        "    f = _exp_inplace\n"
+        "    return f(a)\n",
+        encoding="utf-8",
+    )
+    assert _uses(module, "_exp_inplace") == ["copies", "copies.Reducer.reduce", "copies.reduce"]
