@@ -59,8 +59,15 @@ from .tempering import check_tempered
 _ENV_SEED = "STARPARADOX_SEED"
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(_ENV_SEED, "0"))
+def _seed(text: str) -> int:
+    """The type of --seed, whose default from $STARPARADOX_SEED goes through it too."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"must be an integer >= 0 (from --seed or ${_ENV_SEED}), got {text!r}")
 
 
 def _load_prior(args):
@@ -303,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, prior=None, sampling=False, jobs=False):
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--seed", type=int, default=_default_seed(),
+        p.add_argument("--seed", type=_seed, default=os.environ.get(_ENV_SEED, "0"),
                        help=f"RNG seed (default: ${_ENV_SEED} or 0)")
         if jobs:
             p.add_argument("--jobs", type=int, default=1, help="worker processes")

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-12
+_N_MAX = 2**63 - 1  # the largest sequence length: numpy's multinomial reads n as a C long
 
 
 def _check_finite_nonneg(name: str, value: float) -> float:
@@ -276,17 +277,21 @@ def counts_in_band(n: int, t: float, c: float) -> PatternCounts:
     integer points (roughly n >= (4c)^2 * 25).
     """
     c = float(c)
-    if c <= 1.0:
-        raise ValueError(f"band parameter c must be > 1, got {c!r}")
+    if not (1.0 < c < math.inf):
+        raise ValueError(f"band parameter c (--c) must be finite and > 1, got {c!r}")
+    if not 1 <= n <= _N_MAX:
+        raise ValueError(f"sequence length n (--n) must lie in [1, 2**63 - 1], got {n!r}")
     q = star_probs(t)
     rn = math.sqrt(n)
     n0 = round(q.p0 * n - 0.5 * c * rn)
     base = (n - n0) / 3.0
     n2 = round(base - 1.5 * c * rn)
-    counts = PatternCounts(n0, n - n0 - 2 * n2, n2, n2)
-    if not in_band_fc(counts, c, t):
-        raise ValueError(f"could not realize band targets at n={n}; increase n")
-    return counts
+    if min(n0, n2, n - n0 - 2 * n2) >= 0:
+        counts = PatternCounts(n0, n - n0 - 2 * n2, n2, n2)
+        if in_band_fc(counts, c, t):
+            return counts
+    raise ValueError(f"could not realize band targets at n={n} (--n) and c={c!r} (--c); "
+                     "increase n or lower c")
 
 
 def zeta(u):

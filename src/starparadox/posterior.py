@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PatternCounts, log_pattern_prob_arrays, star_probs
+from .model import _N_MAX, PatternCounts, log_pattern_prob_arrays, star_probs
 from .priors import Prior
 
 __all__ = [
@@ -54,7 +54,6 @@ _TAG_SCAN_PRIOR = 3
 # so one length may have at most _SCAN_STRIDE chunks before it reaches the next's keys.
 _SCAN_STRIDE = 1_000_003
 _TRIALS_MAX = TRIAL_CHUNK * _SCAN_STRIDE
-_N_MAX = 2**63 - 1  # numpy's multinomial reads n as a C long
 
 
 class DegenerateEstimate(RuntimeError):

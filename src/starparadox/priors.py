@@ -53,9 +53,6 @@ __all__ = [
     "parse_prior",
 ]
 
-_LOG_1E17 = math.log(1e17)
-
-
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge; carries the achieved estimate."""
 
@@ -83,23 +80,15 @@ def _quad(f: Callable[[float], float], a: float, b: float) -> float:
     return value
 
 
-def h_aux(u):
-    """The index function h(u) = -(1/4) log(1 - 3u/(1+2u)) on [0, 1).
+def h_aux(u: float) -> float:
+    """The index function h(u) = -(1/4) log(1 - 3u/(1+2u)) on [0, 1].
 
     Equals (1/4)(log1p(2u) - log1p(-u)); increasing, h(0) = 0,
-    h(u)/u -> 3/4 at 0, and +inf at u -> 1.
+    h(u)/u -> 3/4 at 0, and h(1) = +inf.
     """
-    u_arr = np.asarray(u, dtype=float)
-    if np.any((u_arr < 0.0) | (u_arr > 1.0) | ~np.isfinite(u_arr)):
-        raise ValueError("h_aux argument must lie in [0, 1)")
-    with np.errstate(divide="ignore"):
-        out = 0.25 * (np.log1p(2.0 * u_arr) - np.log1p(-u_arr))
-    return float(out) if out.ndim == 0 else out
-
-
-def _h_aux(u: float) -> float:
-    """Scalar :func:`h_aux` for quadrature nodes and index formulas, 0 <= u < 1."""
-    return 0.25 * (math.log1p(2.0 * u) - math.log1p(-u))
+    if not 0.0 <= u <= 1.0:
+        raise ValueError(f"h_aux argument must lie in [0, 1], got {u!r}")
+    return 0.25 * (math.log1p(2.0 * u) - math.log1p(-u)) if u < 1.0 else math.inf
 
 
 class Prior:
@@ -194,7 +183,8 @@ class Prior:
         h = self.h(z, s)
         denom = self.h_sat(z)
         if denom <= 0.0:
-            raise ZeroDivisionError(f"H(z, s_sat) vanished at z={z!r}")
+            raise ValueError(f"H(z, s_sat) underflows to 0 at z={z!r} for {self.to_dict()}: "
+                             "G is not representable there")
         return min(1.0, max(0.0, h / denom))
 
 
@@ -232,7 +222,7 @@ class _ExpIndepPrior(Prior):
         def integrand(xi: float) -> float:
             if xi <= 0.0:
                 return 0.0
-            return self._rho(_h_aux(xi / z)) / (z - xi)
+            return self._rho(h_aux(xi / z)) / (z - xi)
 
         return _quad(integrand, 0.0, min(s, self.s_sat(z)))
 
@@ -300,10 +290,12 @@ class PowerPrior(_ExpIndepPrior):
         th = self.theta
 
         def integrand(tau: float) -> float:
-            if tau <= 0.0:
-                return 0.0
             xi = tau ** (1.0 / th)
-            return self._rho(_h_aux(xi / z)) / (z - xi) * (1.0 / th) * tau ** (1.0 / th - 1.0)
+            if xi < 1e-17 * z:
+                # the limit at xi = 0, exact to rounding as the correction is O(xi/z);
+                # for small theta xi underflows here and the product below overflows
+                return (0.75 / z) ** (th - 1.0) / (th * z)
+            return self._rho(h_aux(xi / z)) / (z - xi) * (1.0 / th) * tau ** (1.0 / th - 1.0)
 
         return _quad(integrand, 0.0, min(s, self.s_sat(z)) ** th)
 
@@ -425,7 +417,7 @@ class DiscretePrior(Prior):
     """Ti supported on the atoms t_n = n^(-a) with P(Ti = t_n) proportional to
     y_n (n^(-b) - (n+1)^(-b)), y_n = 1 + 2 exp(-4 t_n); Te ~ Exp(4) independent.
 
-    Requires 3a < min(1, b).  The section function is the exact step
+    Requires 3a < min(1, b) and b/a <= 50.  The section function is the exact step
     H(z, s) = n(z, s)^(-b), where n(z, s) is the smallest index whose atom
     satisfies both z <= y_n and 3z <= (2s + z) y_n; for s below both z and
     (3 - z)/2 this reduces to ceil(h_aux(s/z)^(-1/a)).
@@ -443,10 +435,14 @@ class DiscretePrior(Prior):
 
     def __init__(self, a: float, b: float):
         a, b = float(a), float(b)
-        if not (a > 0.0 and b > 0.0):
-            raise ValueError("a and b must be > 0")
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError(f"a and b must be finite and > 0; got a={a!r}, b={b!r}")
         if not 3.0 * a < min(1.0, b):
             raise ValueError(f"need 3a < min(1, b); got a={a!r}, b={b!r}")
+        # G(z, s) ~ s^(b/a) underflows on prior-check's s-grid at t = 0.1 from
+        # b/a ~ 56; the bound also keeps every tail-table entry normal (b < 50/3)
+        if b / a > 50.0:
+            raise ValueError(f"need b/a <= 50; got a={a!r}, b={b!r}")
         self.a = a
         self.b = b
 
@@ -454,49 +450,38 @@ class DiscretePrior(Prior):
         return {"tempered": True, "k": 3, "alpha": self.b / self.a, "eps": (1.0, 2.0, 3.0)}
 
     # ---- series tails ---------------------------------------------------
-    def _em_integral(self, x: float) -> float:
-        """Exact integral_x^inf (1 - exp(-4 u^-a)) (u^-b - (u+1)^-b) du.
+    def _log_tail(self, log_x: float) -> float:
+        """log sum_{n >= x} r_n, x = exp(log_x), from the table's end out to any float log_x.
 
-        Expands the second factor in powers of 1/u (u >= x >> 1) and reduces
-        each term to a lower incomplete gamma by the substitution m = 4 u^-a:
-        term j is 4^-p (m^p/p - gamma(p, m)) with p = (b + j)/a.  Expanding
-        gamma(p, m) = sum_k (-1)^k m^(p+k) / (k! (p+k)) and using
-        4^-p m^p = x^-(b+j) gives x^-(b+j) * _gamma_series(p, m), which stays
-        in float range for every p; Gamma(p) alone overflows past p ~ 171,
-        which term j = 3 reaches for a < (b + 3)/171.
+        The sum of 3 (n^-b - (n+1)^-b) telescopes to 3 x^-b; the rest, 2 sum_{n >= x} f(n)
+        with f(u) = (1 - exp(-4 u^-a)) (u^-b - (u+1)^-b), is Euler-Maclaurin's
+        I + f(x)/2 - f'(x)/12, I = integral_x^inf f.  With x^-b factored out of every term
+        this is -b log_x + log(3 - 2 (I + f/2 - f'/12) x^b).  I x^b expands (u+1)^-b in
+        powers of 1/u; term j reduces by m = 4 u^-a to b c_j / a * x^-j * S((b + j)/a,
+        4 x^-a) (``_gamma_series``) and is summed only while x^-j >= 1e-17.
         """
         a, b = self.a, self.b
-        coeff = [1.0, -(b + 1.0) / 2.0, (b + 1.0) * (b + 2.0) / 6.0,
-                 -(b + 1.0) * (b + 2.0) * (b + 3.0) / 24.0]
-        m = 4.0 * x**-a  # <= 4 for x >= 1: the series converges fast
-        total = 0.0
+        inv_x = math.exp(-log_x)
+        m = 4.0 * math.exp(-a * log_x)
+        e4, one_minus_e4 = math.exp(-m), -math.expm1(-m)
+        k = -math.expm1(-b * math.log1p(inv_x))  # (x^-b - (x+1)^-b) x^b
+        f = one_minus_e4 * k
+        fprime = inv_x * (-e4 * a * m * k
+                          + one_minus_e4 * b * math.expm1(-(b + 1.0) * math.log1p(inv_x)))
+        coeff = (1.0, -(b + 1.0) / 2.0, (b + 1.0) * (b + 2.0) / 6.0,
+                 -(b + 1.0) * (b + 2.0) * (b + 3.0) / 24.0)
+        integral = 0.0
         for j, c in enumerate(coeff):
-            total += b * c / a * x ** -(b + j) * _gamma_series((b + j) / a, m)
-        return total
-
-    def _tail_beyond(self, m: int) -> float:
-        """sum_{n > m} y_n (n^-b - (n+1)^-b) for m >= the table size.
-
-        The sum of 3 (n^-b - (n+1)^-b) telescopes to 3 x^-b, x = m + 1; the
-        rest, 2 sum_{n >= x} f(n) with f(u) = (1 - exp(-4 u^-a)) (u^-b -
-        (u+1)^-b), is Euler-Maclaurin's integral + f(x)/2 - f'(x)/12.
-        """
-        a, b = self.a, self.b
-        x = float(m + 1)
-        e4 = math.exp(-4.0 * x**-a)
-        k = x**-b - (x + 1.0) ** -b
-        f = (1.0 - e4) * k
-        fprime = -e4 * 4.0 * a * x ** (-a - 1.0) * k + (1.0 - e4) * (
-            -b * x ** (-b - 1.0) + b * (x + 1.0) ** (-b - 1.0))
-        return 3.0 * x**-b - 2.0 * (self._em_integral(x) + f / 2.0 - fprime / 12.0)
-
-    def _table(self) -> np.ndarray:
-        return _discrete_table(self.a, self.b)
+            x_j = inv_x**j
+            if x_j < 1e-17:
+                break
+            integral += b * c / a * x_j * _gamma_series((b + j) / a, m)
+        return -b * log_x + math.log(3.0 - 2.0 * (integral + f / 2.0 - fprime / 12.0))
 
     @property
     def r(self) -> float:
         """The series normalizer r = sum_n y_n (n^-b - (n+1)^-b)."""
-        return float(self._table()[0])
+        return float(_discrete_table(self.a, self.b)[0])
 
     def atom_prob(self, n: int) -> float:
         """P(Ti = n^-a) = r_n / r."""
@@ -510,17 +495,14 @@ class DiscretePrior(Prior):
             return -math.inf
         if x >= 1.0:
             return 0.0
-        # m0 = x^(-1/a) is compared in log scale: it overflows for small x and a
-        if -math.log(x) / self.a > _LOG_1E17:
-            # beyond exact integer arithmetic; ceil shifts the tail by O(1/m0).
-            # The tail is the integral m0^-b [3 + 2 sum_k (-4x)^k/k! * p/(k + p)],
-            # p = b/a, m0^-b = x^p, and the sum is -p * S(p, 4x)
-            p = self.b / self.a
-            log_tail = math.log(3.0 - 2.0 * p * _gamma_series(p, 4.0 * x)) + p * math.log(x)
-            return log_tail - math.log(self.r)
-        m = math.ceil(x ** (-1.0 / self.a)) - 1  # the atoms n > m lie at or below x
-        tail = self._table()[m] if m <= self._N_TABLE else self._tail_beyond(m)
-        return math.log(tail) - math.log(self.r)
+        # the atoms n >= m0 = x^(-1/a) lie at or below x; m0 overflows for small x and a
+        log_m0 = -math.log(x) / self.a
+        if log_m0 >= 53.0 * math.log(2.0):  # no exact ceil(m0): m0 itself, off by O(b/m0)
+            return self._log_tail(log_m0) - math.log(self.r)
+        m = math.ceil(x ** (-1.0 / self.a)) - 1
+        if m <= self._N_TABLE:
+            return math.log(_discrete_table(self.a, self.b)[m]) - math.log(self.r)
+        return self._log_tail(math.log(m + 1)) - math.log(self.r)
 
     # ---- exact step section function -------------------------------------
     def index_n(self, z: float, s: float) -> int:
@@ -540,7 +522,7 @@ class DiscretePrior(Prior):
             n_a = math.ceil(ca ** (-1.0 / self.a))
         n_b = 1
         if s < z:
-            hb = _h_aux(s / z)
+            hb = h_aux(s / z)
             real = hb ** (-1.0 / self.a)
             if real > 9e15:
                 raise OverflowError("atom index exceeds exact float range")
@@ -559,7 +541,7 @@ class DiscretePrior(Prior):
         try:
             return self.index_n(z, s) ** -self.b
         except OverflowError:
-            return _h_aux(s / z) ** (self.b / self.a)
+            return h_aux(s / z) ** (self.b / self.a)
 
     # ---- sampling ---------------------------------------------------------
     def _sample_ti(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -611,7 +593,7 @@ def _discrete_table(a: float, b: float) -> np.ndarray:
     n = np.arange(1, DiscretePrior._N_TABLE + 1, dtype=float)
     rn = (1.0 + 2.0 * np.exp(-4.0 * n**-a)) * (n**-b - (n + 1) ** -b)
     suffix = np.empty(n.size + 1)
-    suffix[-1] = DiscretePrior(a, b)._tail_beyond(n.size)
+    suffix[-1] = math.exp(DiscretePrior(a, b)._log_tail(math.log(n.size + 1.0)))
     suffix[:-1] = suffix[-1] + np.cumsum(rn[::-1])[::-1]
     suffix.flags.writeable = False
     return suffix

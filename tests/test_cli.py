@@ -111,6 +111,40 @@ class TestSimulate:
         assert json.loads((a / "manifest.json").read_text())["seed"] == 123
 
 
+class TestSeedValidated:
+    """--seed and its default from STARPARADOX_SEED go through one check on every command."""
+
+    ARGV = {
+        "simulate": ("simulate", "--t", "0.1", "--n", "10"),
+        "posterior": ("posterior", "--spec", "tame", "--counts", "753,130,59,58"),
+        "scan": ("scan", "--spec", "tame", "--t", "0.1", "--epsilon", "0.05", "--n-list", "100",
+                 "--trials", "2", "--samples", "100"),
+        "prior-check": ("prior-check", "--spec", "tame", "--t", "0.1"),
+        "moments": ("moments", "--dist", "uniform01", "--alpha", "1", "--per-decade", "1"),
+        "claims": ("claims", "--spec", "tame", "--t", "0.1", "--samples", "1000"),
+    }
+
+    def test_every_command_listed(self):
+        from starparadox.cli import _COMMANDS
+
+        assert set(self.ARGV) == set(_COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_negative_seed(self, tmp_path, capsys, command):
+        assert exit_code(*self.ARGV[command], "--seed", "-1", "--out", str(tmp_path)) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_malformed_environment_seed(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setenv("STARPARADOX_SEED", "abc")
+        assert exit_code(*self.ARGV[command], "--out", str(tmp_path)) == 2
+        assert "STARPARADOX_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+        # a seed on the command line overrides the malformed default
+        assert exit_code(*self.ARGV[command], "--seed", "3", "--out", str(tmp_path)) == 0
+
+
 class TestSimulateRows:
     """simulate writes each counts.csv row as it draws it."""
 
@@ -322,6 +356,23 @@ class TestDrawCountsValidated:
         assert run_main(*argv, "--out", str(tmp_path)) == 2
         assert time.perf_counter() - start < 1.0
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("extra, named", [
+        (("--c", "inf"), "--c"),
+        (("--c", "nan"), "--c"),
+        (("--c", "1e300"), "--c"),
+        (("--n", "-5"), "--n"),
+        (("--n", "3"), "--n"),
+        (("--t", "1e-9"), "--n"),
+    ], ids=["c-inf", "c-nan", "c-1e300", "n-negative", "n-3", "t-1e-9"])
+    def test_band_inputs(self, tmp_path, capsys, extra, named):
+        # the band counts are rounded from n and c before any draw; a negative one is
+        # a band that n cannot realize, not a malformed count vector
+        argv = (*self.CLAIMS, "--samples", "1000", *extra)
+        assert run_main(*argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert named in err and len(err) < 200
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("z_points", ["0", "-1"])
@@ -700,6 +751,67 @@ class TestSmallADiscrete:
         assert run_main("scan", "--spec", "discrete:0.01,0.04", "--t", "0.1", "--epsilon", "0.05",
                         "--n-list", "100,1000", "--trials", "20", "--samples", "1024",
                         "--out", str(tmp_path / "scan")) == 0
+
+
+class TestPriorBounds:
+    """Priors the constructor accepts run on the G path and the posterior, or exit 2 up front."""
+
+    POSTERIOR = ("posterior", "--counts", "753,130,59,58")
+
+    @pytest.mark.parametrize("spec", ["discrete:0.1,inf", "discrete:0.1,50", "discrete:0.1,500",
+                                      "discrete:1e-9,0.5", "discrete:nan,0.5"])
+    @pytest.mark.parametrize("command", ["prior-check", "posterior"])
+    def test_discrete_rejected_naming_a_and_b(self, tmp_path, capsys, spec, command):
+        argv = ("prior-check", "--t", "0.1") if command == "prior-check" else self.POSTERIOR
+        assert run_main(*argv, "--spec", spec, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "got a=" in err and ", b=" in err
+        assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("spec", ["discrete:0.1,5", "discrete:0.005,0.016", "discrete:0.3333,1",
+                                      "discrete:0.001,0.004", "discrete:1e-9,4e-9"])
+    def test_discrete_at_the_bounds_runs(self, tmp_path, spec):
+        assert run_main("prior-check", "--spec", spec, "--t", "0.1",
+                        "--out", str(tmp_path / "check")) == 0
+        assert run_main(*self.POSTERIOR, "--spec", spec, "--out", str(tmp_path / "post")) == 0
+
+    @pytest.mark.parametrize("theta", ["3e-3", "1e-3", "1e-9"])
+    def test_small_theta_power_prior_check(self, tmp_path, theta):
+        # the substituted integrand's xi = tau^(1/theta) underflows to 0 over most of [0, 1]
+        assert run_main("prior-check", "--spec", f"power:{theta}", "--t", "0.1",
+                        "--out", str(tmp_path)) == 0
+
+    def test_small_theta_power_moments_and_posterior(self, tmp_path):
+        assert run_main("moments", "--dist", "zeta", "--spec", "power:1e-9", "--z", "2",
+                        "--alpha", "0.5", "--t-lo", "0.5", "--t-hi", "500", "--per-decade", "1",
+                        "--out", str(tmp_path / "moments")) == 0
+        assert run_main(*self.POSTERIOR, "--spec", "power:1e-9",
+                        "--out", str(tmp_path / "post")) == 0
+
+    def test_power_0_01_stays_tempered(self, tmp_path):
+        assert run_main("prior-check", "--spec", "power:0.01", "--t", "0.1",
+                        "--out", str(tmp_path)) == 0
+        verdict = json.loads((tmp_path / "verdict.json").read_text())
+        assert verdict["tempered"] is True
+        assert verdict["condition1"]["alpha"] == pytest.approx(0.01, rel=0.02)
+
+    @settings(max_examples=24, deadline=None)
+    @given(data=st.data())
+    def test_never_exit_3(self, data):
+        kind = data.draw(st.sampled_from(["power", "discrete"]))
+        if kind == "power":
+            spec = f"power:{data.draw(st.floats(1e-9, 1.0, exclude_max=True))!r}"
+        else:
+            a = data.draw(st.floats(1e-9, 1.0 / 3.0, exclude_max=True))
+            # half the draws near the accepted b/a <= 50, the rest anywhere up to 1e3
+            near = st.floats(3.0, 60.0, exclude_min=True).map(lambda ratio: ratio * a)
+            b = data.draw((near | st.floats(3.0 * a, 1e3, exclude_min=True))
+                          .filter(lambda b: 3.0 * a < b <= 1e3))
+            spec = f"discrete:{a!r},{b!r}"
+        with tempfile.TemporaryDirectory() as tmp:
+            for argv in (("prior-check", "--t", "0.1"), self.POSTERIOR):
+                code = exit_code(*argv, "--spec", spec, "--out", tmp)
+                assert code in (0, 2), (spec, argv[0])
 
 
 class TestPriorCheck:

@@ -19,7 +19,6 @@ from starparadox.priors import (
     TLogPrior,
     UniformPrior,
     _discrete_table,
-    _h_aux,
     _quad,
     h_aux,
     parse_prior,
@@ -61,6 +60,19 @@ class TestSerialization:
             PowerPrior(1.0)
         with pytest.raises(ValueError):
             DiscretePrior(0.4, 0.5)  # violates 3a < min(1, b)
+        assert DiscretePrior(0.1, 5.0).declared_tempering()["alpha"] == 50.0  # b/a at its bound
+
+    @pytest.mark.parametrize("a, b, message", [
+        (0.1, math.inf, "finite and > 0"),
+        (math.nan, 0.5, "finite and > 0"),
+        (0.1, math.nan, "finite and > 0"),
+        (math.inf, 0.5, "finite and > 0"),
+        (0.1, 5.0000001, "b/a <= 50"),
+        (1e-9, 0.5, "b/a <= 50"),
+    ])
+    def test_discrete_bounds(self, a, b, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DiscretePrior(a, b)
 
     @pytest.mark.parametrize("text, message", [
         ("uniform", "uniform takes (theta)"),
@@ -238,6 +250,27 @@ class TestHFunction:
             for s in ((3 - z) / 2 + 0.05, 1.0, 2.5):
                 assert spec.h(z, s) == pytest.approx(base, rel=1e-12)
 
+    @pytest.mark.parametrize("theta", [1e-2, 3e-3, 1e-3])
+    def test_power_small_theta_against_mpmath(self, theta):
+        # xi = tau^(1/theta) underflows over most of the substituted range, where the
+        # integrand takes its limit (3/(4z))^(theta-1) / (theta z)
+        spec = PowerPrior(theta)
+        for z, s in [(2.0, 0.01), (1.37, 1e-6), (2.6, 0.2)]:
+            with mp.workdps(30):
+                def integrand(tau):
+                    xi = tau ** (1 / mp.mpf(theta))
+                    if xi == 0:
+                        return (0.75 / mp.mpf(z)) ** (theta - 1) / (theta * z)
+                    ratio = (mp.log1p(2 * xi / z) - mp.log1p(-xi / z)) / (4 * xi)  # h_aux/xi
+                    return ratio ** (theta - 1) / (theta * (z - xi))
+                ref = mp.quad(integrand, [0, mp.mpf(s) ** theta])
+            assert spec.h(z, s) == pytest.approx(float(ref), rel=1e-13), (z, s)
+
+    def test_discrete_underflowing_saturation_rejected(self):
+        # z near 3 puts the saturated index near (3 - z)^(-1/a); n^-b underflows to 0
+        with pytest.raises(ValueError, match="underflows to 0"):
+            DiscretePrior(0.1, 5.0).g(3.0 - 1e-12, 1e-3)
+
     def test_power_expansion_first_term(self):
         spec = PowerPrior(0.5)
         z, s = 2.0, 1e-8
@@ -263,7 +296,12 @@ class TestHAux:
 
     def test_increasing(self):
         u = np.linspace(0.0, 0.999, 2000)
-        assert np.all(np.diff(h_aux(u)) > 0.0)
+        assert np.all(np.diff([h_aux(v) for v in u]) > 0.0)
+
+    @pytest.mark.parametrize("u", [-1e-300, 1.0 + 1e-15, math.nan, math.inf])
+    def test_outside_unit_interval_rejected(self, u):
+        with pytest.raises(ValueError, match="h_aux argument"):
+            h_aux(u)
 
     def test_ceil_identity_against_scan(self):
         # for s < min(z, (3-z)/2): n(z, s) = ceil(h(s/z)^(-1/a))
@@ -275,7 +313,7 @@ class TestHAux:
             s = rng.uniform(0.45, 0.9) * z
             if s >= min(z, (3 - z) / 2):
                 continue
-            expected = math.ceil(float(h_aux(s / z)) ** (-1.0 / spec.a))
+            expected = math.ceil(h_aux(s / z) ** (-1.0 / spec.a))
             assert _scan_index(spec, z, s) == expected
             checked += 1
 
@@ -339,7 +377,7 @@ class TestGFunction:
             z = rng.uniform(0.4, 2.5)
             s = rng.uniform(0.3, 0.95) * min(z, (3 - z) / 2, z * 0.99)
             u = s / z
-            hu = float(h_aux(u))
+            hu = h_aux(u)
             lhs = hu ** (spec.b / spec.a) * (1 + hu ** (1 / spec.a)) ** -spec.b
             mid = spec.h(z, 1.0) * spec.g(z, s)
             rhs = hu ** (spec.b / spec.a)
@@ -373,11 +411,9 @@ class TestGPath:
         rng = np.random.default_rng(11)
         z = rng.uniform(0.5, 2.9, 200)
         xi = rng.uniform(0.0, 1.0, 200) * np.minimum(z, 1.0) * 0.99
-        expected = reference(h_aux(xi / z)) / (z - xi)
-        got = np.array([spec._rho(_h_aux(x / zz)) / (zz - x) for x, zz in zip(xi, z)])
+        expected = reference(_np_h_aux(xi / z)) / (z - xi)
+        got = np.array([spec._rho(h_aux(x / zz)) / (zz - x) for x, zz in zip(xi, z)])
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose([_h_aux(u) for u in xi / z], h_aux(xi / z),
-                                   rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("kind", ["logti", "discrete:0.1,0.5"])
     def test_pickle_after_g_calls(self, kind):
@@ -387,14 +423,15 @@ class TestGPath:
         assert "_h_sat_memo" in vars(spec)
         clone = pickle.loads(pickle.dumps(spec))
         assert "_h_sat_memo" not in vars(clone)
-        if spec.kind == "discrete":
-            assert clone._table() is spec._table()  # one tail table per (a, b) per process
+        misses = _discrete_table.cache_info().misses
+        assert clone.log_ti_cdf(0.01) == spec.log_ti_cdf(0.01)
+        assert _discrete_table.cache_info().misses == misses  # one tail table per (a, b) per process
         assert [clone.g(z, 0.05) for z in (1.5, 2.2)] == before
 
     def test_discrete_table_shared_and_read_only(self):
-        table = DiscretePrior(0.1, 0.5)._table()
-        assert DiscretePrior(0.1, 0.5)._table() is table
-        assert DiscretePrior(0.1, 0.6)._table() is not table
+        table = _discrete_table(0.1, 0.5)
+        assert _discrete_table(0.1, 0.5) is table
+        assert _discrete_table(0.1, 0.6) is not table
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0.0
@@ -433,6 +470,11 @@ def _table_cache_info(prior):
     return info.hits, info.misses
 
 
+def _np_h_aux(u):
+    """h_aux on an array, written with numpy: the reference for the scalar routine."""
+    return 0.25 * (np.log1p(2.0 * u) - np.log1p(-u))
+
+
 def _g_vectorized(spec, zv, s):
     """Vectorized, independently coded G for the closed-form catalog entries."""
     if isinstance(spec, UniformPrior):
@@ -452,7 +494,7 @@ def _g_vectorized(spec, zv, s):
         ca = np.where(zv > y1, -0.25 * np.log(np.maximum((zv - 1) / 2, 1e-300)), np.inf)
         n_a = np.where(zv > y1, np.ceil(ca ** (-1 / a)), 1.0)
         with np.errstate(divide="ignore"):
-            hb = np.asarray(h_aux(np.minimum(s / zv, 1.0)))
+            hb = _np_h_aux(np.minimum(s / zv, 1.0))
         n_b = np.where(s >= zv, 1.0, np.ceil(np.maximum(hb, 1e-300) ** (-1 / a)))
         n_idx = np.maximum(np.maximum(n_a, n_b), 1.0)
         n_sat = np.maximum(n_a, 1.0)
@@ -505,18 +547,27 @@ class TestSmallADiscrete:
     @pytest.mark.parametrize("a, b", [(0.1, 0.5), (0.3, 2.0), (0.05, 0.3), (0.01, 0.04),
                                       (0.005, 0.02), (0.002, 0.01)])
     def test_em_integral_against_mpmath(self, a, b):
-        # the incomplete-gamma form 4^-p (m^p/p - gamma(p, m)) of each block, in 60 digits
-        for x in (2.0**20 + 1.0, 1e3):
-            with mp.workdps(60):
-                m = 4 * mp.mpf(x) ** -a
-                coeff = [1, -(b + 1) / mp.mpf(2), (b + 1) * (b + 2) / mp.mpf(6),
-                         -(b + 1) * (b + 2) * (b + 3) / mp.mpf(24)]
-                ref = 0
+        # _log_tail, the Euler-Maclaurin closure 3 x^-b - 2 (I + f/2 - f'/12) with I in
+        # its incomplete-gamma form 4^-p (m^p/p - gamma(p, m)), p = (b + j)/a, evaluated
+        # in mpmath from the table's end out to x = e^700
+        for log_x in (math.log(2.0**20 + 1.0), 20.0, 36.7, 40.0, 100.0, 300.0, 700.0):
+            # m^p/p - gamma(p, m) cancels to relative m: carry that many more digits
+            with mp.workdps(40 + int(a * log_x / math.log(10.0))):
+                x, bb = mp.exp(log_x), mp.mpf(b)
+                m = 4 * x**-a
+                coeff = [1, -(bb + 1) / 2, (bb + 1) * (bb + 2) / 6,
+                         -(bb + 1) * (bb + 2) * (bb + 3) / 24]
+                integral = 0
                 for j, c in enumerate(coeff):
-                    p = (mp.mpf(b) + j) / a
-                    ref += b * c * 4 ** (-p) / a * (m**p / p - mp.gammainc(p, 0, m))
-            got = DiscretePrior(a, b)._em_integral(x)
-            assert got == pytest.approx(float(ref), rel=1e-12), x
+                    p = (bb + j) / a
+                    integral += bb * c * 4 ** (-p) / a * (m**p / p - mp.gammainc(p, 0, m))
+                f = lambda u: (1 - mp.exp(-4 * u**-a)) * (u**-bb - (u + 1) ** -bb)
+                tail = 3 * x**-bb - 2 * (integral + f(x) / 2 - mp.diff(f, x) / 12)
+                ref = float(mp.log(tail))
+            got = DiscretePrior(a, b)._log_tail(log_x)
+            # 1e-15 relative in the log; 2e-15 relative in the tail itself, where
+            # 3 - 2 (I + ...) x^b cancels about threefold for small a at the table's end
+            assert got == pytest.approx(ref, rel=1e-15, abs=2e-15), log_x
 
     @pytest.mark.parametrize("a, b", [(0.01, 0.04), (0.005, 0.02)])
     def test_log_ti_cdf_in_range(self, a, b):
@@ -533,7 +584,7 @@ class TestSmallADiscrete:
             assert log_lo - 1e-12 <= v <= log_hi + 1e-12, x
 
     def test_log_ti_cdf_near_one(self):
-        # where m0 = x^(-1/a) > 1e17 the tail is the integral
+        # where m0 = x^(-1/a) >= 2^53 the tail is, to O(1/m0), the integral
         # x^p (1 + 2 p m^-p gamma(p, m)), m = 4x, p = b/a; at 4x ~ 3 a six-term
         # expansion of exp(-4x) once gave P(Ti <= 0.9) = 1.145 here
         spec = DiscretePrior(0.001, 0.004)
@@ -542,7 +593,7 @@ class TestSmallADiscrete:
         assert all(v <= 0.0 for v in vals)
         assert all(lo <= hi for lo, hi in zip(vals, vals[1:]))
         p, log_r = spec.b / spec.a, math.log(spec.r)
-        on_series = [x for x in xs if -math.log(x) / spec.a > math.log(1e17)]
+        on_series = [x for x in xs if -math.log(x) / spec.a >= 53 * math.log(2.0)]
         assert len(on_series) > 150
         for x in on_series:
             with mp.workdps(40):
