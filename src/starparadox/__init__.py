@@ -37,7 +37,6 @@ from .priors import (
     h_aux,
     parse_prior,
     prior_from_json,
-    prior_to_json,
 )
 from .tempering import (
     Condition2Result,

@@ -19,9 +19,6 @@ with the same prior instance, sample size and seed reads one draw set,
 sampled and turned into pattern log-probabilities once and kept read-only
 until the prior is freed or asked for another (size, seed).  Where
 n_2 = n_3 (as ``counts_in_band`` builds them) K_2 = K_3 draw by draw.
-The module also exposes the per-draw factorizations of the kernels
-(through the centered statistics, and through mu_t, U_t, W_j) used to
-verify the machinery sample by sample.
 """
 
 from __future__ import annotations
@@ -36,11 +33,9 @@ from .model import (
     PatternCounts,
     band_half_width,
     band_interval,
-    delta_stats,
     in_band_fc,
     log_pattern_prob_arrays,
     star_probs,
-    zeta,
 )
 from .posterior import _shifted_exp, kernel_log_values
 from .priors import Prior
@@ -49,13 +44,7 @@ __all__ = [
     "EmptyStratum",
     "Claim1Report",
     "Claim2Report",
-    "corner_draws",
     "log_mu",
-    "log_u_statistic",
-    "log_w_statistic",
-    "kernel_log_by_deltas",
-    "kernel_log_by_corner",
-    "uv_variables",
     "in_band_advantage",
     "conditional_ratio_scan",
 ]
@@ -65,65 +54,10 @@ class EmptyStratum(RuntimeError):
     """A conditioning stratum received no prior draws."""
 
 
-# ---------------------------------------------------------------------------
-# per-draw building blocks
-# ---------------------------------------------------------------------------
-
 def log_mu(t: float) -> float:
     """log of q0^q0 q1^(3 q1), the per-site likelihood scale on the star tree."""
     q = star_probs(t)
     return q.p0 * math.log(q.p0) + 3.0 * q.p1 * math.log(q.p1)
-
-
-def log_u_statistic(t: float, lp0, lp1, lp2) -> np.ndarray:
-    """log U_t = q0 log P0 + q1 log P1 + 2 q1 log P2 - log mu_t per draw."""
-    q = star_probs(t)
-    return q.p0 * lp0 + q.p1 * lp1 + 2.0 * q.p1 * lp2 - log_mu(t)
-
-
-def log_w_statistic(counts: PatternCounts, t: float, lp0, lp1, lp2, j: int) -> np.ndarray:
-    """log W_j = d0 log P0 + (dj - d0/3) log P1 + (d1 + dk - 2 d0/3) log P2."""
-    if j not in (2, 3):
-        raise ValueError("j must be 2 or 3")
-    k = 5 - j
-    d = delta_stats(counts, t)
-    dj = d.d2 if j == 2 else d.d3
-    dk = d.d2 if k == 2 else d.d3
-    return d.d0 * lp0 + (dj - d.d0 / 3.0) * lp1 + (d.d1 + dk - 2.0 * d.d0 / 3.0) * lp2
-
-
-def kernel_log_by_deltas(counts: PatternCounts, t: float, lp0, lp1, lp2, tree: int) -> np.ndarray:
-    """Kernel in centered form: n0 log P0 + s (log P1 + 2 log P2)
-    + d_tree sqrt(n) (log P1 - log P2), with s = (n - n0)/3."""
-    d = delta_stats(counts, t)
-    d_tree = (d.d1, d.d2, d.d3)[tree - 1]
-    s = (counts.n - counts.n0) / 3.0
-    rn = math.sqrt(counts.n)
-    return counts.n0 * lp0 + s * (lp1 + 2.0 * lp2) + d_tree * rn * (lp1 - lp2)
-
-
-def kernel_log_by_corner(counts: PatternCounts, t: float, lp0, lp1, lp2, j: int) -> np.ndarray:
-    """Kernel in corner form: n (log mu_t + log U_t) + sqrt(n) log W_j."""
-    n = counts.n
-    return n * (log_mu(t) + log_u_statistic(t, lp0, lp1, lp2)) + math.sqrt(n) * log_w_statistic(
-        counts, t, lp0, lp1, lp2, j
-    )
-
-
-def uv_variables(te, ti) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw (U, V): U = (P1 - P2)/(1 - P0) and V = zeta(U)."""
-    x = np.exp(-4.0 * np.asarray(te, dtype=float))
-    w = np.exp(-4.0 * np.asarray(ti, dtype=float))
-    si = 1.0 + 2.0 * w
-    u = x * (3.0 - si) / (3.0 - x * si)
-    return u, zeta(u)
-
-
-def corner_draws(t: float, n: int, rng: np.random.Generator, size: int):
-    """Points of the corner box {ti <= 1/n, t <= te <= t + 1/n} (uniform)."""
-    te = t + rng.random(size) / n
-    ti = rng.random(size) / n
-    return te, ti
 
 
 # ---------------------------------------------------------------------------

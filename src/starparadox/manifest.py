@@ -9,8 +9,10 @@ files are byte-identical (timestamps live only in the manifest itself).
 
 CSV files are UTF-8 with a header row, '.' decimal separator, LF line
 endings and floats rendered with repr-faithful '%.17g'; rows are flushed
-as they are written.  The commands compute every row before the file is
-opened, so a run stopped while it computes has written no rows.
+as they are written.  ``simulate`` writes each row as it draws it, so an
+interrupted run keeps the rows written so far; ``scan`` and ``moments``
+compute every row before they open the file, so a run of theirs stopped
+while it computes has written none.
 """
 
 from __future__ import annotations

@@ -59,8 +59,7 @@ def _check_finite_nonneg(name: str, value: float) -> float:
 class PatternProbs:
     """Probability vector (p0, p1, p2, p3) over site patterns, with p2 == p3.
 
-    Only three values are stored; ``p3`` is expanded on read.  Stable
-    logarithms are available through :attr:`log_array`.
+    Only three values are stored; :attr:`array` expands them to four.
     """
 
     p0: float
@@ -78,18 +77,8 @@ class PatternProbs:
             raise ValueError(f"pattern probabilities sum to {total!r}, not 1")
 
     @property
-    def p3(self) -> float:
-        return self.p2
-
-    @property
     def array(self) -> np.ndarray:
         return np.array([self.p0, self.p1, self.p2, self.p2])
-
-    @property
-    def log_array(self) -> np.ndarray:
-        """log of (p0, p1, p2, p3); -inf entries where the probability is 0."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.array)
 
 
 @dataclass(frozen=True)

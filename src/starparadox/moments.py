@@ -35,11 +35,8 @@ __all__ = [
     "beta_fn",
     "gamma_ratio",
     "deflation_product",
-    "deflation_log_bounds",
-    "rising_factor",
     "chi_weighted_sum",
     "series_moment_closed",
-    "series_moment_quad",
     "moment_mt",
     "moment_curve",
     "ScanResult",
@@ -52,7 +49,6 @@ __all__ = [
     "PointMassOneV",
     "BetaTailV",
     "QuadraticV",
-    "ExpansionTailV",
     "ConditionalZetaV",
     "geometric_grid",
 ]
@@ -80,38 +76,15 @@ def gamma_ratio(eps: float, t: float, alpha: float) -> float:
     return math.exp(math.lgamma(ft + alpha + 1.0) - math.lgamma(ft + alpha + eps + 1.0))
 
 
-def deflation_product(eps: float, t: float, alpha: float, direct: bool = False) -> float:
-    """prod_{l=1}^{[t]+1} (1 - eps/(alpha+eps+{t}+l)).
-
-    The closed form Gamma(alpha+t+2) Gamma(alpha+eps+{t}+1) /
-    (Gamma(alpha+{t}+1) Gamma(alpha+eps+t+2)) is used unless ``direct``
-    forces the literal product (kept for cross-checks).
-    """
-    ft, it = _frac(t)
-    if direct:
-        ell = np.arange(1, it + 2, dtype=float)
-        return float(np.prod(1.0 - eps / (alpha + eps + ft + ell)))
+def deflation_product(eps: float, t: float, alpha: float) -> float:
+    """prod_{l=1}^{[t]+1} (1 - eps/(alpha+eps+{t}+l)), in the closed form
+    Gamma(alpha+t+2) Gamma(alpha+eps+{t}+1) / (Gamma(alpha+{t}+1) Gamma(alpha+eps+t+2))."""
+    ft, _ = _frac(t)
     return math.exp(
         math.lgamma(alpha + t + 2.0)
         + math.lgamma(alpha + eps + ft + 1.0)
         - math.lgamma(alpha + ft + 1.0)
         - math.lgamma(alpha + eps + t + 2.0)
-    )
-
-
-def deflation_log_bounds(eps: float, t: float, alpha: float) -> tuple[float, float]:
-    """The sums (S, T) with exp(-S-T) <= deflation_product <= exp(-S)."""
-    ft, it = _frac(t)
-    ell = np.arange(1, it + 2, dtype=float)
-    den = alpha + eps + ft + ell
-    return float(np.sum(eps / den)), float(np.sum(eps * eps / (den * den)))
-
-
-def rising_factor(t: float, alpha: float) -> float:
-    """(t+alpha)(t+alpha-1)...(t+{alpha}) / Gamma(alpha+1)."""
-    fa, _ = _frac(alpha)
-    return math.exp(
-        math.lgamma(t + alpha + 1.0) - math.lgamma(t + fa) - math.lgamma(alpha + 1.0)
     )
 
 
@@ -201,11 +174,6 @@ def series_moment_closed(params: TailParams, t: float, sign: int) -> float:
         total += g * t * beta_fn(t, a + e + 1.0)
     total += sign * params.gamma[-1] * t * beta_fn(t, a + params.eps[-1] + 1.0)
     return total
-
-
-def series_moment_quad(params: TailParams, t: float, sign: int) -> float:
-    """Quadrature of the same integral, for the dual-route identity check."""
-    return _quad(lambda u: float(params.series_tail(u ** (1.0 / t), sign=sign)), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -420,29 +388,12 @@ class QuadraticV:
         return 1.0 - np.asarray(v, dtype=float) ** 2
 
 
-class ExpansionTailV:
-    """A distribution whose tail is exactly the certified part of a TailParams.
-
-    Construction validates that the series is a genuine tail (values in
-    [0, 1], nonincreasing, 1 at v=0 within clipping) on a dense grid.
-    """
-
-    def __init__(self, params: TailParams):
-        self.params = params
-        grid = np.linspace(0.0, 1.0, 4001)
-        vals = params.series_tail(grid)
-        if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
-            raise ValueError("series tail escapes [0, 1]")
-        if np.any(np.diff(vals) > 1e-12):
-            raise ValueError("series tail is not nonincreasing on [0, 1]")
-
-    def tail(self, v):
-        return np.clip(self.params.series_tail(v), 0.0, 1.0)
-
-
 class ConditionalZetaV:
     """V = zeta(U) with U the scaled external-branch variable conditioned on
-    4 P0 - 1 = z; the tail is P(V >= v | z) = G(z, zeta^{-1}(v) (3 - z)/2)."""
+    4 P0 - 1 = z; the tail is P(V >= v | z) = G(z, zeta^{-1}(v) (3 - z)/2).
+
+    As 1 - zeta(u) ~ 3 u^2 at u = 0, a CDF exponent alpha of G in s gives the
+    tail exponent alpha/2 in (1 - v), so 2 t R_t tends to alpha."""
 
     def __init__(self, prior: Prior, z: float):
         self.prior = prior

@@ -48,7 +48,6 @@ __all__ = [
     "DiscretePrior",
     "PRIOR_KINDS",
     "h_aux",
-    "prior_to_json",
     "prior_from_json",
     "parse_prior",
 ]
@@ -483,13 +482,6 @@ class DiscretePrior(Prior):
         """The series normalizer r = sum_n y_n (n^-b - (n+1)^-b)."""
         return float(_discrete_table(self.a, self.b)[0])
 
-    def atom_prob(self, n: int) -> float:
-        """P(Ti = n^-a) = r_n / r."""
-        if n < 1:
-            raise ValueError("atom index must be >= 1")
-        yn = 1.0 + 2.0 * math.exp(-4.0 * n**-self.a)
-        return yn * (n**-self.b - (n + 1.0) ** -self.b) / self.r
-
     def log_ti_cdf(self, x: float) -> float:
         if x <= 0.0:
             return -math.inf
@@ -607,10 +599,6 @@ PRIOR_KINDS: dict[str, type[Prior]] = {
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def prior_to_json(spec: Prior) -> str:
-    return json.dumps(spec.to_dict(), sort_keys=True)
-
 
 def _build(kind: str, args: list, kwargs: dict) -> Prior:
     if kind not in PRIOR_KINDS:

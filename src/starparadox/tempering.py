@@ -52,6 +52,10 @@ S0_FRACTION = 0.05
 #: the geometric s-grid spans this many decades below s0, at 14 points per decade
 _S_DECADES = 4
 _S_PER_DECADE = 14
+#: the largest t of the check.  The s-grid's bottom is 1.5e-5 exp(-8t), 7.2e-301 at t = 85;
+#: from t = 85.7 (2.7e-303) the adaptive quadrature of logti's H, which bisects towards its
+#: log singularity at 0, reaches subnormal subintervals and fails, and tlogti's warns
+_T_MAX = 85.0
 
 #: the one exponent ladder eps_0..eps_k; its last entry is the guard order
 _EPS = (0.0, 1.0, 2.0, 3.0)
@@ -72,16 +76,6 @@ class TaylorModel:
     kappa: float
     alpha_per_z: np.ndarray
     max_rel_residual: float
-
-    @property
-    def alpha_tail(self) -> float:
-        """Leading exponent of the induced tail P(V >= v | z) in powers of (1 - v).
-
-        The change of variables v = zeta(u) has 1 - v ~ 3 u^2 at u = 0, so
-        the CDF exponent alpha halves: the moment threshold 2 t R_t is
-        scanned against this value, not against alpha itself.
-        """
-        return 0.5 * self.alpha
 
 
 @dataclass(frozen=True)
@@ -388,9 +382,11 @@ def check_tempered(spec: Prior, t: float) -> TemperVerdict:
     """Run both tempered-prior conditions at star edge length t.
 
     The s-grid tops out at most at half the smallest s_sat(z): above it G = 1.
+    t must lie in (0, 85]: above 85 the grid's bottom nears the subnormal range.
     """
-    if t <= 0.0:
-        raise ValueError("t must be > 0")
+    if not 0.0 < t <= _T_MAX:
+        raise ValueError(f"t (--t) must lie in (0, {_T_MAX:g}] for the temperedness check, "
+                         f"got t={t!r}: above it the s-grid's bottom falls below 7e-301")
     z_grid, s_grid = default_z_grid(t), default_s_grid(t)
     scale = min(1.0, 0.5 * min(spec.s_sat(z) for z in z_grid) / s_grid[-1])
     cond1 = fit_taylor(spec, z_grid, scale * s_grid)

@@ -1,4 +1,11 @@
-"""Brute-force oracles shared by the tests and the fixture generator."""
+"""Brute-force oracles shared by the tests and the fixture generator.
+
+Also the reference forms the tests compare the package against: the
+per-draw kernel factorizations behind the band-advantage argument, the
+literal products and sums behind the moment lemma's closed forms, and a
+distribution whose tail is exactly a ``TailParams`` series.  No command
+runs them, so they live here rather than in the package.
+"""
 
 import math
 from dataclasses import dataclass
@@ -6,8 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from starparadox.model import log_pattern_prob_arrays, star_probs
+from starparadox.claims import log_mu
+from starparadox.model import (
+    PatternCounts,
+    delta_stats,
+    log_pattern_prob_arrays,
+    star_probs,
+    zeta,
+)
+from starparadox.moments import TailParams, _frac
 from starparadox.posterior import DegenerateEstimate, _chunk_rng, _run_chunks, kernel_log_values
+from starparadox.priors import _quad
 
 
 def band_event_probability(n: int, t: float, c: float) -> float:
@@ -46,11 +62,17 @@ def band_event_probability(n: int, t: float, c: float) -> float:
     return total
 
 
-def log_likelihood_kernel(counts, probs, tree: int) -> float:
-    """log of P0^n0 P1^n_tree P2^(n - n0 - n_tree), one draw at a time: the reference
-    formula for ``kernel_log_values``.  -inf when a zero-probability pattern carries
-    positive count; zero counts contribute nothing even against vanishing probabilities."""
-    lp = probs.log_array
+def log_array(probs) -> np.ndarray:
+    """log of (p0, p1, p2, p3) of a ``PatternProbs``; -inf entries where the probability is 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(probs.array)
+
+
+def log_likelihood_kernel(counts, lp, tree: int) -> float:
+    """log of P0^n0 P1^n_tree P2^(n - n0 - n_tree) from the pattern log-probabilities
+    ``lp`` (as ``log_array``), one draw at a time: the reference formula for
+    ``kernel_log_values``.  -inf when a zero-probability pattern carries positive
+    count; zero counts contribute nothing even against vanishing probabilities."""
     n_tree = counts.array[tree]
     rest = counts.n - counts.n0 - n_tree
     total = 0.0
@@ -58,6 +80,115 @@ def log_likelihood_kernel(counts, probs, tree: int) -> float:
         if count > 0:
             total += count * logp
     return total
+
+
+# ---------------------------------------------------------------------------
+# per-draw kernel factorizations: through the centered statistics, and
+# through mu_t, U_t and W_j on the corner box
+# ---------------------------------------------------------------------------
+
+def log_u_statistic(t: float, lp0, lp1, lp2) -> np.ndarray:
+    """log U_t = q0 log P0 + q1 log P1 + 2 q1 log P2 - log mu_t per draw."""
+    q = star_probs(t)
+    return q.p0 * lp0 + q.p1 * lp1 + 2.0 * q.p1 * lp2 - log_mu(t)
+
+
+def log_w_statistic(counts: PatternCounts, t: float, lp0, lp1, lp2, j: int) -> np.ndarray:
+    """log W_j = d0 log P0 + (dj - d0/3) log P1 + (d1 + dk - 2 d0/3) log P2."""
+    if j not in (2, 3):
+        raise ValueError("j must be 2 or 3")
+    k = 5 - j
+    d = delta_stats(counts, t)
+    dj = d.d2 if j == 2 else d.d3
+    dk = d.d2 if k == 2 else d.d3
+    return d.d0 * lp0 + (dj - d.d0 / 3.0) * lp1 + (d.d1 + dk - 2.0 * d.d0 / 3.0) * lp2
+
+
+def kernel_log_by_deltas(counts: PatternCounts, t: float, lp0, lp1, lp2, tree: int) -> np.ndarray:
+    """Kernel in centered form: n0 log P0 + s (log P1 + 2 log P2)
+    + d_tree sqrt(n) (log P1 - log P2), with s = (n - n0)/3."""
+    d = delta_stats(counts, t)
+    d_tree = (d.d1, d.d2, d.d3)[tree - 1]
+    s = (counts.n - counts.n0) / 3.0
+    rn = math.sqrt(counts.n)
+    return counts.n0 * lp0 + s * (lp1 + 2.0 * lp2) + d_tree * rn * (lp1 - lp2)
+
+
+def kernel_log_by_corner(counts: PatternCounts, t: float, lp0, lp1, lp2, j: int) -> np.ndarray:
+    """Kernel in corner form: n (log mu_t + log U_t) + sqrt(n) log W_j."""
+    n = counts.n
+    return n * (log_mu(t) + log_u_statistic(t, lp0, lp1, lp2)) + math.sqrt(n) * log_w_statistic(
+        counts, t, lp0, lp1, lp2, j
+    )
+
+
+def uv_variables(te, ti) -> tuple[np.ndarray, np.ndarray]:
+    """Per-draw (U, V): U = (P1 - P2)/(1 - P0) and V = zeta(U)."""
+    x = np.exp(-4.0 * np.asarray(te, dtype=float))
+    w = np.exp(-4.0 * np.asarray(ti, dtype=float))
+    si = 1.0 + 2.0 * w
+    u = x * (3.0 - si) / (3.0 - x * si)
+    return u, zeta(u)
+
+
+def corner_draws(t: float, n: int, rng: np.random.Generator, size: int):
+    """Points of the corner box {ti <= 1/n, t <= te <= t + 1/n} (uniform)."""
+    te = t + rng.random(size) / n
+    ti = rng.random(size) / n
+    return te, ti
+
+
+# ---------------------------------------------------------------------------
+# the moment lemma's factors as literal products and sums
+# ---------------------------------------------------------------------------
+
+def deflation_product_direct(eps: float, t: float, alpha: float) -> float:
+    """prod_{l=1}^{[t]+1} (1 - eps/(alpha+eps+{t}+l)) as the literal product:
+    the reference for ``moments.deflation_product``'s closed form."""
+    ft, it = _frac(t)
+    ell = np.arange(1, it + 2, dtype=float)
+    return float(np.prod(1.0 - eps / (alpha + eps + ft + ell)))
+
+
+def deflation_log_bounds(eps: float, t: float, alpha: float) -> tuple[float, float]:
+    """The sums (S, T) with exp(-S-T) <= deflation_product <= exp(-S)."""
+    ft, it = _frac(t)
+    ell = np.arange(1, it + 2, dtype=float)
+    den = alpha + eps + ft + ell
+    return float(np.sum(eps / den)), float(np.sum(eps * eps / (den * den)))
+
+
+def rising_factor(t: float, alpha: float) -> float:
+    """(t+alpha)(t+alpha-1)...(t+{alpha}) / Gamma(alpha+1)."""
+    fa, _ = _frac(alpha)
+    return math.exp(
+        math.lgamma(t + alpha + 1.0) - math.lgamma(t + fa) - math.lgamma(alpha + 1.0)
+    )
+
+
+def series_moment_quad(params: TailParams, t: float, sign: int) -> float:
+    """Quadrature of the integral that ``series_moment_closed`` takes in closed form."""
+    return _quad(lambda u: float(params.series_tail(u ** (1.0 / t), sign=sign)), 0.0, 1.0)
+
+
+class ExpansionTailV:
+    """A distribution whose tail is exactly the certified part of a TailParams.
+
+    Construction validates that the series is a genuine tail (values in
+    [0, 1], nonincreasing, 1 at v=0 within clipping) on a dense grid.
+    """
+
+    def __init__(self, params: TailParams):
+        self.params = params
+        grid = np.linspace(0.0, 1.0, 4001)
+        vals = params.series_tail(grid)
+        if np.any(vals < -1e-12) or np.any(vals > 1.0 + 1e-12):
+            raise ValueError("series tail escapes [0, 1]")
+        if np.any(np.diff(vals) > 1e-12):
+            raise ValueError("series tail is not nonincreasing on [0, 1]")
+
+    def tail(self, v):
+        return np.clip(self.params.series_tail(v), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

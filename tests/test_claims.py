@@ -9,17 +9,7 @@ import numpy as np
 import pytest
 
 from starparadox import claims, cli
-from starparadox.claims import (
-    EmptyStratum,
-    conditional_ratio_scan,
-    corner_draws,
-    in_band_advantage,
-    kernel_log_by_corner,
-    kernel_log_by_deltas,
-    log_u_statistic,
-    log_w_statistic,
-    uv_variables,
-)
+from starparadox.claims import EmptyStratum, conditional_ratio_scan, in_band_advantage
 from starparadox.model import (
     PatternCounts,
     band_interval,
@@ -31,7 +21,16 @@ from starparadox.model import (
 from starparadox.posterior import kernel_log_values
 from starparadox.priors import Prior, UniformPrior
 
-from oracles import _finish, _partials
+from oracles import (
+    _finish,
+    _partials,
+    corner_draws,
+    kernel_log_by_corner,
+    kernel_log_by_deltas,
+    log_u_statistic,
+    log_w_statistic,
+    uv_variables,
+)
 
 
 def _random_counts(rng, n):

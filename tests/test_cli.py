@@ -814,6 +814,23 @@ class TestPriorBounds:
                 assert code in (0, 2), (spec, argv[0])
 
 
+class TestPriorCheckExtremeT:
+    """Every catalog prior at extreme t: a verdict or exit 2, never exit 3."""
+
+    @pytest.mark.parametrize("t", ["1e-9", "10", "86", "87", "88", "92"])
+    @pytest.mark.parametrize("spec", ["tame", "uniform:1.0", "power:0.5", "logti", "tlogti",
+                                      "discrete:0.1,0.5"])
+    def test_never_exit_3(self, tmp_path, spec, t):
+        assert run_main("prior-check", "--spec", spec, "--t", t, "--out", str(tmp_path)) in (0, 2)
+
+    @pytest.mark.parametrize("spec", ["power:0.5", "logti"])
+    def test_limit_named_up_front(self, tmp_path, capsys, spec):
+        # both run at t = 85; above it the s-grid nears the subnormal range
+        assert run_main("prior-check", "--spec", spec, "--t", "85", "--out", str(tmp_path)) == 0
+        assert run_main("prior-check", "--spec", spec, "--t", "85.01", "--out", str(tmp_path)) == 2
+        assert "t (--t) must lie in (0, 85]" in capsys.readouterr().err
+
+
 class TestPriorCheck:
     def test_uniform_tempered(self, tmp_path):
         r = run_cli("prior-check", "--spec", "uniform:1.0", "--t", "0.1",
@@ -823,7 +840,7 @@ class TestPriorCheck:
         assert d["tempered"] is True
 
     def test_large_t_rejected_naming_t(self, tmp_path):
-        # 3 exp(-8t) underflows for t above about 93: the band interval is unusable
+        # rejected up front above t = 85; from about 93 the band interval itself is unusable
         r = run_cli("prior-check", "--spec", "uniform:1.0", "--t", "100", "--out", str(tmp_path))
         assert r.returncode == 2, r.stderr
         assert "t=100.0" in r.stderr

@@ -41,6 +41,7 @@ from oracles import (
     _merge,
     _partials,
     dense_log_expected_kernel,
+    log_array,
     log_likelihood_kernel,
     mc_log_expected_kernels,
 )
@@ -78,14 +79,16 @@ class TestLogKernel:
     def test_certain_pattern(self):
         counts = PatternCounts(10, 0, 0, 0)
         probs = PatternProbs(1.0, 0.0, 0.0)
-        assert log_likelihood_kernel(counts, probs, 1) == 0.0
+        assert log_likelihood_kernel(counts, log_array(probs), 1) == 0.0
 
     def test_uniform_probs_tree_free(self):
         counts = PatternCounts(3, 2, 1, 4)
         probs = PatternProbs(0.25, 0.25, 0.25)
         expected = 10 * math.log(0.25)
         for tree in (1, 2, 3):
-            assert log_likelihood_kernel(counts, probs, tree) == pytest.approx(expected, rel=1e-15)
+            assert log_likelihood_kernel(counts, log_array(probs), tree) == pytest.approx(
+                expected, rel=1e-15
+            )
 
     def test_against_high_precision(self):
         counts = PatternCounts(2, 1, 1, 0)
@@ -94,21 +97,21 @@ class TestLogKernel:
         w = mp.e ** (-4 * (mp.mpf("0.1") + mp.mpf("0.05")))
         p0, p1, p2 = (1 + x + 2 * w) / 4, (1 + x - 2 * w) / 4, (1 - x) / 4
         oracle = float(2 * mp.log(p0) + 1 * mp.log(p1) + 1 * mp.log(p2))
-        assert log_likelihood_kernel(counts, probs, 1) == pytest.approx(oracle, rel=1e-13)
+        assert log_likelihood_kernel(counts, log_array(probs), 1) == pytest.approx(oracle, rel=1e-13)
 
     def test_tree_symmetry_identity(self):
         # kernel of tree 2 on (n0,n1,n2,n3) equals kernel of tree 1 on (n0,n2,n3,n1)
         probs = pattern_probs(0.17, 0.4)
         counts = PatternCounts(5, 3, 2, 7)
         rotated = PatternCounts(5, 2, 7, 3)
-        assert log_likelihood_kernel(counts, probs, 2) == pytest.approx(
-            log_likelihood_kernel(rotated, probs, 1), rel=1e-14
+        assert log_likelihood_kernel(counts, log_array(probs), 2) == pytest.approx(
+            log_likelihood_kernel(rotated, log_array(probs), 1), rel=1e-14
         )
 
     def test_minus_inf_when_impossible(self):
         counts = PatternCounts(1, 1, 0, 0)
         probs = PatternProbs(1.0, 0.0, 0.0)
-        assert log_likelihood_kernel(counts, probs, 1) == -math.inf
+        assert log_likelihood_kernel(counts, log_array(probs), 1) == -math.inf
 
     def test_vectorized_matches_scalar(self):
         counts = PatternCounts(8, 3, 2, 1)
@@ -118,7 +121,7 @@ class TestLogKernel:
         for tree in (1, 2, 3):
             vec = kernel_log_values(counts, lp0, lp1, lp2, (tree,))[0]
             for k in range(2):
-                ref = log_likelihood_kernel(counts, pattern_probs(te[k], ti[k]), tree)
+                ref = log_likelihood_kernel(counts, log_array(pattern_probs(te[k], ti[k])), tree)
                 assert vec[k] == pytest.approx(ref, rel=1e-12)
 
 
@@ -141,11 +144,11 @@ class TestKernelBlock:
         assert block.shape == (3, len(draws))
         for k in range(len(draws)):
             # the same log-probabilities: the same terms in the same order, bit for bit
-            same = SimpleNamespace(log_array=np.array([lp0[k], lp1[k], lp2[k], lp2[k]]))
+            same = np.array([lp0[k], lp1[k], lp2[k], lp2[k]])
             exact = pattern_probs(te[k], ti[k])
             for row, tree in enumerate((1, 2, 3)):
                 assert block[row, k] == log_likelihood_kernel(counts, same, tree)
-                ref = log_likelihood_kernel(counts, exact, tree)
+                ref = log_likelihood_kernel(counts, log_array(exact), tree)
                 if ref == -math.inf:
                     assert block[row, k] == -math.inf
                 else:

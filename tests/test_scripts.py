@@ -1,4 +1,4 @@
-"""The demos, tools and benchmark tracer use only names that ``starparadox`` defines.
+"""The demos, tools and benchmark use only names that ``starparadox`` defines.
 
 The scripts are parsed, not run: some take minutes (demo 04 alone runs for
 about two), so a renamed or deleted library name, or a removed parameter,
@@ -6,6 +6,11 @@ would otherwise go unnoticed until someone ran them by hand.  The traced
 benchmark run (``perfbench/run.py --trace 1``) wraps the functions and
 methods listed in ``perfbench/spans.py``; a rename would crash it, so those
 targets are resolved here too.
+
+The other way round, every definition in the package is called by some
+code other than the tests: another package module, a demo, a tool or the
+benchmark.  Code that only the tests call lives with the tests
+(``tests/oracles.py``), unless ``_TEST_ONLY`` names it with a reason.
 
 The package's own sources are parsed for two more rules: ``scipy.integrate``
 is imported in one function only (``priors._quad``, the one quadrature
@@ -19,12 +24,14 @@ import ast
 import importlib
 import importlib.util
 import inspect
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("tools/*.py")])
+SCRIPTS = sorted([*ROOT.glob("demos/*.py"), *ROOT.glob("tools/*.py"),
+                  *ROOT.glob("perfbench/*.py")])
 PACKAGE = ROOT / "src" / "starparadox"
 
 
@@ -245,25 +252,33 @@ def test_prior_read_check_sees_every_site(tmp_path):
     assert _prior_reads(module) == ([2, 3], {"log_ti_cdf", "theta", "rate_e"})
 
 
-def _uses(path: Path, name: str) -> list[str]:
-    """Enclosing scope's dotted name of each use of ``name``: a load of the bare name or
-    of an attribute, or an import of it (under any alias)."""
-    found = []
+def _references(path: Path) -> dict[str, list[str]]:
+    """Each name the module uses, with the enclosing scope's dotted name of each use: a
+    bare name, an attribute, or a name imported with ``from`` (under any alias)."""
+    found = defaultdict(list)
 
     def visit(node, scope: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
-            used = (
-                (isinstance(child, ast.Name) and child.id == name)
-                or (isinstance(child, ast.Attribute) and child.attr == name)
-                or (isinstance(child, ast.ImportFrom) and any(a.name == name for a in child.names))
-            )
-            if used:
-                found.append(".".join((path.stem, *scope)))
+            if isinstance(child, ast.Name):
+                names = [child.id]
+            elif isinstance(child, ast.Attribute):
+                names = [child.attr]
+            elif isinstance(child, ast.ImportFrom):
+                names = [alias.name for alias in child.names]
+            else:
+                names = []
+            for name in names:
+                found[name].append(".".join((path.stem, *scope)))
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, (*scope, child.name) if named else scope)
 
     visit(_parse(path), ())
     return found
+
+
+def _uses(path: Path, name: str) -> list[str]:
+    """Enclosing scope's dotted name of each use of ``name``."""
+    return _references(path).get(name, [])
 
 
 def test_one_log_mean_exp_reduction():
@@ -288,3 +303,81 @@ def test_use_check_sees_every_site(tmp_path):
         encoding="utf-8",
     )
     assert _uses(module, "_exp_inplace") == ["copies", "copies.Reducer.reduce", "copies.reduce"]
+
+
+#: definitions that only the tests call, each with the reason it stays in the package
+_TEST_ONLY = {
+    "moments.TailParams.series_tail": "the series a TailParams stands for; series_moment_closed "
+    "and certified_gap_curve integrate it in closed form, and the tests' quadrature "
+    "reference and ExpansionTailV evaluate the same series through it",
+}
+
+
+def _definitions(path: Path) -> list[tuple[str, str]]:
+    """(dotted name, name) of each top-level function and class of a module, and of
+    each method that is not a dunder."""
+    found = []
+    for node in _parse(path).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        found.append((f"{path.stem}.{node.name}", node.name))
+        if isinstance(node, ast.ClassDef):
+            found.extend(
+                (f"{path.stem}.{node.name}.{m.name}", m.name) for m in node.body
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (m.name.startswith("__") and m.name.endswith("__"))
+            )
+    return found
+
+
+def _uncalled(package: Path, callers: list[Path]) -> list[str]:
+    """Definitions in ``package`` that no code refers to by name: not another of its
+    modules (``__init__`` re-exports do not count), not one of ``callers``, and not
+    their own module outside the definition itself."""
+    modules = sorted(path for path in package.glob("*.py") if path.name != "__init__.py")
+    references = {path: _references(path) for path in [*modules, *callers]}
+    found = []
+    for path in modules:
+        for dotted, name in _definitions(path):
+            users = [(other, scope) for other, refs in references.items()
+                     for scope in refs.get(name, ())]
+            if all(other == path and (scope == dotted or scope.startswith(f"{dotted}."))
+                   for other, scope in users):
+                found.append(dotted)
+    return found
+
+
+def test_package_holds_only_called_code():
+    found = _uncalled(PACKAGE, SCRIPTS)
+    # move such code to tests/oracles.py, delete it, or name it in _TEST_ONLY with a reason
+    assert sorted(set(found) - set(_TEST_ONLY)) == []
+    assert sorted(set(_TEST_ONLY) - set(found)) == []  # a stale entry
+
+
+def test_caller_check_sees_every_reference(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("from .a import orphan, shared\n", encoding="utf-8")
+    (package / "a.py").write_text(
+        "def shared():\n"
+        "    return helper()\n"
+        "def helper():\n"
+        "    return 1\n"
+        "def orphan(n):\n"
+        "    return orphan(n - 1) if n else 0\n"
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.size = Box.unit()\n"
+        "    def unit():\n"
+        "        return 1\n"
+        "    def read(self):\n"
+        "        return self.size\n"
+        "    def spare(self):\n"
+        "        return self.read()\n",
+        encoding="utf-8",
+    )
+    (package / "b.py").write_text("from .a import shared as s\nVALUE = s()\n", encoding="utf-8")
+    script = tmp_path / "demo.py"
+    script.write_text("import pkg.a\nbox = pkg.a.Box()\n", encoding="utf-8")
+    # orphan only calls itself and is re-exported; spare has no caller at all
+    assert _uncalled(package, [script]) == ["a.orphan", "a.Box.spare"]

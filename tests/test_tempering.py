@@ -188,13 +188,6 @@ class TestCheckTempered:
             check_tempered(UniformPrior(1.0), 0.0)
 
 
-class TestAlphaLabels:
-    def test_tail_exponent_is_half_the_cdf_exponent(self):
-        model = fit_taylor(UniformPrior(1.0), default_z_grid(0.1), default_s_grid(0.1))
-        assert model.alpha_tail == pytest.approx(model.alpha / 2.0)
-        assert model.alpha_tail == pytest.approx(0.5, rel=1e-6)
-
-
 class TestDeclaredMetadata:
     """Fitted verdicts must agree with the declared catalog metadata."""
 
