@@ -9,15 +9,15 @@ generalized power series in (1 - v) with leading exponent alpha,
 for v0 <= v <= 1 with 0 = eps_0 < ... < eps_{n-1} <= 1 < eps_n, then
 2 t R_t -> 2 alpha, and in particular 2 t R_t >= alpha for all t past a
 finite threshold that depends continuously on the coefficients.  This
-module evaluates the moments (by quadrature of the tail-integral form),
-the closed Beta-function forms of the series moments, the gamma-ratio
-bounding factors behind the threshold certificate, and the threshold
-scans themselves.
+module evaluates the moments (by one fixed quadrature rule over the whole
+t grid, see :func:`moment_curve`), the closed Beta-function forms of the
+series moments, the gamma-ratio bounding factors behind the threshold
+certificate, and the threshold scans themselves.
 
 Everything gamma-related is evaluated through log-gamma (``math.lgamma``),
-so arguments up to 1e6 are safe.  The moment quadratures go through
-``priors._quad``, which imports scipy when one runs.  The fractional/integer
-split {t}, [t] uses floor semantics.
+so arguments up to 1e6 are safe.  The moment rule itself needs no scipy;
+a distribution whose tail runs a quadrature (the quadrature priors' G)
+loads it there.  The fractional/integer split {t}, [t] uses floor semantics.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import zeta_inv
-from .priors import Prior, _quad
+from .model import zeta, zeta_inv
+from .priors import Prior, QuadratureError, _gauss_legendre
 
 __all__ = [
     "TailParams",
@@ -181,45 +181,156 @@ def series_moment_closed(params: TailParams, t: float, sign: int) -> float:
 # ---------------------------------------------------------------------------
 
 def moment_mt(dist, t: float) -> float:
-    """M_t = E[V^t] = integral_0^1 t v^(t-1) P(V >= v) dv, via the substitution
-    v = u^(1/t) (uniform weight, stable for large t).
-
-    QuadratureError is raised when quad's own error estimate exceeds 1e-9
-    relative; that estimate is not a proven bound on the error."""
+    """M_t = E[V^t], by the rule of :func:`moment_curve` at the one point t."""
     if t < 0.0:
         raise ValueError("t must be >= 0")
     if t == 0.0:
         return 1.0
-    return _quad(lambda u: float(dist.tail(u ** (1.0 / t))), 0.0, 1.0)
+    return float(_moments(dist, np.array([float(t)]))[0][0])
 
 
-# Largest t of a moment curve.  R_t comes from two quadratures, each good to
-# ~1e-11 relative, so it loses about log10(t) digits: on V ~ U[0, 1], 2 t R_t
-# is within 4e-8 of 2t/(t+2) at t = 1e5, 1.2e-4 off at 1e7, and the
-# quadrature fails by 1e10.  The slack admits a grid whose --t-hi is 1e5 but
-# whose top point rounds a few ulps above it.
+# Largest t of a moment curve.  The tail reads v = u^(1/t) as a float, so 1 - v
+# ~ -log(u)/t carries a relative rounding of up to 2^-53 t/|log u|; the rule
+# undoes it to first order (see ``_moments``).  On BetaTailV, alpha in [0.02, 5],
+# 2 t R_t then stays within 1e-12 of 2 t alpha/(t + alpha + 1) up to this cap;
+# at alpha = 0.01 it is 1.1e-12 off at t = 1e5, 5e-12 at 1e6 and 1.5e-10 at 1e7,
+# so the cap stays.  The slack admits a grid whose --t-hi is 1e5 but whose top
+# point rounds a few ulps above it.
 _T_MAX = 1e5
+
+#: Gauss-Legendre nodes per panel; the error estimate compares with twice as many
+_GL_NODES = 16
+#: panels graded toward each end of the u-interval, each this ratio of the next
+_LEVELS, _GRADING = 26, 0.2
+#: the largest float below 1: no v lies strictly between it and 1
+_V_TOP = 1.0 - 2.0**-53
+#: relative rounding charged to each term of the rule's sums (8 ulps)
+_SUM_ROUNDING = 2.0**-50
+_REL_TOL = 1e-9
+
+
+def _half_panels(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights, shape (_LEVELS + 1, k), of a k-point Gauss-Legendre rule on
+    each panel of [0, 1/2], the panels graded geometrically toward 0."""
+    edges = np.concatenate(([0.0], 0.5 * _GRADING ** np.arange(_LEVELS, -1, -1.0)))
+    nodes, weights = _gauss_legendre(k)
+    half = 0.5 * np.diff(edges)[:, None]
+    return edges[:-1, None] + half * (1.0 + nodes), half * weights
+
+
+def _rule_sums(parts, strip_err) -> tuple[np.ndarray, np.ndarray]:
+    """Value (the 2k-node rule) and error estimate per t of one integral; ``parts`` holds,
+    per rule, its exact part and the per-node terms and rounding corrections."""
+    (exact, coarse, _), (_, fine, corrections) = parts
+    value = exact + np.sum(fine, axis=(1, 2), keepdims=True)
+    err = (np.abs(value - exact - np.sum(coarse, axis=(1, 2), keepdims=True)) + strip_err
+           + np.abs(np.sum(corrections, axis=(1, 2), keepdims=True))
+           + _SUM_ROUNDING * np.sum(np.abs(fine), axis=(1, 2), keepdims=True))
+    return value.ravel(), err.ravel()
+
+
+def _moments(dist, t: np.ndarray) -> tuple[np.ndarray, ...]:
+    """M_t = E[V^t], D_t = M_t - M_{t+1} = E[V^t (1 - V)] and their error estimates at
+    every t > 0, from one tail call.
+
+    In u = v^t, M_t = integral_0^1 tail(u^(1/t)) du and D_t is the same integral
+    with the weight omega = 1 - (1 + 1/t) u^(1/t) = -expm1(log(u)/t) - v/t, which is
+    O(1/t), so D_t comes without the cancellation of M_t - M_{t+1}.  The tail is 1 on
+    u <= a = v_one^t (``dist.v_one``, 0 when the handle has none), where both
+    integrals are exact (a and a (1 - v_one)).  [a, u_top], u_top = _V_TOP^t, is
+    cut in two at its middle, each half into panels graded geometrically toward its
+    end.  On the strip [u_top, 1] no float v lies but _V_TOP and 1; there the tail
+    is taken as a power of 1 - v between its values at the two.  Every node of both
+    rules, every t and the two strip ends go to the tail in one array.
+
+    The tail reads 1 - v rounded to a float; each node's value is corrected to
+    first order, by the relative rounding of 1 - v times the tail's log-slope
+    across the node's panel.  The error estimate adds, per t, the difference
+    between the 2k- and the k-node rule, half the tail's change across the strip,
+    the total of those corrections and 8 ulps of each term.  QuadratureError is
+    raised when either estimate exceeds 1e-9 of M_t, so M_t is good to 1e-9
+    relative and R_t = D_t/M_t to 1e-9 absolute.  (A D_t far below M_t can sit
+    under the tail's own accuracy: ``power:1e-9`` has D_t = 4.7e-10 at t = 0.5,
+    while its G is good to 3e-10.)
+    """
+    t = np.asarray(t, dtype=float)[:, None, None]
+    v_one = float(getattr(dist, "v_one", 0.0))
+    if v_one >= 1.0:
+        return np.ones(t.size), np.zeros(t.size), np.zeros(t.size), np.zeros(t.size)
+    log_v_one = math.log(v_one) if v_one > 0.0 else -math.inf
+    a = np.exp(t * log_v_one)
+    w_top = -np.expm1(t * math.log1p(-(2.0**-53)))  # 1 - u_top
+    span = -np.expm1(t * log_v_one) - w_top          # u_top - a
+    rules = []
+    for k in (_GL_NODES, 2 * _GL_NODES):
+        x, wx = _half_panels(k)
+        # the lower half's rows count x from a, the upper half's from u_top; w = 1 - u
+        lower = np.arange(2 * len(x))[:, None] < len(x)
+        x, wx = np.concatenate([x, x]), np.concatenate([wx, wx])
+        w = w_top + span * np.where(lower, 1.0 - x, x)
+        with np.errstate(divide="ignore"):  # log1p(-w) at w = 1 is not taken
+            log_u = np.where(w < 0.5, np.log1p(-w), np.log(np.where(lower, a + span * x, 1.0 - w)))
+        rules.append((log_u / t, span * wx))
+    v = [np.exp(r) for r, _ in rules]
+    f = dist.tail(np.concatenate([vr.ravel() for vr in v] + [np.array([_V_TOP, 1.0])]))
+    f_top, f_one = f[-2], f[-1]
+    f = np.split(f[:-2], [v[0].size])
+    m, d = [], []
+    for (r, weight), vr, fr in zip(rules, v, f):
+        fr = fr.reshape(vr.shape)
+        # the tail read 1 - v, not y = 1 - u^(1/t): undo that to first order, with the
+        # tail's log-slope in y across the node's panel
+        y = -np.expm1(r)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.log(fr[..., -1:] / fr[..., :1]) / np.log(y[..., -1:] / y[..., :1])
+            # on the strip the tail is taken as f_one + (f_top - f_one) (y / 2^-53)^beta,
+            # beta read from f_top and the first node with y >= 2^-45, where 1 - v
+            # is good to 2^-9
+            near = np.argmin(np.where(y >= 2.0**-45, y, np.inf).reshape(len(y), -1), axis=1)
+            y_near = y.reshape(len(y), -1)[np.arange(len(y)), near]
+            f_near = fr.reshape(len(y), -1)[np.arange(len(y)), near]
+            beta = (np.log((f_near - f_one) / (f_top - f_one)) / np.log(y_near / 2.0**-53))
+        beta = np.where(np.isfinite(beta) & (beta > 0.0), beta, 1.0)[:, None, None]
+        rounding = fr * np.where(np.isfinite(slope), slope, 0.0) * ((1.0 - vr) - y) / y
+        strip = f_one + (f_top - f_one) / (1.0 + beta)
+        omega = -np.expm1(r) - vr / t
+        terms = weight * (fr - rounding)
+        m.append((a + w_top * strip, terms, weight * rounding))
+        d.append((a * (1.0 - v_one) - (1.0 - w_top) * 2.0**-53 * strip, terms * omega,
+                  weight * rounding * omega))
+    half_jump = 0.5 * abs(f_top - f_one)
+    mt, err_m = _rule_sums(m, w_top * half_jump)
+    dt, err_d = _rule_sums(d, (1.0 - w_top) * 2.0**-53 * half_jump)
+    for name, value, err in (("M_t", mt, err_m), ("D_t", dt, err_d)):
+        bad = ~(err <= _REL_TOL * mt)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise QuadratureError(f"moment rule did not converge for {name} at t={float(t.flat[i])!r}",
+                                  float(value[i]), float(err[i]))
+    return mt, dt, err_m, err_d
 
 
 def moment_curve(dist, t_grid) -> np.ndarray:
-    """Rows (t, M_t, M_{t+1}, R_t, 2 t R_t) over the grid; R_t = 1 - M_{t+1}/M_t, in [0, 1].
+    """Rows (t, M_t, M_{t+1}, R_t, 2 t R_t) over the grid; R_t = D_t / M_t, in [0, 1].
 
-    Grids reaching above t = 1e5 are rejected (ValueError)."""
+    One rule in u = v^t gives M_t and D_t = M_t - M_{t+1} for the whole grid from
+    one array call of ``dist.tail`` (see ``_moments``); M_{t+1} is M_t - D_t.  A
+    handle may set ``v_one``, the largest v with tail(v) = 1, where the rule then
+    splits.  Grids reaching above t = 1e5 are rejected (ValueError).
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid > _T_MAX * (1.0 + 1e-12)):
         raise ValueError(
             f"moment curves stop at t = {_T_MAX:g}; got t = {float(t_grid.max())!r} "
             "(lower --t-hi)"
         )
-    rows = []
-    for t in t_grid:
-        mt = moment_mt(dist, t)
-        if mt <= 0.0:
-            raise ZeroDivisionError(f"M_t underflowed at t={float(t)!r}")
-        mt1 = moment_mt(dist, t + 1.0)
-        rt = 1.0 - mt1 / mt
-        rows.append((t, mt, mt1, rt, 2.0 * t * rt))
-    return np.array(rows)
+    if np.any(t_grid <= 0.0):
+        raise ValueError("moment curves need t > 0")
+    mt, dt, _, _ = _moments(dist, t_grid)
+    if np.any(mt <= 0.0):
+        raise ZeroDivisionError(f"M_t underflowed at t={float(t_grid[np.argmax(mt <= 0.0)])!r}")
+    rt = dt / mt
+    return np.column_stack([t_grid, mt, mt - dt, rt, 2.0 * t_grid * rt])
 
 
 @dataclass(frozen=True)
@@ -361,6 +472,8 @@ class UniformV:
 class PointMassOneV:
     """V = 1 almost surely: M_t = 1, R_t = 0."""
 
+    v_one = 1.0
+
     def tail(self, v):
         return np.ones_like(np.asarray(v, dtype=float))
 
@@ -369,10 +482,10 @@ class BetaTailV:
     """P(V >= v) = (1 - v)^alpha: M_t = t B(t, alpha + 1); alpha in [0.01, 5]."""
 
     def __init__(self, alpha: float):
-        # A sweep of t over [1e-3, 1e5] found M_t within 3e-10 of t B(t, alpha + 1)
-        # and 2 t R_t within 3e-5 of 2 t alpha/(t + alpha + 1) on this range; the
-        # quadrature fails near t = 8e4 from alpha = 5.75-6 and at t = 1 for
-        # alpha = 1000, and 2 t R_t is 3e-4 off at alpha = 1e-3.
+        # A sweep of t over [1e-3, 1e5] found 2 t R_t within 1e-12 of 2 t alpha/(t +
+        # alpha + 1) on this range (alpha = 0.01: 1.1e-12 at t = 1e5), with the rule's
+        # estimate covering its error; outside it the rule raises QuadratureError at
+        # alpha = 20 (t = 56) and alpha = 100 (t = 0.06).
         if not 0.01 <= alpha <= 5.0:
             raise ValueError(f"beta alpha must be finite and in [0.01, 5], got {alpha!r}")
         self.alpha = alpha
@@ -398,6 +511,8 @@ class ConditionalZetaV:
     def __init__(self, prior: Prior, z: float):
         self.prior = prior
         self.z = float(z)
+        # G(z, s) = 1 from s_sat on, that is for v up to zeta(2 s_sat / (3 - z))
+        self.v_one = float(zeta(min(1.0, 2.0 * prior.s_sat(self.z) / (3.0 - self.z))))
 
-    def tail(self, v: float) -> float:
-        return self.prior.g(self.z, float(zeta_inv(v)) * (3.0 - self.z) / 2.0)
+    def tail(self, v):
+        return self.prior.g(self.z, zeta_inv(v) * (3.0 - self.z) / 2.0)

@@ -24,7 +24,6 @@ of ratios.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _N_MAX, PatternCounts, log_pattern_prob_arrays, star_probs
-from .priors import Prior
+from .priors import Prior, _gauss_legendre
 
 __all__ = [
     "DegenerateEstimate",
@@ -285,13 +284,6 @@ def _se_model(n0: int, ni: int, m: int, v: np.ndarray):
         edge = (x == 0.0) | (x == 1.0)
         mode = np.where(edge & (curvature > 0.0), x + slope / curvature, x)
         return mode, 1.0 / np.sqrt(curvature)
-
-
-@functools.lru_cache(maxsize=4)
-def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
-    from numpy.polynomial.legendre import leggauss  # not at import: keeps start-up light
-
-    return leggauss(k)
 
 
 def _log_se_integrals(n0: int, ni: int, m: int, v: np.ndarray, c: float, k: int) -> np.ndarray:

@@ -64,7 +64,7 @@ class QuadratureError(RuntimeError):
 def _quad(f: Callable[[float], float], a: float, b: float) -> float:
     """Integral of f over [a, b] (0 when b <= a): the one adaptive quadrature of the package.
 
-    G/H sections and the moments all come here.  quad is asked for 1e-11
+    G/H sections come here, one piece per step of ``_quad_running``.  quad is asked for 1e-11
     relative with at most 500 subintervals; QuadratureError is raised when
     quad's own error estimate exceeds 1e-9 |value|.  That estimate is not a
     proven bound, so a result can be off by more without raising.
@@ -77,6 +77,26 @@ def _quad(f: Callable[[float], float], a: float, b: float) -> float:
     if err > 1e-9 * abs(value):
         raise QuadratureError("quadrature did not converge", value, err)
     return value
+
+
+def _quad_running(f: Callable[[float], float], a: float, ends: np.ndarray) -> np.ndarray:
+    """Integrals of f over [a, e] for every e of ``ends`` (any shape and order), in one pass.
+
+    The distinct ends are sorted and the integral grows by one ``_quad`` piece per
+    step, over [previous end, next end]; a cumulative sum of the pieces gives all of them.
+    """
+    uniq, inverse = np.unique(np.maximum(ends, a).ravel(), return_inverse=True)
+    starts = np.concatenate(([a], uniq[:-1]))
+    pieces = [_quad(f, lo, hi) for lo, hi in zip(starts.tolist(), uniq.tolist())]
+    return np.cumsum(pieces)[inverse.ravel()].reshape(np.shape(ends))
+
+
+@functools.lru_cache(maxsize=4)
+def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the k-point Gauss-Legendre rule on [-1, 1]."""
+    from numpy.polynomial.legendre import leggauss  # not at import: keeps start-up light
+
+    return leggauss(k)
 
 
 def h_aux(u: float) -> float:
@@ -161,12 +181,16 @@ class Prior:
         z = _check_z(z)
         return 0.5 * (3.0 * min(1.0, z / self.y_min) - z)
 
-    def h(self, z: float, s: float) -> float:
-        """Unnormalized section integral H(z, s); nondecreasing in s."""
-        return self._h(_check_z(z), _check_s(s))
+    def h(self, z: float, s):
+        """Unnormalized section integral H(z, s); nondecreasing in s.
 
-    def _h(self, z: float, s: float) -> float:
-        """H(z, s) for validated z and s, by the one route the prior's parameters pick."""
+        s may be an array; the result is then an array of its shape, else a float.
+        """
+        out = self._h(_check_z(z), _check_s(s))
+        return float(out) if out.ndim == 0 else out
+
+    def _h(self, z: float, s: np.ndarray) -> np.ndarray:
+        """H(z, s) at a validated z and array s, by the one route the prior's parameters pick."""
         raise NotImplementedError
 
     def h_sat(self, z: float) -> float:
@@ -177,14 +201,18 @@ class Prior:
             memo[z] = self.h(z, self.s_sat(z))
         return memo[z]
 
-    def g(self, z: float, s: float) -> float:
-        """Conditional CDF G(z, s) = H(z, min(s, s_sat)) / H(z, s_sat) in [0, 1]."""
+    def g(self, z: float, s):
+        """Conditional CDF G(z, s) = H(z, min(s, s_sat)) / H(z, s_sat) in [0, 1].
+
+        s may be an array; the result is then an array of its shape, else a float.
+        """
         h = self.h(z, s)
         denom = self.h_sat(z)
         if denom <= 0.0:
             raise ValueError(f"H(z, s_sat) underflows to 0 at z={z!r} for {self.to_dict()}: "
                              "G is not representable there")
-        return min(1.0, max(0.0, h / denom))
+        out = np.clip(np.asarray(h) / denom, 0.0, 1.0)
+        return float(out) if out.ndim == 0 else out
 
 
 def _check_z(z: float) -> float:
@@ -194,10 +222,11 @@ def _check_z(z: float) -> float:
     return z
 
 
-def _check_s(s: float) -> float:
-    s = float(s)
-    if not (math.isfinite(s) and s >= 0.0):
-        raise ValueError(f"s must be finite and >= 0, got {s!r}")
+def _check_s(s) -> np.ndarray:
+    s = np.asarray(s, dtype=float)
+    bad = ~(np.isfinite(s) & (s >= 0.0))
+    if bad.any():
+        raise ValueError(f"s must be finite and >= 0, got {s[bad].flat[0]!r}")
     return s
 
 
@@ -213,21 +242,22 @@ class _ExpIndepPrior(Prior):
     def _rho(self, k: float) -> float:
         raise NotImplementedError
 
-    def _h(self, z: float, s: float) -> float:
+    def _h(self, z: float, s: np.ndarray) -> np.ndarray:
         return self._h_quad(z, s)
 
-    def _h_quad(self, z: float, s: float) -> float:
-        """H(z, s) by adaptive quadrature; the reference for closed forms in tests."""
+    def _h_quad(self, z: float, s) -> np.ndarray:
+        """H(z, s) by adaptive quadrature, at every s in one running pass; the reference
+        for closed forms in tests."""
         def integrand(xi: float) -> float:
             if xi <= 0.0:
                 return 0.0
             return self._rho(h_aux(xi / z)) / (z - xi)
 
-        return _quad(integrand, 0.0, min(s, self.s_sat(z)))
+        return _quad_running(integrand, 0.0, np.minimum(s, self.s_sat(z)))
 
 
 class UniformPrior(_ExpIndepPrior):
-    """Ti uniform on [0, theta].  H(z, s) = log(z / (z - s)) up to saturation."""
+    """Ti uniform on [0, theta].  H(z, s) = -log(1 - s/z) up to saturation."""
 
     kind = "uniform"
     g_accuracy = 1e-12
@@ -245,14 +275,17 @@ class UniformPrior(_ExpIndepPrior):
     def _rho(self, k):
         return 1.0
 
-    def _h(self, z: float, s: float) -> float:
+    def _h(self, z: float, s: np.ndarray) -> np.ndarray:
         s_sat = self.s_sat(z)
-        if s >= s_sat and (z <= 1.0 or z < self.y_min):
-            # log(z / (z - s_sat)) in closed form: the subtraction z - s_sat =
-            # 3 z exp(-4 theta) / y_min cancels, to 0 or below once y_min
+        with np.errstate(divide="ignore", invalid="ignore"):  # s_sat/z >= 1 in rounding; see below
+            h = -np.log1p(-np.minimum(s, s_sat) / z)  # log1p keeps every digit as s/z -> 0
+        if z <= 1.0 or z < self.y_min:
+            # H(z, s_sat) = -log(1 - s_sat/z) in closed form: 1 - s_sat/z =
+            # 3 exp(-4 theta) / y_min cancels, to 0 or below once y_min
             # rounds to 1 (theta >= 9.5)
-            return 4.0 * self.theta + math.log1p(2.0 * math.exp(-4.0 * self.theta)) - math.log(3.0)
-        return math.log(z / (z - min(s, s_sat)))
+            saturated = 4.0 * self.theta + math.log1p(2.0 * math.exp(-4.0 * self.theta)) - math.log(3.0)
+            h = np.where(s >= s_sat, saturated, h)
+        return h
 
     def _sample_ti(self, rng, size):
         return self.theta * rng.random(size)
@@ -285,7 +318,7 @@ class PowerPrior(_ExpIndepPrior):
     def _rho(self, k):
         return k ** (self.theta - 1.0)
 
-    def _h_quad(self, z: float, s: float) -> float:
+    def _h_quad(self, z: float, s) -> np.ndarray:
         th = self.theta
 
         def integrand(tau: float) -> float:
@@ -296,7 +329,7 @@ class PowerPrior(_ExpIndepPrior):
                 return (0.75 / z) ** (th - 1.0) / (th * z)
             return self._rho(h_aux(xi / z)) / (z - xi) * (1.0 / th) * tau ** (1.0 / th - 1.0)
 
-        return _quad(integrand, 0.0, min(s, self.s_sat(z)) ** th)
+        return _quad_running(integrand, 0.0, np.minimum(s, self.s_sat(z)) ** th)
 
     def _sample_ti(self, rng, size):
         return rng.random(size) ** (1.0 / self.theta)
@@ -365,7 +398,8 @@ class TamePrior(Prior):
 
     on 0 < x <= 1 < y <= 3, and H(z, s) integrates pi(x, z/x)/x over
     x in [z/3, m(s, z)] with m(s, z) = min(1, z, (2s+z)/3).  For the
-    default rates (4, 4) this is (1/2) log(3 m / z) in closed form.
+    default rates (4, 4) this is (1/2) log(3 m / z) in closed form, written
+    (1/2) log1p(2s/z) below the cap min(1, z).
     """
 
     kind = "tame"
@@ -389,17 +423,18 @@ class TamePrior(Prior):
     def declared_tempering(self) -> dict:
         return {"tempered": True, "k": 3, "alpha": 1.0, "eps": (1.0, 2.0, 3.0)}
 
-    def _m(self, z: float, s: float) -> float:
+    def _m(self, z: float, s):
         # kept apart from s_sat: clipping s there first rounds differently
-        return min(1.0, z, (2.0 * s + z) / 3.0)
+        return np.minimum(min(1.0, z), (2.0 * s + z) / 3.0)
 
-    def _h(self, z: float, s: float) -> float:
+    def _h(self, z: float, s: np.ndarray) -> np.ndarray:
         if (self.rate_e, self.rate_i) != (4.0, 4.0):
             return self._h_quad(z, s)
-        m = self._m(z, s)
-        return 0.5 * math.log(3.0 * m / z) if m > z / 3.0 else 0.0
+        cap = min(1.0, z)
+        return np.where((2.0 * s + z) / 3.0 < cap, 0.5 * np.log1p(2.0 * s / z),
+                        0.5 * math.log(3.0 * cap / z))
 
-    def _h_quad(self, z: float, s: float) -> float:
+    def _h_quad(self, z: float, s) -> np.ndarray:
         ee = self.rate_e / 4.0 - 1.0
         ei = self.rate_i / 4.0 - 1.0
         ce = self.rate_e / 4.0
@@ -409,7 +444,7 @@ class TamePrior(Prior):
             y = z / x
             return ce * ci * x**ee * ((y - 1.0) / 2.0) ** ei / x
 
-        return _quad(integrand, z / 3.0, self._m(z, s))
+        return _quad_running(integrand, z / 3.0, self._m(z, s))
 
 
 class DiscretePrior(Prior):
@@ -526,10 +561,13 @@ class DiscretePrior(Prior):
         z = _check_z(z)
         return 0.5 * (3.0 - z)
 
-    def _h(self, z: float, s: float) -> float:
+    def _h(self, z: float, s: np.ndarray) -> np.ndarray:
+        s_sat = self.s_sat(z)
+        return np.array([self._h_step(z, min(x, s_sat)) for x in s.ravel().tolist()]).reshape(s.shape)
+
+    def _h_step(self, z: float, s: float) -> float:
         if s == 0.0:
             return 0.0
-        s = min(s, self.s_sat(z))
         try:
             return self.index_n(z, s) ** -self.b
         except OverflowError:

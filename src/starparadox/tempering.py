@@ -241,7 +241,7 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
         raise ValueError(f"s_grid spans {decades:.2f} decades; need >= 4")
     tol = spec.g_accuracy
 
-    G = np.array([[spec.g(z, s) for s in s_grid] for z in z_grid])
+    G = np.array([spec.g(z, s_grid) for z in z_grid])
     if np.any(G <= 0.0):
         raise ValueError("G vanished on the grid; enlarge s or move z_grid")
     x = np.log(s_grid)

@@ -191,6 +191,35 @@ class ExpansionTailV:
         return np.clip(self.params.series_tail(v), 0.0, 1.0)
 
 
+def discrete_zeta_moment(prior, z: float, t: float, head: int = 64) -> float:
+    """M_t of ``ConditionalZetaV(prior, z)`` for a ``DiscretePrior``, as a sum over G's steps.
+
+    For z > 1 + 2 exp(-4) and s below s_sat = (3 - z)/2 < z, G(z, .) is a step function:
+    it jumps by (n/n_sat)^-b - ((n+1)/n_sat)^-b at s_n = z h^-1(n^-a) for every n >= n_sat,
+    with h^-1(k) = expm1(4k) / (expm1(4k) + 3) the inverse of ``h_aux``.  With F(s) = 1 -
+    zeta(2s/(3 - z))^t, integration by parts gives M_t = 1 - sum_n jump_n F(s_n): the first
+    ``head`` steps are summed one by one, the rest by Euler-Maclaurin, in 30 digits.
+    """
+    import mpmath as mp
+
+    n_sat = prior.index_n(z, prior.s_sat(z))
+    with mp.workdps(30):
+        a, b, z, t = (mp.mpf(x) for x in (prior.a, prior.b, z, t))
+
+        def step(n):
+            e = mp.expm1(4 * n ** -a)
+            x = 2 * z * e / (e + 3) / (3 - z)
+            jump = -(n / n_sat) ** -b * mp.expm1(-b * mp.log1p(1 / n))
+            return jump * (1 - ((1 + 2 * x) * (1 - x) ** 2) ** t)
+
+        total = mp.fsum(step(mp.mpf(n_sat + k)) for k in range(head))
+        n0 = mp.mpf(n_sat + head)
+        tail = (mp.quad(lambda y: step(n0 * mp.exp(y)) * n0 * mp.exp(y),
+                        [0, 5, 10, 20, 40, 80, 160, 320, mp.inf])
+                + step(n0) / 2 - mp.diff(step, n0) / 12 + mp.diff(step, n0, 3) / 720)
+        return float(1 - total - tail)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo log E[K_i]: the estimator ``tree_posterior`` used before it
 # integrated deterministically, with the same substreams (seed, 1, chunk

@@ -262,7 +262,7 @@ class TestPosteriorDeterministic:
 
     def test_manifest_of_0_2_0_replays_with_exit_3(self, tmp_path, capsys):
         manifest = fresh_manifest(self.FRESH, tmp_path / "fresh")
-        assert manifest["version"] == "0.3.1"
+        assert manifest["version"] == "0.3.2"
         manifest["version"] = "0.2.0"
         manifest["outputs"]["posterior.json"] = self.DIGEST_0_2_0
         path = tmp_path / "manifest.json"
@@ -890,21 +890,22 @@ class TestMoments:
         assert not (tmp_path / "threshold.json").exists()
 
     def test_one_moment_pass(self, tmp_path, monkeypatch):
+        # the whole curve takes one array evaluation of the tail
         from starparadox import cli, moments
 
-        real = moments.moment_mt
-        calls = []
+        real = moments.QuadraticV.tail
+        sizes = []
 
-        def counting(dist, t, *args, **kwargs):
-            calls.append(t)
-            return real(dist, t, *args, **kwargs)
+        def counting(self, v):
+            sizes.append(len(v))
+            return real(self, v)
 
-        monkeypatch.setattr(moments, "moment_mt", counting)
+        monkeypatch.setattr(moments.QuadraticV, "tail", counting)
         argv = ["moments", "--dist", "quadratic", "--alpha", "1", "--t-lo", "0.5",
                 "--t-hi", "500", "--per-decade", "4", "--out", str(tmp_path)]
         assert cli.main(argv) == 0
         grid = moments.geometric_grid(0.5, 500.0, 4)
-        assert len(calls) == 2 * len(grid)
+        assert len(sizes) == 1 and sizes[0] > 1000 * len(grid)
         d = json.loads((tmp_path / "threshold.json").read_text())
         assert d["t_star"] == moments.threshold_scan(moments.QuadraticV(), 1.0, grid).t_star
 
@@ -1035,6 +1036,20 @@ class TestMomentsZetaDist:
         assert r.returncode == 0, r.stderr
         d = json.loads((tmp_path / "threshold.json").read_text())
         assert d["reached"] is True and d["t_star"] < 10.0
+
+    def test_discrete_runs_without_warnings(self, tmp_path):
+        # the benchmark's moments arguments with a step-function G
+        import warnings
+
+        argv = ["moments", "--dist", "zeta", "--spec", "discrete:0.1,0.5",
+                "--z", "2.0109601381069178", "--alpha", "0.5", "--t-lo", "0.5",
+                "--t-hi", "500.0", "--per-decade", "1", "--out", str(tmp_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_main(*argv) == 0
+        assert [str(w.message) for w in caught] == []
+        rows = read_csv(tmp_path / "moments.csv")[1:]
+        assert len(rows) == 4 and all(0.0 < float(r[2]) < float(r[1]) for r in rows)
 
     def test_zeta_requires_z(self, tmp_path):
         r = run_cli("moments", "--dist", "zeta", "--spec", "uniform:1.0",

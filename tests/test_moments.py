@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from starparadox import moments
 from starparadox.moments import (
     BetaTailV,
     ConditionalZetaV,
@@ -23,12 +24,13 @@ from starparadox.moments import (
     series_moment_closed,
     threshold_scan,
 )
-from starparadox.priors import QuadratureError, UniformPrior
+from starparadox.priors import DiscretePrior, PowerPrior, QuadratureError, UniformPrior
 
 from oracles import (
     ExpansionTailV,
     deflation_log_bounds,
     deflation_product_direct,
+    discrete_zeta_moment,
     rising_factor,
     series_moment_quad,
 )
@@ -100,15 +102,111 @@ class TestMoments:
     def test_rejects_negative_t(self):
         with pytest.raises(ValueError):
             moment_mt(UniformV(), -1.0)
+        with pytest.raises(ValueError, match="t > 0"):
+            moment_curve(UniformV(), [0.0, 1.0])
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_oscillating_tail_raises(self):
         class OscillatingTail:
             def tail(self, v):
-                return 0.5 + 0.5 * math.sin(1.0 / (1.0 - v))
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    return 0.5 + 0.5 * np.sin(1.0 / (1.0 - v))
 
         with pytest.raises(QuadratureError, match="did not converge"):
             moment_mt(OscillatingTail(), 2.0)
+
+
+# the benchmark's zeta curve: z and the grid 0.5, 5, 50, 500
+BENCH_Z = 2.0109601381069178
+BENCH_GRID = geometric_grid(0.5, 500.0, 1)
+RULE_ALPHAS = (0.01, 0.02, 0.05, 0.1, 0.3, 1.0, 2.0, 5.0)
+RULE_GRID = geometric_grid(1e-3, 1e5, 4)
+
+
+def _beta_tail_exact(alpha, t):
+    """M_t = t B(t, alpha + 1) and D_t = M_t alpha/(t + alpha + 1) of BetaTailV(alpha)."""
+    m = mp.mpf(t) * mp.beta(t, alpha + 1)
+    return float(m), float(m * alpha / (mp.mpf(t) + alpha + 1))
+
+
+class TestMomentRule:
+    """M_t and D_t = M_t - M_{t+1} from one fixed rule in u = v^t (moments._moments)."""
+
+    @pytest.mark.parametrize("alpha", RULE_ALPHAS)
+    def test_beta_tail_two_t_r_t_exact(self, alpha):
+        # 2 t R_t = 2 t alpha/(t + alpha + 1); at alpha = 0.01 the rounding of v costs
+        # 1.1e-12 at t = 1e5 (see moments._T_MAX), so that one point is left out
+        grid = RULE_GRID if alpha > 0.01 else RULE_GRID[RULE_GRID <= 5e4]
+        curve = moment_curve(BetaTailV(alpha), grid)
+        np.testing.assert_allclose(curve[:, 4], 2.0 * grid * alpha / (grid + alpha + 1.0),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dist,exact", [
+        (UniformV(), lambda t: 2.0 * t / (t + 2.0)),
+        (QuadraticV(), lambda t: 2.0 * t / (t + 3.0)),
+    ], ids=["uniform", "quadratic"])
+    def test_closed_form_two_t_r_t(self, dist, exact):
+        curve = moment_curve(dist, RULE_GRID)
+        np.testing.assert_allclose(curve[:, 4], exact(RULE_GRID), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", RULE_ALPHAS + (0.5, 3.0))
+    def test_estimate_covers_the_error(self, alpha):
+        m, d, err_m, err_d = moments._moments(BetaTailV(alpha), RULE_GRID)
+        exact = np.array([_beta_tail_exact(alpha, t) for t in RULE_GRID])
+        assert np.all(np.abs(m - exact[:, 0]) <= err_m)
+        assert np.all(np.abs(d - exact[:, 1]) <= err_d)
+        assert np.all(err_m <= 1e-9 * m) and np.all(err_d <= 1e-9 * m)
+
+    def test_zeta_curve_at_500_against_mpmath(self):
+        # uniform:1.0: G(z, s) = log1p(-s/z) / log1p(-s_sat/z), s = x (3 - z)/2, v = zeta(x)
+        t = mp.mpf(500)
+        with mp.workdps(30):
+            z = mp.mpf(BENCH_Z)
+            h_sat = mp.log1p(-(3 - z) / (2 * z))
+
+            def weight(x):  # P(V >= zeta(x)) times |d zeta / dx|
+                return 6 * x * (1 - x) * mp.log1p(-x * (3 - z) / (2 * z)) / h_sat
+
+            def zeta(x):
+                return (1 + 2 * x) * (1 - x) ** 2
+
+            pts = [0, 0.003, 0.01, 0.03, 0.1, 0.3, 1]
+            m = mp.quad(lambda x: t * zeta(x) ** (t - 1) * weight(x), pts)
+            d = mp.quad(lambda x: zeta(x) ** (t - 1) * (t - (t + 1) * zeta(x)) * weight(x), pts)
+            gap = float(2 * t * d / m)
+        row = moment_curve(ConditionalZetaV(UniformPrior(1.0), BENCH_Z), [500.0])[0]
+        assert row[4] == pytest.approx(gap, rel=1e-12, abs=0.0)
+
+    def test_discrete_zeta_curve_against_step_sum(self):
+        # G of discrete:0.1,0.5 is a step function; the oracle sums its steps exactly
+        prior = DiscretePrior(0.1, 0.5)
+        m, d, err_m, err_d = moments._moments(ConditionalZetaV(prior, BENCH_Z), BENCH_GRID)
+        for k, t in enumerate(BENCH_GRID):
+            exact_m = discrete_zeta_moment(prior, BENCH_Z, t)
+            exact_next = discrete_zeta_moment(prior, BENCH_Z, t + 1.0)
+            assert abs(m[k] - exact_m) <= err_m[k] <= 1e-9 * exact_m
+            assert abs(m[k] - d[k] - exact_next) <= err_m[k] + err_d[k]
+
+    def test_one_tail_call_per_curve(self, monkeypatch):
+        dist = ConditionalZetaV(PowerPrior(0.5), BENCH_Z)
+        sizes = []
+        real = dist.tail
+        monkeypatch.setattr(dist, "tail", lambda v: sizes.append(np.size(v)) or real(v))
+        moment_curve(dist, BENCH_GRID)
+        assert len(sizes) == 1 and sizes[0] > 1000 * len(BENCH_GRID)
+
+    def test_moment_mt_takes_the_rule(self):
+        dist = BetaTailV(1.5)
+        curve = moment_curve(dist, [7.0])
+        assert moment_mt(dist, 7.0) == curve[0, 1]
+
+    def test_split_where_the_tail_reaches_one(self):
+        # z < y_min: G(z, s) = 1 from s_sat < (3 - z)/2 on, so the tail is 1 below v_one > 0
+        dist = ConditionalZetaV(UniformPrior(1.0), 0.7)
+        assert 0.0 < dist.v_one < 1.0
+        assert dist.tail(dist.v_one * (1.0 - 1e-12)) == 1.0
+        assert dist.tail(dist.v_one + 1e-6) < 1.0
+        m, d, err_m, err_d = moments._moments(dist, geometric_grid(0.5, 500.0, 2))
+        assert np.all(err_m <= 1e-12 * m) and np.all(err_d <= 1e-9 * m)
 
 
 class TestThresholdScan:

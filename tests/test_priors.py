@@ -277,6 +277,41 @@ def _scan_index(spec: DiscretePrior, z: float, s: float) -> int:
     raise AssertionError("scan exhausted")
 
 
+class TestArrayS:
+    """H and G take an array of s in one call; a scalar s still gives a float."""
+
+    @pytest.mark.parametrize("spec", ALL_PRIORS + [TamePrior(4.0, 2.0)],
+                             ids=lambda s: f"{s.kind}{'-rates' if s.params() == {'rate_e': 4.0, 'rate_i': 2.0} else ''}")
+    def test_array_matches_scalar(self, spec):
+        z = 2.0109601381069178
+        s = np.concatenate([np.geomspace(1e-9, 0.3, 25)[::-1], [0.0, 0.3, 0.45, 2.0]]).reshape(-1, 1)
+        g = spec.g(z, s)
+        assert g.shape == s.shape
+        scalar = np.array([spec.g(z, float(x)) for x in s.ravel()]).reshape(s.shape)
+        assert type(spec.g(z, 0.1)) is float and type(spec.h(z, 0.1)) is float
+        if spec.kind in ("power", "logti", "tlogti") or spec.params().get("rate_i", 4.0) != 4.0:
+            # one running sum of _quad pieces against one _quad per point
+            np.testing.assert_allclose(g, scalar, rtol=1e-13, atol=0.0)
+        else:
+            np.testing.assert_array_equal(g, scalar)
+
+    @pytest.mark.parametrize("bad", [-1e-3, math.nan, math.inf])
+    def test_bad_s_in_an_array_rejected(self, bad):
+        with pytest.raises(ValueError, match="s must be finite and >= 0"):
+            UniformPrior(1.0).g(2.0, np.array([0.1, bad]))
+
+    @pytest.mark.parametrize("z", [0.5, 2.0])
+    def test_log_scale_closed_forms_against_mpmath(self, z):
+        # H = -log(1 - s/z) (uniform) and (1/2) log(1 + 2s/z) (tame, below the cap), s/z
+        # from 1e-18 to 0.5 (to 0.24 at z = 2, where s_sat/z is 0.25)
+        s = z * np.geomspace(1e-18, 0.5 if z < 1.0 else 0.24, 60)
+        uniform, tame = UniformPrior(1.0).h(z, s), TamePrior().h(z, s)
+        with mp.workdps(30):
+            x = [mp.mpf(float(v)) / z for v in s]
+            np.testing.assert_allclose(uniform, [float(-mp.log1p(-v)) for v in x], rtol=1e-15, atol=0)
+            np.testing.assert_allclose(tame, [float(mp.log1p(2 * v) / 2) for v in x], rtol=1e-15, atol=0)
+
+
 class TestHAux:
     def test_endpoints(self):
         assert h_aux(0.0) == 0.0

@@ -48,7 +48,7 @@ class _LogPeriodicG(Prior):
     g_accuracy = 1e-12
 
     def g(self, z, s):
-        return s * (1.0 + 0.05 * math.sin(2.0 * math.log(s)))
+        return s * (1.0 + 0.05 * np.sin(2.0 * np.log(s)))
 
 
 class TestCondition2:
@@ -186,6 +186,23 @@ class TestCheckTempered:
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
             check_tempered(UniformPrior(1.0), 0.0)
+
+    @pytest.mark.parametrize("spec", [UniformPrior(1.0), TamePrior()], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("t", [2.0, 7.0, 10.0, 30.0])
+    def test_closed_forms_tempered_at_large_t(self, spec, t):
+        # the s-grid's bottom is 1.5e-5 exp(-8t): H must keep its digits as s/z -> 0
+        v = check_tempered(spec, t)
+        assert v.tempered
+        assert v.condition1.alpha == pytest.approx(1.0, rel=1e-6)
+
+    def test_one_g_call_per_row(self, monkeypatch):
+        spec = PowerPrior(0.5)
+        shapes = []
+        real = spec.g
+        monkeypatch.setattr(spec, "g", lambda z, s: shapes.append(np.shape(s)) or real(z, s))
+        z_grid, s_grid = default_z_grid(0.1), default_s_grid(0.1)
+        assert isinstance(fit_taylor(spec, z_grid, s_grid), TaylorModel)
+        assert shapes == [s_grid.shape] * len(z_grid)
 
 
 class TestDeclaredMetadata:
