@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -60,7 +61,7 @@ _ENV_SEED = "STARPARADOX_SEED"
 
 
 def _seed(text: str) -> int:
-    """The type of --seed, whose default from $STARPARADOX_SEED goes through it too."""
+    """The type of --seed; its default, $STARPARADOX_SEED, goes through it too."""
     try:
         if int(text) >= 0:
             return int(text)
@@ -261,8 +262,7 @@ def _replay_argv(parser, manifest: RunManifest, replay) -> list[str]:
     value as ``--flag=value`` (so a negative number is not read as a flag)."""
     if not isinstance(manifest.command, str) or manifest.command not in _COMMANDS:
         raise ValueError(f"manifest names unknown command {manifest.command!r}")
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = [a for a in sub.choices[manifest.command]._actions
+    actions = [a for a in _command_parser(parser, manifest.command)._actions
                if a.dest not in ("help", "out", "seed", "spec", "spec_file")]
     missing = sorted(a.dest for a in actions if a.dest not in manifest.params)
     if missing:
@@ -299,7 +299,26 @@ def _emit_manifest(command: str, args, out: Path, outputs: list[Path]) -> RunMan
     return manifest
 
 
+def _command_parser(parser, command: str) -> argparse.ArgumentParser:
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+def _parse_args(parser, argv):
+    """Parse argv; a --seed left out is read from $STARPARADOX_SEED now, at parse
+    time, so one parser serves every call of ``main`` in a process."""
+    args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) is None:
+        try:
+            args.seed = _seed(os.environ.get(_ENV_SEED, "0"))
+        except argparse.ArgumentTypeError as exc:
+            _command_parser(parser, args.command).error(f"argument --seed: {exc}")
+    return args
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by later ones."""
     top = argparse.ArgumentParser(
         prog="starparadox",
         description="Posteriors, tempered-prior checks and moment scans for "
@@ -310,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, prior=None, sampling=False, jobs=False):
         p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--seed", type=_seed, default=os.environ.get(_ENV_SEED, "0"),
+        p.add_argument("--seed", type=_seed, default=None,
                        help=f"RNG seed (default: ${_ENV_SEED} or 0)")
         if jobs:
             p.add_argument("--jobs", type=int, default=1, help="worker processes")
@@ -371,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(parser, argv)
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -379,7 +398,7 @@ def main(argv=None) -> int:
         if args.command == "replay":
             manifest = RunManifest.read(args.manifest)
             recorded = manifest.outputs
-            args = parser.parse_args(_replay_argv(parser, manifest, args))
+            args = _parse_args(parser, _replay_argv(parser, manifest, args))
         args.prior = _load_prior(args)
         outputs = _COMMANDS[args.command](args, out)
         written = _emit_manifest(args.command, args, out, outputs).outputs

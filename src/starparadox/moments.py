@@ -15,9 +15,9 @@ series moments, the gamma-ratio bounding factors behind the threshold
 certificate, and the threshold scans themselves.
 
 Everything gamma-related is evaluated through log-gamma (``math.lgamma``),
-so arguments up to 1e6 are safe.  The moment rule itself needs no scipy;
-a distribution whose tail runs a quadrature (the quadrature priors' G)
-loads it there.  The fractional/integer split {t}, [t] uses floor semantics.
+so arguments up to 1e6 are safe.  Neither the moment rule nor any tail
+it reads (the priors' G included) needs scipy.  The fractional/integer
+split {t}, [t] uses floor semantics.
 """
 
 from __future__ import annotations

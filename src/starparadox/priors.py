@@ -8,9 +8,11 @@ quantity 4 P0 - 1 equals Z = Se * Si, and the conditional CDF
 
 drives everything downstream.  G is computed as a ratio H(z, s) / H(z,
 s_sat), where H is an unnormalized section integral of the joint density
-along the hyperbola Se Si = z (for the discrete catalog entry H is a step
-function with an exact index formula instead).  The saturation point s_sat
-is where the integration limit stops moving, so G(z, s) = 1 beyond it.
+along the hyperbola Se Si = z, taken at every s of an array by one fixed
+Gauss-Legendre rule where no closed form exists (``_running_rule``).  For
+the discrete catalog entry H is a step function with an exact index formula
+instead, and G is formed from its log.  The saturation point s_sat is where
+the integration limit stops moving, so G(z, s) = 1 beyond it.
 
 Catalog (in every entry Te is exponential and independent of Ti, with rate
 4 except in "tame", where it is a parameter; only the law of Ti changes):
@@ -53,7 +55,7 @@ __all__ = [
 ]
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge; carries the achieved estimate."""
+    """A quadrature rule's error estimate exceeded its bound; carries the value and estimate."""
 
     def __init__(self, message: str, value: float, error_estimate: float):
         super().__init__(f"{message} (value={value!r}, error estimate={error_estimate!r})")
@@ -61,34 +63,58 @@ class QuadratureError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-def _quad(f: Callable[[float], float], a: float, b: float) -> float:
-    """Integral of f over [a, b] (0 when b <= a): the one adaptive quadrature of the package.
+#: Gauss-Legendre nodes per panel of the H rule; its error estimate compares with twice as many
+_H_NODES = 16
+#: below this fraction of z (of q = (Si - 1)/2 for ``tame``) H takes its leading term in closed form
+_H_TAIL = 1e-16
+#: relative bound on the H rule's error estimate
+_H_REL_TOL = 1e-9
+#: most panels an H rule may add beyond one per piece: a bound on its time
+_H_MAX_EXTRA_PANELS = 1 << 15
+#: panels whose nodes f takes in one array: a bound on the rule's memory (4096 x 48 nodes)
+_H_BLOCK = 1 << 12
 
-    G/H sections come here, one piece per step of ``_quad_running``.  quad is asked for 1e-11
-    relative with at most 500 subintervals; QuadratureError is raised when
-    quad's own error estimate exceeds 1e-9 |value|.  That estimate is not a
-    proven bound, so a result can be off by more without raising.
+
+def _running_rule(f: Callable[[np.ndarray, np.ndarray], np.ndarray], base: np.ndarray,
+                  width: np.ndarray, max_width: float, offset: float = 0.0) -> np.ndarray:
+    """offset + the integral of f over pieces 0 to i, for every piece i of a chain.
+
+    Piece i starts where f's variable is ``base[i]`` and spans ``width[i]`` >= 0 of it;
+    f(base, d) takes a point as its piece's base and the offset d from there, so no
+    node carries the rounding of a large variable.  Each piece is cut into equal
+    panels no wider than ``max_width``, and f takes the nodes of up to ``_H_BLOCK``
+    panels in one array.  The value is the 2k-node Gauss-Legendre rule (k =
+    ``_H_NODES``) and the error estimate the accumulated difference from the k-node
+    rule; QuadratureError is raised where that exceeds 1e-9 of the value.
     """
-    if b <= a:
-        return 0.0
-    from scipy.integrate import quad  # the only scipy.integrate import; keeps start-up light
+    panels = np.ceil(width / max_width)  # 0 on a piece of no width
+    extra = float(panels.sum()) - width.size
+    if extra > _H_MAX_EXTRA_PANELS:
+        raise ValueError(f"the H rule would need {extra:.4g} panels beyond one a piece (limit "
+                         f"{_H_MAX_EXTRA_PANELS}): the integrand varies too fast for it")
+    panels = panels.astype(int)
+    piece = np.repeat(np.arange(width.size), panels)
+    step = (width / np.maximum(panels, 1))[piece]
+    start = (np.arange(piece.size) - np.repeat(np.cumsum(panels) - panels, panels)) * step
+    (x16, w16), (x32, w32) = _gauss_legendre(_H_NODES), _gauss_legendre(2 * _H_NODES)
+    nodes = 1.0 + np.concatenate([x16, x32])
+    coarse, fine = np.empty(piece.size), np.empty(piece.size)
+    for block in range(0, piece.size, _H_BLOCK):
+        at = slice(block, block + _H_BLOCK)
+        half = 0.5 * step[at]
+        values = f(base[piece[at]][:, None], start[at, None] + half[:, None] * nodes)
+        coarse[at] = values[:, :_H_NODES] @ w16 * half
+        fine[at] = values[:, _H_NODES:] @ w32 * half
 
-    value, err = quad(f, a, b, epsabs=0.0, epsrel=1e-11, limit=500)
-    if err > 1e-9 * abs(value):
-        raise QuadratureError("quadrature did not converge", value, err)
+    def running(per_panel):
+        return np.cumsum(np.bincount(piece, weights=per_panel, minlength=width.size))
+
+    value, err = offset + running(fine), running(np.abs(fine - coarse))
+    bad = ~(err <= _H_REL_TOL * np.abs(value))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureError("H rule did not converge", float(value[i]), float(err[i]))
     return value
-
-
-def _quad_running(f: Callable[[float], float], a: float, ends: np.ndarray) -> np.ndarray:
-    """Integrals of f over [a, e] for every e of ``ends`` (any shape and order), in one pass.
-
-    The distinct ends are sorted and the integral grows by one ``_quad`` piece per
-    step, over [previous end, next end]; a cumulative sum of the pieces gives all of them.
-    """
-    uniq, inverse = np.unique(np.maximum(ends, a).ravel(), return_inverse=True)
-    starts = np.concatenate(([a], uniq[:-1]))
-    pieces = [_quad(f, lo, hi) for lo, hi in zip(starts.tolist(), uniq.tolist())]
-    return np.cumsum(pieces)[inverse.ravel()].reshape(np.shape(ends))
 
 
 @functools.lru_cache(maxsize=4)
@@ -99,15 +125,20 @@ def _gauss_legendre(k: int) -> tuple[np.ndarray, np.ndarray]:
     return leggauss(k)
 
 
-def h_aux(u: float) -> float:
+def h_aux(u):
     """The index function h(u) = -(1/4) log(1 - 3u/(1+2u)) on [0, 1].
 
     Equals (1/4)(log1p(2u) - log1p(-u)); increasing, h(0) = 0,
-    h(u)/u -> 3/4 at 0, and h(1) = +inf.
+    h(u)/u -> 3/4 at 0, and h(1) = +inf.  u may be an array; the result is
+    then an array of its shape, else a float.
     """
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"h_aux argument must lie in [0, 1], got {u!r}")
-    return 0.25 * (math.log1p(2.0 * u) - math.log1p(-u)) if u < 1.0 else math.inf
+    u = np.asarray(u, dtype=float)
+    bad = ~((u >= 0.0) & (u <= 1.0))
+    if bad.any():
+        raise ValueError(f"h_aux argument must lie in [0, 1], got {float(u[bad].flat[0])!r}")
+    with np.errstate(divide="ignore"):  # h(1) = inf
+        out = 0.25 * (np.log1p(2.0 * u) - np.log1p(-u))
+    return float(out) if out.ndim == 0 else out
 
 
 class Prior:
@@ -233,27 +264,43 @@ def _check_s(s) -> np.ndarray:
 class _ExpIndepPrior(Prior):
     """A Ti density with Te at the base rate 4, so that Se is uniform on [0, 1].
 
-    Subclasses provide the Ti law and the scalar section-integrand factor
-    ``rho(k)`` where k = h_aux(xi / z); the shared form is
+    Subclasses provide the Ti law, the section-integrand factor ``rho(k)`` on arrays,
+    where k = h_aux(xi / z), and its integral ``R(k)`` = int_0^k rho; the shared form is
 
         H(z, s) = int_0^min(s, s_sat) rho(h_aux(xi/z)) dxi / (z - xi).
+
+    In u = log(xi / (z - xi)) the measure dxi / (z - xi) is sigma du, sigma = xi/z, and
+    rho(h_aux(sigma)) sigma is analytic in the strip |Im u| < pi: the singularity of
+    rho at k = 0 becomes a power of e^u as u -> -inf, and the pole at xi = z moves to
+    u = +inf.  So one rule serves every s (``_running_rule``, panels at most 1 wide in
+    u).  Below xi = 1e-16 z, where h_aux(sigma) = 3 sigma/4 and z - xi = z to relative
+    O(sigma), H is the closed form (4/3) R(3 xi / 4z).
     """
 
-    def _rho(self, k: float) -> float:
+    def _rho(self, k):
         raise NotImplementedError
 
+    def _rho_integral(self, k: float) -> float:
+        raise NotImplementedError
+
+    def _integrand(self, r: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """rho(h_aux(sigma)) sigma at u = log(r) + d, where e^u = sigma / (1 - sigma)."""
+        e_u = r * np.exp(d)
+        sigma = e_u / (1.0 + e_u)
+        return self._rho(h_aux(sigma)) * sigma
+
     def _h(self, z: float, s: np.ndarray) -> np.ndarray:
-        return self._h_quad(z, s)
-
-    def _h_quad(self, z: float, s) -> np.ndarray:
-        """H(z, s) by adaptive quadrature, at every s in one running pass; the reference
-        for closed forms in tests."""
-        def integrand(xi: float) -> float:
-            if xi <= 0.0:
-                return 0.0
-            return self._rho(h_aux(xi / z)) / (z - xi)
-
-        return _quad_running(integrand, 0.0, np.minimum(s, self.s_sat(z)))
+        sigma = np.minimum(s, self.s_sat(z)) / z
+        positive = sigma > 0.0
+        h = np.zeros_like(sigma)
+        if positive.any():
+            ends, inverse = np.unique(sigma[positive], return_inverse=True)
+            lo = np.concatenate(([min(_H_TAIL, ends[0])], ends[:-1]))
+            # each piece's width in u, from ratios: no ulp of a large |u| enters
+            width = np.log(ends / lo) + (np.log1p(-lo) - np.log1p(-ends))
+            tail = 4.0 / 3.0 * self._rho_integral(0.75 * lo[0])
+            h[positive] = _running_rule(self._integrand, lo / (1.0 - lo), width, 1.0, tail)[inverse]
+        return h
 
 
 class UniformPrior(_ExpIndepPrior):
@@ -303,8 +350,8 @@ class PowerPrior(_ExpIndepPrior):
     """Ti with density theta * t^(theta - 1) on [0, 1], theta in (0, 1).
 
     The section integrand has an integrable endpoint singularity of order
-    theta - 1 at xi = 0; the substitution xi = tau^(1/theta) removes it
-    exactly.
+    theta - 1 at xi = 0; in the shared rule's variable it is the factor
+    e^(theta u), and the closed form below 1e-16 z carries the rest.
     """
 
     kind = "power"
@@ -318,18 +365,8 @@ class PowerPrior(_ExpIndepPrior):
     def _rho(self, k):
         return k ** (self.theta - 1.0)
 
-    def _h_quad(self, z: float, s) -> np.ndarray:
-        th = self.theta
-
-        def integrand(tau: float) -> float:
-            xi = tau ** (1.0 / th)
-            if xi < 1e-17 * z:
-                # the limit at xi = 0, exact to rounding as the correction is O(xi/z);
-                # for small theta xi underflows here and the product below overflows
-                return (0.75 / z) ** (th - 1.0) / (th * z)
-            return self._rho(h_aux(xi / z)) / (z - xi) * (1.0 / th) * tau ** (1.0 / th - 1.0)
-
-        return _quad_running(integrand, 0.0, np.minimum(s, self.s_sat(z)) ** th)
+    def _rho_integral(self, k):
+        return k**self.theta / self.theta
 
     def _sample_ti(self, rng, size):
         return rng.random(size) ** (1.0 / self.theta)
@@ -349,7 +386,10 @@ class LogPrior(_ExpIndepPrior):
     kind = "logti"
 
     def _rho(self, k):
-        return -math.log(k)
+        return -np.log(k)
+
+    def _rho_integral(self, k):
+        return k * (1.0 - math.log(k))
 
     def _sample_ti(self, rng, size):
         return rng.random(size) * rng.random(size)
@@ -371,7 +411,11 @@ class TLogPrior(_ExpIndepPrior):
     kind = "tlogti"
 
     def _rho(self, k):
-        return -4.0 * k * math.log(k) if k > 0.0 else 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(k > 0.0, -4.0 * k * np.log(k), 0.0)
+
+    def _rho_integral(self, k):
+        return k * k * (1.0 - 2.0 * math.log(k))
 
     def _sample_ti(self, rng, size):
         return np.sqrt(rng.random(size) * rng.random(size))
@@ -400,6 +444,13 @@ class TamePrior(Prior):
     x in [z/3, m(s, z)] with m(s, z) = min(1, z, (2s+z)/3).  For the
     default rates (4, 4) this is (1/2) log(3 m / z) in closed form, written
     (1/2) log1p(2s/z) below the cap min(1, z).
+
+    At other rates, with mu = re/4 and lam = ri/4, H is the integral over w in
+    [0, -log q] of mu lam z^(mu-1) (1 + 2q)^(-mu) q^lam, q = e^-w, where q =
+    (z/m - 1)/2 is (Si - 1)/2 at the upper end; the integrand is analytic in
+    |Im w| < pi, so ``_running_rule`` takes it on panels at most 1/max(1, mu,
+    lam) wide.  Beyond q = 1e-16, where (1 + 2q)^-mu = 1 to relative O(mu q),
+    the rest is the closed form mu lam z^(mu-1) (q_top^lam - q^lam) / lam.
     """
 
     kind = "tame"
@@ -423,28 +474,29 @@ class TamePrior(Prior):
     def declared_tempering(self) -> dict:
         return {"tempered": True, "k": 3, "alpha": 1.0, "eps": (1.0, 2.0, 3.0)}
 
-    def _m(self, z: float, s):
-        # kept apart from s_sat: clipping s there first rounds differently
-        return np.minimum(min(1.0, z), (2.0 * s + z) / 3.0)
-
     def _h(self, z: float, s: np.ndarray) -> np.ndarray:
-        if (self.rate_e, self.rate_i) != (4.0, 4.0):
-            return self._h_quad(z, s)
         cap = min(1.0, z)
-        return np.where((2.0 * s + z) / 3.0 < cap, 0.5 * np.log1p(2.0 * s / z),
-                        0.5 * math.log(3.0 * cap / z))
+        below = s < self.s_sat(z)  # m = (2s + z)/3 below the cap; rounding must not leave it
+        if (self.rate_e, self.rate_i) == (4.0, 4.0):
+            return np.where(below, 0.5 * np.log1p(2.0 * s / z), 0.5 * math.log(3.0 * cap / z))
+        mu, lam = self.rate_e / 4.0, self.rate_i / 4.0
+        log_c = math.log(mu) + math.log(lam) + (mu - 1.0) * math.log(z)
+        with np.errstate(divide="ignore"):  # q = 0, w = inf at saturation when z <= 1
+            # below the cap q = (z - s)/(2s + z), and -log q = 4 h_aux(s/z) keeps every digit
+            w = np.where(below, 4.0 * h_aux(np.minimum(s / z, 1.0)), -np.log((z / cap - 1.0) / 2.0))
+        top = -math.log(_H_TAIL)
+        beyond = np.zeros(np.shape(w))
+        far = w > top  # only where z <= 1 + 2e-16, so z^(mu-1) does not overflow
+        if far.any():
+            beyond[far] = math.exp(log_c - lam * top) * -np.expm1(-lam * (w[far] - top)) / lam
+        ends, inverse = np.unique(np.minimum(w, top), return_inverse=True)
+        lo = np.concatenate(([0.0], ends[:-1]))
 
-    def _h_quad(self, z: float, s) -> np.ndarray:
-        ee = self.rate_e / 4.0 - 1.0
-        ei = self.rate_i / 4.0 - 1.0
-        ce = self.rate_e / 4.0
-        ci = self.rate_i / 8.0
+        def integrand(v, d):
+            return np.exp(log_c - mu * np.log1p(2.0 * np.exp(-(v + d))) - lam * (v + d))
 
-        def integrand(x: float) -> float:
-            y = z / x
-            return ce * ci * x**ee * ((y - 1.0) / 2.0) ** ei / x
-
-        return _quad_running(integrand, z / 3.0, self._m(z, s))
+        h = _running_rule(integrand, lo, ends - lo, 1.0 / max(1.0, mu, lam))
+        return h[inverse].reshape(np.shape(s)) + beyond
 
 
 class DiscretePrior(Prior):
@@ -454,7 +506,8 @@ class DiscretePrior(Prior):
     Requires 3a < min(1, b) and b/a <= 50.  The section function is the exact step
     H(z, s) = n(z, s)^(-b), where n(z, s) is the smallest index whose atom
     satisfies both z <= y_n and 3z <= (2s + z) y_n; for s below both z and
-    (3 - z)/2 this reduces to ceil(h_aux(s/z)^(-1/a)).
+    (3 - z)/2 this reduces to ceil(h_aux(s/z)^(-1/a)).  H and G are formed from
+    log n, so G = (n / n_sat)^-b holds where n^-b alone underflows.
 
     The normalizer r = sum_n y_n (n^(-b) - (n+1)^(-b)) and all tail sums are
     evaluated with a direct head sum plus an Euler-Maclaurin tail whose
@@ -532,29 +585,39 @@ class DiscretePrior(Prior):
         return self._log_tail(math.log(m + 1)) - math.log(self.r)
 
     # ---- exact step section function -------------------------------------
-    def index_n(self, z: float, s: float) -> int:
-        """Smallest atom index n with z <= y_n and 3z <= (2s + z) y_n.
+    def _atom_bound(self, z: float, s: np.ndarray) -> np.ndarray:
+        """k(z, s) = min(c_a, h_aux(s/z)), the largest atom allowed at (z, s): z <= y_n
+        holds for t_n <= c_a = -log((z - 1)/2)/4 (for every atom where z <= y_1), and
+        3z <= (2s + z) y_n for t_n <= h_aux(s/z) (for every atom where s >= z)."""
+        c_a = -0.25 * math.log((z - 1.0) / 2.0) if z > 1.0 + 2.0 * math.exp(-4.0) else math.inf
+        return np.minimum(c_a, h_aux(np.minimum(s / z, 1.0)))
 
-        Raises OverflowError when the index exceeds 2^53 (s too small for
-        exact integer representation); callers fall back to the continuous
-        approximation h_aux(s/z)^(-b/a) there.
+    def index_n(self, z: float, s):
+        """Smallest atom index n >= 1 with z <= y_n and 3z <= (2s + z) y_n: ceil(k^(-1/a)),
+        k = ``_atom_bound``.
+
+        s may be an array; the result is then an array of its shape, else a float.  It
+        is the exact integer while k^(-1/a) <= 9e15; beyond, where no float holds every
+        integer, it is k^(-1/a) itself, inf where that overflows and at s = 0.
         """
-        z = _check_z(z)
-        s = _check_s(s)
-        if s == 0.0:
-            raise ValueError("index is infinite at s = 0")
-        n_a = 1
-        if z > 1.0 + 2.0 * math.exp(-4.0):
-            ca = -0.25 * math.log((z - 1.0) / 2.0)
-            n_a = math.ceil(ca ** (-1.0 / self.a))
-        n_b = 1
-        if s < z:
-            hb = h_aux(s / z)
-            real = hb ** (-1.0 / self.a)
-            if real > 9e15:
-                raise OverflowError("atom index exceeds exact float range")
-            n_b = math.ceil(real)
-        return max(n_a, n_b, 1)
+        k = self._atom_bound(_check_z(z), _check_s(s))
+        with np.errstate(divide="ignore", over="ignore"):
+            real = k ** (-1.0 / self.a)
+        n = np.where(real <= 9e15, np.maximum(np.ceil(real), 1.0), real)
+        return float(n) if n.ndim == 0 else n
+
+    def _log_n(self, z: float, s: np.ndarray) -> np.ndarray:
+        """log n(z, s): of the exact index up to 9e15, -log(k)/a beyond, which never overflows."""
+        n = self.index_n(z, s)
+        with np.errstate(divide="ignore"):
+            return np.where(n <= 9e15, np.log(n), -np.log(self._atom_bound(z, s)) / self.a)
+
+    def _log_n_sat(self, z: float) -> float:
+        """log n(z, s_sat), computed once per z and kept on the instance."""
+        memo = self.__dict__.setdefault("_h_sat_memo", {})
+        if z not in memo:
+            memo[z] = float(self._log_n(z, np.array(self.s_sat(z))))
+        return memo[z]
 
     def s_sat(self, z: float) -> float:
         # at the base formula's s_sat, h_aux(s/z) = 1 only in theory; rounding can give index 2
@@ -562,16 +625,21 @@ class DiscretePrior(Prior):
         return 0.5 * (3.0 - z)
 
     def _h(self, z: float, s: np.ndarray) -> np.ndarray:
-        s_sat = self.s_sat(z)
-        return np.array([self._h_step(z, min(x, s_sat)) for x in s.ravel().tolist()]).reshape(s.shape)
+        return np.exp(-self.b * self._log_n(z, np.minimum(s, self.s_sat(z))))
 
-    def _h_step(self, z: float, s: float) -> float:
-        if s == 0.0:
-            return 0.0
-        try:
-            return self.index_n(z, s) ** -self.b
-        except OverflowError:
-            return h_aux(s / z) ** (self.b / self.a)
+    def h_sat(self, z: float) -> float:
+        return math.exp(-self.b * self._log_n_sat(_check_z(z)))
+
+    def g(self, z: float, s):
+        """G(z, s) = (n(z, s) / n(z, s_sat))^-b, formed as exp(-b (log n - log n_sat)):
+        neither power underflows on its own, so G is 0 only where it is below the float range.
+
+        s may be an array; the result is then an array of its shape, else a float.
+        """
+        z = _check_z(z)
+        log_n = self._log_n(z, np.minimum(_check_s(s), self.s_sat(z)))
+        out = np.minimum(np.exp(-self.b * (log_n - self._log_n_sat(z))), 1.0)
+        return float(out) if out.ndim == 0 else out
 
     # ---- sampling ---------------------------------------------------------
     def _sample_ti(self, rng: np.random.Generator, size: int) -> np.ndarray:

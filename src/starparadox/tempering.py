@@ -53,8 +53,7 @@ S0_FRACTION = 0.05
 _S_DECADES = 4
 _S_PER_DECADE = 14
 #: the largest t of the check.  The s-grid's bottom is 1.5e-5 exp(-8t), 7.2e-301 at t = 85;
-#: from t = 85.7 (2.7e-303) the adaptive quadrature of logti's H, which bisects towards its
-#: log singularity at 0, reaches subnormal subintervals and fails, and tlogti's warns
+#: from t = 85.7 (2.7e-303) it nears the subnormal range, where s itself loses digits
 _T_MAX = 85.0
 
 #: the one exponent ladder eps_0..eps_k; its last entry is the guard order
@@ -162,9 +161,11 @@ def _ladder_fit(s: np.ndarray, G: np.ndarray, alpha0: float):
 
     eps_arr = np.asarray(_EPS)
     target = np.ones_like(G)
+    x, log_g = np.log(s)[:, None], np.log(G)[:, None]
 
     def solve(alpha: float):
-        return _lstsq(s[:, None] ** (alpha + eps_arr[None, :]) / G[:, None], target)
+        # s^(alpha+eps_i) / G formed in logs: at alpha = 50 both powers underflow
+        return _lstsq(np.exp((alpha + eps_arr[None, :]) * x - log_g), target)
 
     res = minimize_scalar(
         lambda alpha: solve(alpha)[2],
@@ -189,30 +190,39 @@ def _log_model_contest(x: np.ndarray, L: np.ndarray) -> tuple[float, float, floa
     Pure:  L = c + a x + b exp(eps1 (x - x_max)),  eps1 optimized.
     Log:   L = c + p x + ln(x0 - x),               offset x0 optimized.
     Returns (rms_pure, rms_log, p_log) with p_log the log-model power.
+
+    Both models share the columns [1, x], factored once (QR): the log model's
+    residual is the projection of its target off them, and the pure model's
+    projects them off its one varying column too, then fits that in closed form.
     """
     from scipy.optimize import minimize_scalar
 
-    ones = np.ones_like(x)
+    q, r_fixed = np.linalg.qr(np.column_stack([np.ones_like(x), x]))
+
+    def off_fixed(v: np.ndarray) -> np.ndarray:
+        return v - q @ (q.T @ v)
+
+    r_l = off_fixed(L)
 
     def pure_rss(eps1: float) -> float:
-        design = np.column_stack([ones, x, np.exp(eps1 * (x - x[-1]))])
-        return _lstsq(design, L)[2]
+        c = off_fixed(np.exp(eps1 * (x - x[-1])))
+        r = r_l - (c @ r_l) / (c @ c) * c
+        return float(r @ r)
 
     res_p = minimize_scalar(pure_rss, bounds=(0.3, 3.0), method="bounded",
                             options={"xatol": 1e-6})
     best_pure = min(float(res_p.fun), pure_rss(0.5), pure_rss(1.0), pure_rss(2.0))
 
-    design2 = np.column_stack([ones, x])
-
     def log_rss(x0: float) -> float:
-        return _lstsq(design2, L - np.log(x0 - x))[2]
+        r = off_fixed(L - np.log(x0 - x))
+        return float(r @ r)
 
     res_l = minimize_scalar(log_rss, bounds=(x[-1] + 0.05, x[-1] + 80.0),
                             method="bounded", options={"xatol": 1e-8})
     x0 = float(res_l.x)
-    coef, _, best_log = _lstsq(design2, L - np.log(x0 - x))
+    p_log = float(np.linalg.solve(r_fixed, q.T @ (L - np.log(x0 - x)))[1])
     n = len(x)
-    return math.sqrt(best_pure / n), math.sqrt(best_log / n), float(coef[1])
+    return math.sqrt(best_pure / n), math.sqrt(log_rss(x0) / n), p_log
 
 
 def _log_diagnostic(p: float) -> str:
@@ -242,8 +252,12 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
     tol = spec.g_accuracy
 
     G = np.array([spec.g(z, s_grid) for z in z_grid])
-    if np.any(G <= 0.0):
-        raise ValueError("G vanished on the grid; enlarge s or move z_grid")
+    tiny = np.finfo(float).tiny
+    if np.any(G < tiny):  # a subnormal or zero G has lost the digits the fit reads
+        iz, i = np.unravel_index(np.argmin(G), G.shape)
+        raise ValueError(f"G falls below the smallest normal float ({tiny:.3g}) on the s-grid: "
+                         f"G(z={z_grid[iz]:.6g}, s={s_grid[i]:.6g}) = {G[iz, i]:.3g}; "
+                         "the fit needs every G at or above it")
     x = np.log(s_grid)
     logG = np.log(G)
 
@@ -338,14 +352,14 @@ def _kappa_bound(s, G, alpha_per_z, coeffs, guards, tol, full_resid) -> float:
     """
     eps_arr = np.asarray(_EPS)
     band = (100.0 * tol + 3.0 * full_resid)
+    x = np.log(s)
     worst = 0.0
     for iz in range(len(alpha_per_z)):
-        model_k = (
-            s[:, None] ** (alpha_per_z[iz] + eps_arr[None, :-1]) * coeffs[iz][None, :]
-        ).sum(axis=1)
-        r = np.abs(G[iz] - model_k)
-        guard_scale = s ** (alpha_per_z[iz] + eps_arr[-1])
-        trusted = abs(guards[iz]) * guard_scale >= band * G[iz]
+        # every power of s relative to G, formed in logs as in _ladder_fit
+        rel = np.exp((alpha_per_z[iz] + eps_arr[None, :]) * x[:, None] - np.log(G[iz])[:, None])
+        r = np.abs(1.0 - rel[:, :-1] @ coeffs[iz])     # |G - model_k| / G
+        guard_scale = rel[:, -1]                        # s^(alpha + eps_k) / G
+        trusted = abs(guards[iz]) * guard_scale >= band
         if np.any(trusted):
             worst = max(worst, float(np.max(r[trusted] / guard_scale[trusted])))
         worst = max(worst, abs(float(guards[iz])))

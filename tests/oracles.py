@@ -9,6 +9,7 @@ runs them, so they live here rather than in the package.
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -23,7 +24,7 @@ from starparadox.model import (
 )
 from starparadox.moments import TailParams, _frac
 from starparadox.posterior import DegenerateEstimate, _chunk_rng, _run_chunks, kernel_log_values
-from starparadox.priors import _quad
+from starparadox.priors import PowerPrior, QuadratureError, TamePrior, h_aux
 
 
 def band_event_probability(n: int, t: float, c: float) -> float:
@@ -218,6 +219,83 @@ def discrete_zeta_moment(prior, z: float, t: float, head: int = 64) -> float:
                         [0, 5, 10, 20, 40, 80, 160, 320, mp.inf])
                 + step(n0) / 2 - mp.diff(step, n0) / 12 + mp.diff(step, n0, 3) / 720)
         return float(1 - total - tail)
+
+
+# ---------------------------------------------------------------------------
+# H by adaptive quadrature: the package's route before its fixed Gauss-Legendre
+# rule, kept as the independent reference for that rule and the closed forms
+# ---------------------------------------------------------------------------
+
+def _quad(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integral of f over [a, b] (0 when b <= a) by scipy's adaptive quad.
+
+    H sections come here, one piece per step of ``_quad_running``.  quad is asked for 1e-11
+    relative with at most 500 subintervals; QuadratureError is raised when
+    quad's own error estimate exceeds 1e-9 |value|.  That estimate is not a
+    proven bound, so a result can be off by more without raising.
+    """
+    if b <= a:
+        return 0.0
+    from scipy.integrate import quad
+
+    value, err = quad(f, a, b, epsabs=0.0, epsrel=1e-11, limit=500)
+    if err > 1e-9 * abs(value):
+        raise QuadratureError("quadrature did not converge", value, err)
+    return value
+
+
+def _quad_running(f: Callable[[float], float], a: float, ends: np.ndarray) -> np.ndarray:
+    """Integrals of f over [a, e] for every e of ``ends`` (any shape and order), in one pass.
+
+    The distinct ends are sorted and the integral grows by one ``_quad`` piece per
+    step, over [previous end, next end]; a cumulative sum of the pieces gives all of them.
+    """
+    uniq, inverse = np.unique(np.maximum(ends, a).ravel(), return_inverse=True)
+    starts = np.concatenate(([a], uniq[:-1]))
+    pieces = [_quad(f, lo, hi) for lo, hi in zip(starts.tolist(), uniq.tolist())]
+    return np.cumsum(pieces)[inverse.ravel()].reshape(np.shape(ends))
+
+
+def h_quad(prior, z: float, s):
+    """H(z, s) of a ``power``, ``logti``, ``tlogti``, ``uniform`` or ``tame`` prior by
+    adaptive quadrature, at every s of an array in one running pass (a float for a scalar s).
+
+    The integrands are the section integrals of the prior classes' docstrings, each in
+    the variable the package integrated them in before its fixed rule: xi for the shared
+    form, tau = xi^theta for ``power`` (which removes its endpoint singularity) and
+    x = Se for ``tame``.
+    """
+    if isinstance(prior, TamePrior):
+        ee = prior.rate_e / 4.0 - 1.0
+        ei = prior.rate_i / 4.0 - 1.0
+        ce = prior.rate_e / 4.0
+        ci = prior.rate_i / 8.0
+
+        def integrand(x: float) -> float:
+            y = z / x
+            return ce * ci * x**ee * ((y - 1.0) / 2.0) ** ei / x
+
+        out = _quad_running(integrand, z / 3.0, np.minimum(min(1.0, z), (2.0 * np.asarray(s) + z) / 3.0))
+    elif isinstance(prior, PowerPrior):
+        th = prior.theta
+
+        def integrand(tau: float) -> float:
+            xi = tau ** (1.0 / th)
+            if xi < 1e-17 * z:
+                # the limit at xi = 0, exact to rounding as the correction is O(xi/z);
+                # for small theta xi underflows here and the product below overflows
+                return (0.75 / z) ** (th - 1.0) / (th * z)
+            return float(prior._rho(h_aux(xi / z))) / (z - xi) * (1.0 / th) * tau ** (1.0 / th - 1.0)
+
+        out = _quad_running(integrand, 0.0, np.minimum(s, prior.s_sat(z)) ** th)
+    else:
+        def integrand(xi: float) -> float:
+            if xi <= 0.0:
+                return 0.0
+            return float(prior._rho(h_aux(xi / z))) / (z - xi)
+
+        out = _quad_running(integrand, 0.0, np.minimum(s, prior.s_sat(z)))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from starparadox.priors import (
 )
 from starparadox.tempering import check_condition2, check_tempered, fit_taylor, default_s_grid
 
-from oracles import kernel_log_by_corner, kernel_log_by_deltas, rising_factor
+from oracles import h_quad, kernel_log_by_corner, kernel_log_by_deltas, rising_factor
 
 mp.mp.dps = 30
 
@@ -79,7 +79,7 @@ def test_criterion_2_closed_form_vs_quadrature():
         s_sat = spec.s_sat(z)
         for s in np.geomspace(1e-6, s_sat, 12):
             closed = spec.h(z, s)
-            quadv = spec._h_quad(z, min(s, s_sat))
+            quadv = h_quad(spec, z, min(s, s_sat))
             worst = max(worst, abs(quadv - closed) / closed)
     elapsed = time.time() - start
     _report(2, "closed form vs quadrature", worst < 1e-8,

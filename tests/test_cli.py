@@ -145,6 +145,33 @@ class TestSeedValidated:
         assert exit_code(*self.ARGV[command], "--seed", "3", "--out", str(tmp_path)) == 0
 
 
+class TestOneParser:
+    """main builds its parser once per process, on its first call; $STARPARADOX_SEED is
+    read at each parse."""
+
+    ARGV = ("simulate", "--t", "0.1", "--n", "10")
+
+    def test_env_seed_read_per_call(self, tmp_path, capsys, monkeypatch):
+        from starparadox.cli import build_parser
+
+        for seed in ("5", "6"):
+            monkeypatch.setenv("STARPARADOX_SEED", seed)
+            assert run_main(*self.ARGV, "--out", str(tmp_path / seed)) == 0
+            assert json.loads((tmp_path / seed / "manifest.json").read_text())["seed"] == int(seed)
+        monkeypatch.setenv("STARPARADOX_SEED", "-2")
+        assert exit_code(*self.ARGV, "--out", str(tmp_path / "bad")) == 2
+        assert "STARPARADOX_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "bad" / "manifest.json").exists()
+        assert build_parser() is build_parser()
+
+    def test_not_built_at_import(self):
+        r = subprocess.run([sys.executable, "-c", "import starparadox.cli as cli; "
+                            "print(cli.build_parser.cache_info().currsize)"],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "0"
+
+
 class TestSimulateRows:
     """simulate writes each counts.csv row as it draws it."""
 
@@ -262,7 +289,7 @@ class TestPosteriorDeterministic:
 
     def test_manifest_of_0_2_0_replays_with_exit_3(self, tmp_path, capsys):
         manifest = fresh_manifest(self.FRESH, tmp_path / "fresh")
-        assert manifest["version"] == "0.3.2"
+        assert manifest["version"] == "0.3.3"
         manifest["version"] = "0.2.0"
         manifest["outputs"]["posterior.json"] = self.DIGEST_0_2_0
         path = tmp_path / "manifest.json"
@@ -777,9 +804,27 @@ class TestPriorBounds:
 
     @pytest.mark.parametrize("theta", ["3e-3", "1e-3", "1e-9"])
     def test_small_theta_power_prior_check(self, tmp_path, theta):
-        # the substituted integrand's xi = tau^(1/theta) underflows to 0 over most of [0, 1]
+        # the leading term (4/3) k^theta / theta below 1e-16 z carries most of H
         assert run_main("prior-check", "--spec", f"power:{theta}", "--t", "0.1",
                         "--out", str(tmp_path)) == 0
+
+    @pytest.mark.parametrize("spec, t", [("discrete:0.1,5", "0.01"), ("discrete:0.1,5", "0.5"),
+                                         ("discrete:0.1,5", "2"), ("discrete:0.1,5", "10"),
+                                         ("discrete:0.1,0.5", "1e-6")])
+    def test_discrete_g_in_log_scale(self, tmp_path, capsys, spec, t):
+        # G ~ s^(b/a) is formed as exp(-b (log n - log n_sat)): where it is representable
+        # the fit reads its exponent; where it lies below the float range, exit 2 names that
+        code = run_main("prior-check", "--spec", spec, "--t", t, "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert "vanished" not in err and "underflows to 0" not in err
+        if code == 2:
+            assert "smallest normal float" in err
+            return
+        assert code == 0
+        a, b = map(float, spec.split(":")[1].split(","))
+        cond1 = json.loads((tmp_path / "verdict.json").read_text())["condition1"]
+        exponent = cond1.get("alpha", cond1.get("leading_exponent"))
+        assert exponent == pytest.approx(b / a, rel=0.02)
 
     def test_small_theta_power_moments_and_posterior(self, tmp_path):
         assert run_main("moments", "--dist", "zeta", "--spec", "power:1e-9", "--z", "2",

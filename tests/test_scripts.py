@@ -12,9 +12,10 @@ code other than the tests: another package module, a demo, a tool or the
 benchmark.  Code that only the tests call lives with the tests
 (``tests/oracles.py``), unless ``_TEST_ONLY`` names it with a reason.
 
-The package's own sources are parsed for two more rules: ``scipy.integrate``
-is imported in one function only (``priors._quad``, the one quadrature
-routine), and no scipy module is imported when a module loads; the
+The package's own sources are parsed for more rules: ``scipy.integrate``
+is not imported at all (H and the moments come from fixed Gauss-Legendre
+rules; the adaptive reference lives in ``tests/oracles.py``), and no scipy
+module is imported when a module loads; the
 posterior rule reads the prior through a fixed interface, with one CDF call
 site; and Monte Carlo log-means are reduced in one place (``_exp_inplace``
 is used only by ``posterior._shifted_exp``).
@@ -190,9 +191,10 @@ def test_no_scipy_import_at_module_level():
 
 
 def test_one_function_imports_scipy_integrate():
+    # no function at all since H has its fixed rule: adaptive quadrature is test-only
     scopes = [scope for scope, name in _package_scipy_imports()
               if f"{name}.".startswith("scipy.integrate.")]
-    assert scopes == ["priors._quad"]
+    assert scopes == []
 
 
 def test_scipy_import_check_sees_every_form(tmp_path):
