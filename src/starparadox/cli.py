@@ -48,7 +48,6 @@ from .moments import (
     PointMassOneV,
     QuadraticV,
     UniformV,
-    _check_scan,
     geometric_grid,
     moment_curve,
     threshold_from_gap,
@@ -197,7 +196,6 @@ def _cmd_moments(args, out: Path) -> list[Path]:
             f"{sorted(_DISTS)} plus 'beta:<alpha>' and 'zeta'"
         )
     grid = geometric_grid(args.t_lo, args.t_hi, args.per_decade)
-    _check_scan(args.alpha, grid)  # reject a bad --alpha or span before the costly curve
     curve = moment_curve(dist, grid)
     scan = threshold_from_gap(curve[:, 4], args.alpha, grid)
     curve_path = out / "moments.csv"

@@ -292,20 +292,21 @@ def zeta(u):
     return float(out) if out.ndim == 0 else out
 
 
-def zeta_inv(v):
-    """Inverse of :func:`zeta` on [0, 1], accurate to ~1e-15 relative.
+def zeta_inv(y):
+    """The root x in [0, 1] of 1 - zeta(x) = x^2 (3 - 2x) = y: the inverse of
+    :func:`zeta` read at the gap y = 1 - v, accurate to ~1e-15 relative.
 
     The root of the cubic in closed trigonometric form,
-    u = 2 sin(phi) sin(2 pi/3 - phi) with phi = atan2(sqrt(1 - v), sqrt(v)) / 3.
-    The product keeps full relative accuracy as u -> 0 (v -> 1) and as
-    v -> 0, subnormal v included; zeta_inv(1) = 0 and zeta_inv(0) = 1 exactly.
+    x = 2 sin(phi) sin(2 pi/3 - phi) with phi = atan2(sqrt(y), sqrt(1 - y)) / 3.
+    The product keeps full relative accuracy as y -> 0, subnormal y included, and
+    as y -> 1; zeta_inv(0) = 0 and zeta_inv(1) = 1 exactly.
     """
-    v = np.asarray(v, dtype=float)
-    if np.any((v < 0.0) | (v > 1.0) | ~np.isfinite(v)):
+    y = np.asarray(y, dtype=float)
+    if np.any((y < 0.0) | (y > 1.0) | ~np.isfinite(y)):
         raise ValueError("zeta_inv argument must lie in [0, 1]")
-    phi = np.arctan2(np.sqrt(1.0 - v), np.sqrt(v)) / 3.0
-    u = np.where(v == 0.0, 1.0, 2.0 * np.sin(phi) * np.sin(2.0 * math.pi / 3.0 - phi))
-    return float(u) if u.ndim == 0 else u
+    phi = np.arctan2(np.sqrt(y), np.sqrt(1.0 - y)) / 3.0
+    x = np.where(y == 1.0, 1.0, 2.0 * np.sin(phi) * np.sin(2.0 * math.pi / 3.0 - phi))
+    return float(x) if x.ndim == 0 else x
 
 
 def kl_divergence(q, p) -> float:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import zeta, zeta_inv
+from .model import zeta_inv
 from .priors import Prior, QuadratureError, _gauss_legendre
 
 __all__ = [
@@ -189,23 +189,20 @@ def moment_mt(dist, t: float) -> float:
     return float(_moments(dist, np.array([float(t)]))[0][0])
 
 
-# Largest t of a moment curve.  The tail reads v = u^(1/t) as a float, so 1 - v
-# ~ -log(u)/t carries a relative rounding of up to 2^-53 t/|log u|; the rule
-# undoes it to first order (see ``_moments``).  On BetaTailV, alpha in [0.02, 5],
-# 2 t R_t then stays within 1e-12 of 2 t alpha/(t + alpha + 1) up to this cap;
-# at alpha = 0.01 it is 1.1e-12 off at t = 1e5, 5e-12 at 1e6 and 1.5e-10 at 1e7,
-# so the cap stays.  The slack admits a grid whose --t-hi is 1e5 but whose top
-# point rounds a few ulps above it.
+# Largest t of a moment curve.  Every node's gap y = 1 - u^(1/t) comes from log u
+# without rounding v, so on BetaTailV, alpha in [0.01, 5], 2 t R_t stays within
+# 3.8e-14 of 2 t alpha/(t + alpha + 1) for t in [1e-3, 1e5], and within 1.9e-14 at
+# t = 1e6 and 1e7; the cap stays until larger t is checked on the zeta curves.
+# The slack admits a grid whose --t-hi is 1e5 but whose top point rounds a few
+# ulps above it.
 _T_MAX = 1e5
 
 #: Gauss-Legendre nodes per panel; the error estimate compares with twice as many
 _GL_NODES = 16
 #: panels graded toward each end of the u-interval, each this ratio of the next
 _LEVELS, _GRADING = 26, 0.2
-#: the largest float below 1: no v lies strictly between it and 1
-_V_TOP = 1.0 - 2.0**-53
-#: relative rounding charged to each term of the rule's sums (8 ulps)
-_SUM_ROUNDING = 2.0**-50
+#: relative rounding charged to each term of the rule's sums (16 ulps)
+_SUM_ROUNDING = 2.0**-49
 _REL_TOL = 1e-9
 
 
@@ -218,89 +215,62 @@ def _half_panels(k: int) -> tuple[np.ndarray, np.ndarray]:
     return edges[:-1, None] + half * (1.0 + nodes), half * weights
 
 
-def _rule_sums(parts, strip_err) -> tuple[np.ndarray, np.ndarray]:
-    """Value (the 2k-node rule) and error estimate per t of one integral; ``parts`` holds,
-    per rule, its exact part and the per-node terms and rounding corrections."""
-    (exact, coarse, _), (_, fine, corrections) = parts
-    value = exact + np.sum(fine, axis=(1, 2), keepdims=True)
-    err = (np.abs(value - exact - np.sum(coarse, axis=(1, 2), keepdims=True)) + strip_err
-           + np.abs(np.sum(corrections, axis=(1, 2), keepdims=True))
-           + _SUM_ROUNDING * np.sum(np.abs(fine), axis=(1, 2), keepdims=True))
-    return value.ravel(), err.ravel()
+def _rule_sums(exact, coarse, fine) -> tuple[np.ndarray, np.ndarray]:
+    """Value (the 2k-node rule) and error estimate per t of one integral, from its exact
+    part and the per-node terms of the k- and the 2k-node rule."""
+    value = exact + np.sum(fine, axis=(1, 2))
+    err = (np.abs(value - exact - np.sum(coarse, axis=(1, 2)))
+           + _SUM_ROUNDING * np.sum(np.abs(fine), axis=(1, 2)))
+    return value, err
 
 
 def _moments(dist, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """M_t = E[V^t], D_t = M_t - M_{t+1} = E[V^t (1 - V)] and their error estimates at
     every t > 0, from one tail call.
 
-    In u = v^t, M_t = integral_0^1 tail(u^(1/t)) du and D_t is the same integral
-    with the weight omega = 1 - (1 + 1/t) u^(1/t) = -expm1(log(u)/t) - v/t, which is
-    O(1/t), so D_t comes without the cancellation of M_t - M_{t+1}.  The tail is 1 on
-    u <= a = v_one^t (``dist.v_one``, 0 when the handle has none), where both
-    integrals are exact (a and a (1 - v_one)).  [a, u_top], u_top = _V_TOP^t, is
-    cut in two at its middle, each half into panels graded geometrically toward its
-    end.  On the strip [u_top, 1] no float v lies but _V_TOP and 1; there the tail
-    is taken as a power of 1 - v between its values at the two.  Every node of both
-    rules, every t and the two strip ends go to the tail in one array.
+    In u = v^t, M_t = integral_0^1 tail(y) du with the gap y = 1 - u^(1/t) =
+    -expm1(log(u)/t), and D_t is the same integral with the weight omega = 1 - (1 +
+    1/t) u^(1/t) = y - v/t, which is O(1/t), so D_t comes without the cancellation of
+    M_t - M_{t+1}.  The tail is 1 for y >= y_one (``dist.y_one``, 1 when the handle
+    has none), that is on u <= a = (1 - y_one)^t, where both integrals are exact (a
+    and a y_one).  [a, 1] is cut in two at its middle, each half into panels graded
+    geometrically toward its end.  Each node's y is formed from its log u, which is
+    log1p(-w) of the node's w = 1 - u where u > 1/2, so no node rounds v; every node
+    of both rules and every t go to the tail in one array.
 
-    The tail reads 1 - v rounded to a float; each node's value is corrected to
-    first order, by the relative rounding of 1 - v times the tail's log-slope
-    across the node's panel.  The error estimate adds, per t, the difference
-    between the 2k- and the k-node rule, half the tail's change across the strip,
-    the total of those corrections and 8 ulps of each term.  QuadratureError is
-    raised when either estimate exceeds 1e-9 of M_t, so M_t is good to 1e-9
-    relative and R_t = D_t/M_t to 1e-9 absolute.  (A D_t far below M_t can sit
-    under the tail's own accuracy: ``power:1e-9`` has D_t = 4.7e-10 at t = 0.5,
-    while its G is good to 3e-10.)
+    The error estimate is, per t, the difference between the 2k- and the k-node rule
+    plus 16 ulps of each term.  QuadratureError is raised when either estimate
+    exceeds 1e-9 of M_t, so M_t is good to 1e-9 relative and R_t = D_t/M_t to 1e-9
+    absolute.  (A D_t far below M_t can sit under the tail's own accuracy:
+    ``power:1e-9`` has D_t = 5.5e-10 at t = 0.5, while its G is good to about 1e-13.)
     """
-    t = np.asarray(t, dtype=float)[:, None, None]
-    v_one = float(getattr(dist, "v_one", 0.0))
-    if v_one >= 1.0:
+    t = np.asarray(t, dtype=float)
+    y_one = float(getattr(dist, "y_one", 1.0))
+    if y_one <= 0.0:
         return np.ones(t.size), np.zeros(t.size), np.zeros(t.size), np.zeros(t.size)
-    log_v_one = math.log(v_one) if v_one > 0.0 else -math.inf
+    log_v_one = math.log1p(-y_one) if y_one < 1.0 else -math.inf
     a = np.exp(t * log_v_one)
-    w_top = -np.expm1(t * math.log1p(-(2.0**-53)))  # 1 - u_top
-    span = -np.expm1(t * log_v_one) - w_top          # u_top - a
+    t = t[:, None, None]
+    span = -np.expm1(t * log_v_one)  # 1 - a
     rules = []
     for k in (_GL_NODES, 2 * _GL_NODES):
         x, wx = _half_panels(k)
-        # the lower half's rows count x from a, the upper half's from u_top; w = 1 - u
+        # the lower half's rows count x up from a, the upper half's down from 1; w = 1 - u
         lower = np.arange(2 * len(x))[:, None] < len(x)
         x, wx = np.concatenate([x, x]), np.concatenate([wx, wx])
-        w = w_top + span * np.where(lower, 1.0 - x, x)
+        w = span * np.where(lower, 1.0 - x, x)
         with np.errstate(divide="ignore"):  # log1p(-w) at w = 1 is not taken
-            log_u = np.where(w < 0.5, np.log1p(-w), np.log(np.where(lower, a + span * x, 1.0 - w)))
-        rules.append((log_u / t, span * wx))
-    v = [np.exp(r) for r, _ in rules]
-    f = dist.tail(np.concatenate([vr.ravel() for vr in v] + [np.array([_V_TOP, 1.0])]))
-    f_top, f_one = f[-2], f[-1]
-    f = np.split(f[:-2], [v[0].size])
+            log_v = np.where(w < 0.5, np.log1p(-w), np.log(a[:, None, None] + span * x)) / t
+        rules.append((log_v, span * wx))
+    y = [-np.expm1(log_v) for log_v, _ in rules]
+    f = np.split(dist.tail(np.concatenate([yr.ravel() for yr in y])), [y[0].size])
     m, d = [], []
-    for (r, weight), vr, fr in zip(rules, v, f):
-        fr = fr.reshape(vr.shape)
-        # the tail read 1 - v, not y = 1 - u^(1/t): undo that to first order, with the
-        # tail's log-slope in y across the node's panel
-        y = -np.expm1(r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.log(fr[..., -1:] / fr[..., :1]) / np.log(y[..., -1:] / y[..., :1])
-            # on the strip the tail is taken as f_one + (f_top - f_one) (y / 2^-53)^beta,
-            # beta read from f_top and the first node with y >= 2^-45, where 1 - v
-            # is good to 2^-9
-            near = np.argmin(np.where(y >= 2.0**-45, y, np.inf).reshape(len(y), -1), axis=1)
-            y_near = y.reshape(len(y), -1)[np.arange(len(y)), near]
-            f_near = fr.reshape(len(y), -1)[np.arange(len(y)), near]
-            beta = (np.log((f_near - f_one) / (f_top - f_one)) / np.log(y_near / 2.0**-53))
-        beta = np.where(np.isfinite(beta) & (beta > 0.0), beta, 1.0)[:, None, None]
-        rounding = fr * np.where(np.isfinite(slope), slope, 0.0) * ((1.0 - vr) - y) / y
-        strip = f_one + (f_top - f_one) / (1.0 + beta)
-        omega = -np.expm1(r) - vr / t
-        terms = weight * (fr - rounding)
-        m.append((a + w_top * strip, terms, weight * rounding))
-        d.append((a * (1.0 - v_one) - (1.0 - w_top) * 2.0**-53 * strip, terms * omega,
-                  weight * rounding * omega))
-    half_jump = 0.5 * abs(f_top - f_one)
-    mt, err_m = _rule_sums(m, w_top * half_jump)
-    dt, err_d = _rule_sums(d, (1.0 - w_top) * 2.0**-53 * half_jump)
+    for (log_v, weight), yr, fr in zip(rules, y, f):
+        terms = weight * fr.reshape(yr.shape)
+        m.append(terms)
+        d.append(terms * (yr - np.exp(log_v) / t))
+    mt, err_m = _rule_sums(a, *m)
+    dt, err_d = _rule_sums(a * y_one, *d)
     for name, value, err in (("M_t", mt, err_m), ("D_t", dt, err_d)):
         bad = ~(err <= _REL_TOL * mt)
         if bad.any():
@@ -315,8 +285,9 @@ def moment_curve(dist, t_grid) -> np.ndarray:
 
     One rule in u = v^t gives M_t and D_t = M_t - M_{t+1} for the whole grid from
     one array call of ``dist.tail`` (see ``_moments``); M_{t+1} is M_t - D_t.  A
-    handle may set ``v_one``, the largest v with tail(v) = 1, where the rule then
-    splits.  Grids reaching above t = 1e5 are rejected (ValueError).
+    handle's ``tail(y)`` is P(V >= 1 - y), read at the gap y; it may set ``y_one``,
+    the smallest y with tail(y) = 1, where the rule then splits.  Grids reaching
+    above t = 1e5 are rejected (ValueError).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid > _T_MAX * (1.0 + 1e-12)):
@@ -465,54 +436,57 @@ def lemma_chi_check(params: TailParams, t_grid) -> ChiCheckReport:
 class UniformV:
     """V uniform on [0, 1]: M_t = 1/(t+1), 2 t R_t = 2t/(t+2)."""
 
-    def tail(self, v):
-        return 1.0 - np.asarray(v, dtype=float)
+    def tail(self, y):
+        return np.array(y, dtype=float)
 
 
 class PointMassOneV:
     """V = 1 almost surely: M_t = 1, R_t = 0."""
 
-    v_one = 1.0
+    y_one = 0.0
 
-    def tail(self, v):
-        return np.ones_like(np.asarray(v, dtype=float))
+    def tail(self, y):
+        return np.ones_like(np.asarray(y, dtype=float))
 
 
 class BetaTailV:
-    """P(V >= v) = (1 - v)^alpha: M_t = t B(t, alpha + 1); alpha in [0.01, 5]."""
+    """P(V >= 1 - y) = y^alpha: M_t = t B(t, alpha + 1); alpha in [0.01, 5]."""
 
     def __init__(self, alpha: float):
-        # A sweep of t over [1e-3, 1e5] found 2 t R_t within 1e-12 of 2 t alpha/(t +
-        # alpha + 1) on this range (alpha = 0.01: 1.1e-12 at t = 1e5), with the rule's
-        # estimate covering its error; outside it the rule raises QuadratureError at
-        # alpha = 20 (t = 56) and alpha = 100 (t = 0.06).
+        # A sweep of t over [1e-3, 1e5] found 2 t R_t within 3.8e-14 of 2 t alpha/(t +
+        # alpha + 1) on this range, with the rule's estimate covering its error;
+        # outside it the rule raises QuadratureError at alpha = 20 (t = 56) and
+        # alpha = 100 (t = 0.06).
         if not 0.01 <= alpha <= 5.0:
             raise ValueError(f"beta alpha must be finite and in [0.01, 5], got {alpha!r}")
         self.alpha = alpha
 
-    def tail(self, v):
-        return (1.0 - np.asarray(v, dtype=float)) ** self.alpha
+    def tail(self, y):
+        return np.asarray(y, dtype=float) ** self.alpha
 
 
 class QuadraticV:
-    """Density 2v on [0, 1]: tail 1 - v^2, M_t = 2/(t+2)."""
+    """Density 2v on [0, 1]: tail 1 - v^2 = y (2 - y), M_t = 2/(t+2)."""
 
-    def tail(self, v):
-        return 1.0 - np.asarray(v, dtype=float) ** 2
+    def tail(self, y):
+        y = np.asarray(y, dtype=float)
+        return y * (2.0 - y)
 
 
 class ConditionalZetaV:
     """V = zeta(U) with U the scaled external-branch variable conditioned on
-    4 P0 - 1 = z; the tail is P(V >= v | z) = G(z, zeta^{-1}(v) (3 - z)/2).
+    4 P0 - 1 = z; the tail is P(V >= 1 - y | z) = G(z, x (3 - z)/2), where x is the
+    root of 1 - zeta(x) = x^2 (3 - 2x) = y.
 
-    As 1 - zeta(u) ~ 3 u^2 at u = 0, a CDF exponent alpha of G in s gives the
-    tail exponent alpha/2 in (1 - v), so 2 t R_t tends to alpha."""
+    As 1 - zeta(x) ~ 3 x^2 at x = 0, a CDF exponent alpha of G in s gives the
+    tail exponent alpha/2 in y, so 2 t R_t tends to alpha."""
 
     def __init__(self, prior: Prior, z: float):
         self.prior = prior
         self.z = float(z)
-        # G(z, s) = 1 from s_sat on, that is for v up to zeta(2 s_sat / (3 - z))
-        self.v_one = float(zeta(min(1.0, 2.0 * prior.s_sat(self.z) / (3.0 - self.z))))
+        # G(z, s) = 1 from s_sat on, that is from x_one = 2 s_sat / (3 - z) on
+        x_one = min(1.0, 2.0 * prior.s_sat(self.z) / (3.0 - self.z))
+        self.y_one = x_one * x_one * (3.0 - 2.0 * x_one)
 
-    def tail(self, v):
-        return self.prior.g(self.z, zeta_inv(v) * (3.0 - self.z) / 2.0)
+    def tail(self, y):
+        return self.prior.g(self.z, zeta_inv(y) * (3.0 - self.z) / 2.0)

@@ -153,7 +153,6 @@ class Prior:
     kind: str = "abstract"
     rate_e: float = 4.0  # Te rate; at 4, Se = exp(-4 Te) is uniform on [0, 1]
     ti_max: float = 1.0  # top of the Ti support
-    g_accuracy: float = 3e-10  # relative accuracy of g(); tightened where closed forms exist
     _CACHES: tuple[str, ...] = ("_h_sat_memo",)  # per-instance memos, never pickled
 
     # ---- serialization ------------------------------------------------
@@ -307,7 +306,6 @@ class UniformPrior(_ExpIndepPrior):
     """Ti uniform on [0, theta].  H(z, s) = -log(1 - s/z) up to saturation."""
 
     kind = "uniform"
-    g_accuracy = 1e-12
 
     def __init__(self, theta: float):
         theta = float(theta)
@@ -454,7 +452,6 @@ class TamePrior(Prior):
     """
 
     kind = "tame"
-    g_accuracy = 1e-12
     ti_max = math.inf
 
     def __init__(self, rate_e: float = 4.0, rate_i: float = 4.0):
@@ -516,7 +513,6 @@ class DiscretePrior(Prior):
     """
 
     kind = "discrete"
-    g_accuracy = 1e-12
 
     _N_TABLE = 1 << 20
 

@@ -58,8 +58,10 @@ _T_MAX = 85.0
 
 #: the one exponent ladder eps_0..eps_k; its last entry is the guard order
 _EPS = (0.0, 1.0, 2.0, 3.0)
-#: the fitted alpha stays within half a ladder step of the log-slope
+#: the fitted alpha stays within half a ladder step of the log-slope, and above half of it
 _ALPHA_SPAN = 0.5
+#: relative accuracy of every prior's G rows, the fit's noise tolerance
+_G_ACCURACY = 1e-12
 #: the doubling n-grid of condition 2, up to 2^16
 _N_GRID = 2 ** np.arange(6, 17)
 
@@ -154,7 +156,8 @@ def _ladder_fit(s: np.ndarray, G: np.ndarray, alpha0: float):
     """Least squares fit of G ~ sum_i F_i s^(alpha+eps_i) in relative units.
 
     The basis includes the guard order; alpha is refined by a bounded
-    scalar minimization over alpha0 +- _ALPHA_SPAN.  Returns (alpha,
+    scalar minimization over alpha0 +- _ALPHA_SPAN and above alpha0 / 2, which
+    keeps alpha positive at any scale of alpha0.  Returns (alpha,
     coeffs, rel_residuals) where rel_residuals = (G - model)/G.
     """
     from scipy.optimize import minimize_scalar  # loaded only when a fit runs
@@ -169,7 +172,7 @@ def _ladder_fit(s: np.ndarray, G: np.ndarray, alpha0: float):
 
     res = minimize_scalar(
         lambda alpha: solve(alpha)[2],
-        bounds=(max(1e-3, alpha0 - _ALPHA_SPAN), alpha0 + _ALPHA_SPAN), method="bounded",
+        bounds=(max(alpha0 / 2.0, alpha0 - _ALPHA_SPAN), alpha0 + _ALPHA_SPAN), method="bounded",
         options={"xatol": 1e-13, "maxiter": 500},
     )
     alpha = float(res.x)
@@ -238,7 +241,7 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
     span at least four decades and stay below saturation.  At each z the
     integer ladder, guard term included in the basis, is fitted with alpha
     within 0.5 of the log-slope; it must pass the stability tests of
-    :func:`_guard_valid` on every z, at the prior's ``g_accuracy``.
+    :func:`_guard_valid` on every z, at G's relative accuracy ``_G_ACCURACY``.
     Otherwise a local model contest decides whether a log term is
     responsible and supplies the diagnostic.
     """
@@ -249,7 +252,7 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
     decades = math.log10(s_grid[-1] / s_grid[0])
     if decades < 4.0 - 1e-9:
         raise ValueError(f"s_grid spans {decades:.2f} decades; need >= 4")
-    tol = spec.g_accuracy
+    tol = _G_ACCURACY
 
     G = np.array([spec.g(z, s_grid) for z in z_grid])
     tiny = np.finfo(float).tiny

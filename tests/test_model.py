@@ -234,69 +234,76 @@ class TestZeta:
         with pytest.raises(ValueError):
             zeta_inv(-0.1)
 
+    # zeta_inv takes the gap y = 1 - v and returns the root x of 1 - zeta(x) = y
+
     def test_inverse_endpoints(self):
-        assert zeta_inv(1.0) == 0.0
-        assert zeta_inv(0.0) == 1.0
+        assert zeta_inv(0.0) == 0.0
+        assert zeta_inv(1.0) == 1.0
         assert zeta_inv(0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_roundtrip_grids(self):
         u = np.linspace(0.0, 1.0, 1001)
-        assert np.max(np.abs(zeta_inv(zeta(u)) - u)) < 1e-10
-        v = np.linspace(0.0, 1.0, 1001)
-        assert np.max(np.abs(zeta(zeta_inv(v)) - v)) < 1e-10
+        assert np.max(np.abs(zeta_inv(1.0 - zeta(u)) - u)) < 1e-10
+        y = np.linspace(0.0, 1.0, 1001)
+        assert np.max(np.abs(zeta(zeta_inv(y)) - (1.0 - y))) < 1e-10
 
-    @given(v=st.floats(0.0, 1.0))
+    @given(y=st.floats(0.0, 1.0))
     @settings(max_examples=200)
-    def test_roundtrip_property(self, v):
-        assert zeta(zeta_inv(v)) == pytest.approx(v, abs=1e-10)
+    def test_roundtrip_property(self, y):
+        assert zeta(zeta_inv(y)) == pytest.approx(1.0 - y, abs=1e-10)
 
     def test_series_near_one(self):
-        # cubic inversion u = w/sqrt(3) + w^2/9 + 5 w^3/(54 sqrt 3) + (8/243) w^4 + ...
-        v = 1.0 - 1e-6
-        w = math.sqrt(1.0 - v)
+        # v = 1 - y near one; cubic inversion
+        # u = w/sqrt(3) + w^2/9 + 5 w^3/(54 sqrt 3) + (8/243) w^4 + ...
+        y = 1e-6
+        w = math.sqrt(y)
         s3 = math.sqrt(3.0)
         series = w / s3 + w**2 / 9.0 + 5.0 * w**3 / (54.0 * s3)
         quartic = (8.0 / 243.0) * w**4
-        u = zeta_inv(v)
+        u = zeta_inv(y)
         assert abs(u - series) <= 2.0 * quartic
         # independent root-finder oracle at 1e-15 tolerance
-        root = brentq(lambda x: (1 + 2 * x) * (1 - x) ** 2 - v, 0.0, 1.0, xtol=1e-15)
+        root = brentq(lambda x: x * x * (3 - 2 * x) - y, 0.0, 1.0, xtol=1e-15)
         assert u == pytest.approx(root, abs=5e-13)
 
     def test_accuracy_against_mpmath(self):
-        def reference(v):
-            # bisection of the decreasing cubic in 50-digit arithmetic
-            lo, hi, v = mp.mpf(0), mp.mpf(1), mp.mpf(v)
+        def reference(y):
+            # bisection of the increasing cubic x^2 (3 - 2x) in 50-digit arithmetic, on
+            # [0, sqrt(y)]: x^2 <= y, so 130 halvings resolve the root relative to its size
             with mp.workdps(50):
+                lo, y = mp.mpf(0), mp.mpf(y)
+                hi = min(mp.mpf(1), mp.sqrt(y))
                 for _ in range(130):
                     mid = (lo + hi) / 2
-                    if (1 + 2 * mid) * (1 - mid) ** 2 > v:
+                    if mid * mid * (3 - 2 * mid) < y:
                         lo = mid
                     else:
                         hi = mid
                 return (lo + hi) / 2
 
         rng = np.random.default_rng(2024)
-        v = np.concatenate([
+        # the points of the old v-argument test, written as gaps y = 1 - v: v near 0 (down
+        # to subnormal) is y near 1, v near 1 is y near 0 (down to subnormal)
+        y = np.concatenate([
             rng.random(100),
-            np.logspace(-1.0, -323.0, 120),
-            [5e-324],
             1.0 - 10.0 ** -np.arange(1.0, 16.0),
             [1.0 - 2.0**-53],
+            np.logspace(-1.0, -323.0, 120),
+            [5e-324],
         ])
-        u = zeta_inv(v)
-        for vi, ui in zip(v, u):
-            ref = reference(vi)
-            assert abs((mp.mpf(ui) - ref) / ref) <= 2e-15, vi
+        u = zeta_inv(y)
+        for yi, ui in zip(y, u):
+            ref = reference(yi)
+            assert abs((mp.mpf(ui) - ref) / ref) <= 2e-15, yi
 
     def test_shape_preserved(self):
-        v = np.linspace(0.0, 1.0, 12)
+        y = np.linspace(0.0, 1.0, 12)
         assert isinstance(zeta_inv(0.3), float)
         assert isinstance(zeta_inv(np.array(0.3)), float)
-        assert zeta_inv(v).shape == (12,)
-        grid = zeta_inv(v.reshape(3, 4))
+        assert zeta_inv(y).shape == (12,)
+        grid = zeta_inv(y.reshape(3, 4))
         assert grid.shape == (3, 4)
-        assert grid.ravel().tolist() == [zeta_inv(x) for x in v]
+        assert grid.ravel().tolist() == [zeta_inv(x) for x in y]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -5e-324, 1.0 + 2.0**-52])
     def test_rejects_nan_and_out_of_range(self, bad):

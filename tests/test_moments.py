@@ -107,9 +107,9 @@ class TestMoments:
 
     def test_oscillating_tail_raises(self):
         class OscillatingTail:
-            def tail(self, v):
+            def tail(self, y):
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    return 0.5 + 0.5 * np.sin(1.0 / (1.0 - v))
+                    return 0.5 + 0.5 * np.sin(1.0 / y)
 
         with pytest.raises(QuadratureError, match="did not converge"):
             moment_mt(OscillatingTail(), 2.0)
@@ -133,11 +133,9 @@ class TestMomentRule:
 
     @pytest.mark.parametrize("alpha", RULE_ALPHAS)
     def test_beta_tail_two_t_r_t_exact(self, alpha):
-        # 2 t R_t = 2 t alpha/(t + alpha + 1); at alpha = 0.01 the rounding of v costs
-        # 1.1e-12 at t = 1e5 (see moments._T_MAX), so that one point is left out
-        grid = RULE_GRID if alpha > 0.01 else RULE_GRID[RULE_GRID <= 5e4]
-        curve = moment_curve(BetaTailV(alpha), grid)
-        np.testing.assert_allclose(curve[:, 4], 2.0 * grid * alpha / (grid + alpha + 1.0),
+        # 2 t R_t = 2 t alpha/(t + alpha + 1)
+        curve = moment_curve(BetaTailV(alpha), RULE_GRID)
+        np.testing.assert_allclose(curve[:, 4], 2.0 * RULE_GRID * alpha / (RULE_GRID + alpha + 1.0),
                                    rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("dist,exact", [
@@ -190,7 +188,7 @@ class TestMomentRule:
         dist = ConditionalZetaV(PowerPrior(0.5), BENCH_Z)
         sizes = []
         real = dist.tail
-        monkeypatch.setattr(dist, "tail", lambda v: sizes.append(np.size(v)) or real(v))
+        monkeypatch.setattr(dist, "tail", lambda y: sizes.append(np.size(y)) or real(y))
         moment_curve(dist, BENCH_GRID)
         assert len(sizes) == 1 and sizes[0] > 1000 * len(BENCH_GRID)
 
@@ -200,11 +198,11 @@ class TestMomentRule:
         assert moment_mt(dist, 7.0) == curve[0, 1]
 
     def test_split_where_the_tail_reaches_one(self):
-        # z < y_min: G(z, s) = 1 from s_sat < (3 - z)/2 on, so the tail is 1 below v_one > 0
+        # z < y_min: G(z, s) = 1 from s_sat < (3 - z)/2 on, so the tail is 1 above y_one < 1
         dist = ConditionalZetaV(UniformPrior(1.0), 0.7)
-        assert 0.0 < dist.v_one < 1.0
-        assert dist.tail(dist.v_one * (1.0 - 1e-12)) == 1.0
-        assert dist.tail(dist.v_one + 1e-6) < 1.0
+        assert 0.0 < dist.y_one < 1.0
+        assert dist.tail(dist.y_one * (1.0 + 1e-12)) == 1.0
+        assert dist.tail(dist.y_one - 1e-6) < 1.0
         m, d, err_m, err_d = moments._moments(dist, geometric_grid(0.5, 500.0, 2))
         assert np.all(err_m <= 1e-12 * m) and np.all(err_d <= 1e-9 * m)
 

@@ -45,7 +45,6 @@ class _LogPeriodicG(Prior):
     """G(z, s) = s (1 + 0.05 sin(2 log s)): a power law modulated in log s."""
 
     kind = "synthetic-log-periodic"
-    g_accuracy = 1e-12
 
     def g(self, z, s):
         return s * (1.0 + 0.05 * np.sin(2.0 * np.log(s)))
@@ -194,6 +193,13 @@ class TestCheckTempered:
         v = check_tempered(spec, t)
         assert v.tempered
         assert v.condition1.alpha == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize("theta", [5e-4, 1e-4, 1e-6, 1e-9])
+    def test_small_theta_power_tempered(self, theta):
+        # the ladder seeks alpha above half the log-slope, so any small theta is in reach
+        v = check_tempered(PowerPrior(theta), 0.1)
+        assert v.tempered
+        assert v.condition1.alpha == pytest.approx(theta, rel=2e-8)
 
     def test_one_g_call_per_row(self, monkeypatch):
         spec = PowerPrior(0.5)

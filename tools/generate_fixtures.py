@@ -83,8 +83,15 @@ def pinned_cases() -> list[tuple[list[str], list[int]]]:
 
 
 def write_pins() -> None:
-    """Run every pinned case and write its argv, output digests and replay legs."""
-    lines = []
+    """Run every pinned case and write its argv, output digests and replay legs.
+
+    Prints each case whose digests differ from the file it replaces (argv, then
+    output: old -> new short digest) and how many cases stayed as they were.
+    """
+    old = {}
+    if PINS_OUT.exists():
+        old = {tuple(c["argv"]): c["outputs"] for c in json.loads(PINS_OUT.read_text(encoding="utf-8"))}
+    lines, stayed = [], 0
     with tempfile.TemporaryDirectory() as tmp:
         for k, (argv, replay_jobs) in enumerate(pinned_cases()):
             out = Path(tmp) / str(k)
@@ -94,8 +101,16 @@ def write_pins() -> None:
             outputs = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["outputs"]
             case = {"argv": argv, "outputs": outputs, "replay_jobs": replay_jobs}
             lines.append(json.dumps(case, sort_keys=True))
+            before = old.get(tuple(argv), {})
+            if before == outputs:
+                stayed += 1
+                continue
+            print(f"moved: {' '.join(argv)}")
+            for name in sorted(set(before) | set(outputs)):
+                if before.get(name) != outputs.get(name):
+                    print(f"  {name}: {before.get(name, '-')[:12]} -> {outputs.get(name, '-')[:12]}")
     PINS_OUT.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
-    print(f"wrote {PINS_OUT}")
+    print(f"{stayed} of {len(lines)} cases unchanged; wrote {PINS_OUT}")
 
 
 def posterior_753(prior) -> dict:
