@@ -53,7 +53,7 @@ from .moments import (
     threshold_from_gap,
 )
 from .posterior import paradox_scan, simulate_counts, tree_posterior
-from .priors import parse_prior, prior_from_dict, prior_from_json
+from .priors import QuadratureError, parse_prior, prior_from_dict, prior_from_json
 from .tempering import check_tempered
 
 _ENV_SEED = "STARPARADOX_SEED"
@@ -196,7 +196,10 @@ def _cmd_moments(args, out: Path) -> list[Path]:
             f"{sorted(_DISTS)} plus 'beta:<alpha>' and 'zeta'"
         )
     grid = geometric_grid(args.t_lo, args.t_hi, args.per_decade)
-    curve = moment_curve(dist, grid)
+    try:
+        curve = moment_curve(dist, grid)
+    except QuadratureError as exc:  # a measured bound of the rule, reported as one
+        raise ValueError(f"{exc}; the rule cannot resolve this tail on the grid") from None
     scan = threshold_from_gap(curve[:, 4], args.alpha, grid)
     curve_path = out / "moments.csv"
     write_csv_rows(curve_path, ("t", "m_t", "m_t_plus_1", "r_t", "two_t_r_t"), curve)

@@ -275,7 +275,8 @@ def _moments(dist, t: np.ndarray) -> tuple[np.ndarray, ...]:
         bad = ~(err <= _REL_TOL * mt)
         if bad.any():
             i = int(np.argmax(bad))
-            raise QuadratureError(f"moment rule did not converge for {name} at t={float(t.flat[i])!r}",
+            raise QuadratureError(f"moment rule did not converge for {name} at t={float(t.flat[i])!r}: "
+                                  f"its error estimate exceeds the gate 1e-9·M_t = {_REL_TOL * mt[i]:.3g}",
                                   float(value[i]), float(err[i]))
     return mt, dt, err_m, err_d
 

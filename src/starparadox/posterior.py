@@ -221,7 +221,8 @@ def _posterior_probs(log_w: np.ndarray, log_epi: np.ndarray) -> np.ndarray:
 # Gauss-Legendre in u.  The Ti rule is a trapezoid Stieltjes sum
 # sum (f(a) + f(b))/2 (F(b) - F(a)) of the Se integrals f over bins in v,
 # extrapolated over bin halvings (Romberg).  The prior's exact CDF F is read
-# once at every edge, so each bin carries its exact mass F(b) - F(a).
+# at every edge, all edges in one array call (and the sub-bins of refined
+# groups in one more), so each bin carries its exact mass F(b) - F(a).
 # Both rules cover windows set by a Gaussian model of log K: its Taylor
 # parabola at the maximum, or at the boundary where the maximum lies on
 # one.  The Ti mass left outside the bins is added at Ti = 0 and at
@@ -381,10 +382,10 @@ def _ti_edges(n0: int, ni: int, m: int, top: float) -> tuple[np.ndarray, float]:
 
 
 def _log_ti_cdf(prior: Prior, v: np.ndarray) -> np.ndarray:
-    """log P(Ti <= t) at t = -log(1 - v)/4 for each v (v = 1 is Ti = inf)."""
+    """log P(Ti <= t) at t = -log(1 - v)/4 for each v (v = 1 is Ti = inf), in one call."""
     with np.errstate(divide="ignore"):
         ti = -np.log1p(-v) / 4.0
-    return np.array([prior.log_ti_cdf(float(t)) for t in ti])
+    return prior.log_ti_cdf(ti)
 
 
 def _romberg_weights(levels: int) -> np.ndarray:

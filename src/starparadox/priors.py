@@ -145,7 +145,7 @@ class Prior:
     """Base class: joint law of (Te, Ti) plus the G(z, .) machinery.
 
     Te ~ Exp(rate_e), independent of Ti.  A catalog subclass declares its Ti
-    law (``_sample_ti``, ``log_ti_cdf``, ``_h``, and ``ti_max`` where Ti is not
+    law (``_sample_ti``, ``_log_ti_cdf``, ``_h``, and ``ti_max`` where Ti is not
     bounded by 1) and its constructor arguments, stored under their own names
     as the only instance attributes that are not caches (``params()``).
     """
@@ -184,17 +184,34 @@ class Prior:
         raise NotImplementedError
 
     # ---- marginal pieces used by the corner probability ----------------
-    def log_ti_cdf(self, x: float) -> float:
-        """log P(Ti <= x)."""
+    def log_ti_cdf(self, x):
+        """log P(Ti <= x): -inf for x <= 0, 0 from the top of the Ti support on.
+
+        x may be an array; the result is then an array of its shape, else a float.
+        Every element is read by the same formula as a float, in one array pass.
+        """
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0 = -inf at x <= 0
+            out = self._log_ti_cdf(np.asarray(x, dtype=float))
+        return float(out) if out.ndim == 0 else out
+
+    def _log_ti_cdf(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def log_te_band(self, t: float, width: float) -> float:
-        """log P(t <= Te <= t + width) for Te ~ Exp(rate_e)."""
-        return -self.rate_e * t + math.log(-math.expm1(-self.rate_e * width))
+    def log_te_band(self, t: float, width):
+        """log P(t <= Te <= t + width) for Te ~ Exp(rate_e).
 
-    def log_q_n(self, t: float, n: int) -> float:
-        """log P(Ti <= 1/n, t <= Te <= t + 1/n) for the independent catalog."""
-        if n < 1:
+        width may be an array; the result is then an array of its shape, else a float.
+        """
+        out = -self.rate_e * t + np.log(-np.expm1(-self.rate_e * np.asarray(width, dtype=float)))
+        return float(out) if out.ndim == 0 else out
+
+    def log_q_n(self, t: float, n):
+        """log P(Ti <= 1/n, t <= Te <= t + 1/n) for the independent catalog.
+
+        n may be an array; the result is then an array of its shape, else a float.
+        """
+        n = np.asarray(n, dtype=float)
+        if np.any(n < 1.0):
             raise ValueError("n must be >= 1")
         if t <= 0.0:
             raise ValueError("t must be > 0")
@@ -335,10 +352,8 @@ class UniformPrior(_ExpIndepPrior):
     def _sample_ti(self, rng, size):
         return self.theta * rng.random(size)
 
-    def log_ti_cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return -math.inf
-        return min(0.0, math.log(x / self.theta))
+    def _log_ti_cdf(self, x):
+        return np.minimum(0.0, np.log(np.maximum(x, 0.0) / self.theta))
 
     def declared_tempering(self) -> dict:
         return {"tempered": True, "k": 3, "alpha": 1.0, "eps": (1.0, 2.0, 3.0)}
@@ -369,10 +384,8 @@ class PowerPrior(_ExpIndepPrior):
     def _sample_ti(self, rng, size):
         return rng.random(size) ** (1.0 / self.theta)
 
-    def log_ti_cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return -math.inf
-        return self.theta * min(0.0, math.log(x))
+    def _log_ti_cdf(self, x):
+        return self.theta * np.minimum(0.0, np.log(np.maximum(x, 0.0)))
 
     def declared_tempering(self) -> dict:
         return {"tempered": True, "k": 3, "alpha": self.theta, "eps": (1.0, 2.0, 3.0)}
@@ -392,12 +405,9 @@ class LogPrior(_ExpIndepPrior):
     def _sample_ti(self, rng, size):
         return rng.random(size) * rng.random(size)
 
-    def log_ti_cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return -math.inf
-        if x >= 1.0:
-            return 0.0
-        return math.log(x) + math.log1p(-math.log(x))
+    def _log_ti_cdf(self, x):
+        log_x = np.log(np.minimum(x, 1.0))
+        return np.where(x > 0.0, log_x + np.log1p(-log_x), -math.inf)
 
     def declared_tempering(self) -> dict:
         return {"tempered": False, "diagnostic": "s·log s"}
@@ -418,12 +428,9 @@ class TLogPrior(_ExpIndepPrior):
     def _sample_ti(self, rng, size):
         return np.sqrt(rng.random(size) * rng.random(size))
 
-    def log_ti_cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return -math.inf
-        if x >= 1.0:
-            return 0.0
-        return 2.0 * math.log(x) + math.log1p(-2.0 * math.log(x))
+    def _log_ti_cdf(self, x):
+        log_x = np.log(np.minimum(x, 1.0))
+        return np.where(x > 0.0, 2.0 * log_x + np.log1p(-2.0 * log_x), -math.inf)
 
     def declared_tempering(self) -> dict:
         return {"tempered": False, "diagnostic": "s^2·log s"}
@@ -463,10 +470,8 @@ class TamePrior(Prior):
     def _sample_ti(self, rng, size):
         return rng.exponential(scale=1.0 / self.rate_i, size=size)
 
-    def log_ti_cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return -math.inf
-        return math.log(-math.expm1(-self.rate_i * x))
+    def _log_ti_cdf(self, x):
+        return np.log(-np.expm1(-self.rate_i * np.maximum(x, 0.0)))
 
     def declared_tempering(self) -> dict:
         return {"tempered": True, "k": 3, "alpha": 1.0, "eps": (1.0, 2.0, 3.0)}
@@ -533,52 +538,55 @@ class DiscretePrior(Prior):
         return {"tempered": True, "k": 3, "alpha": self.b / self.a, "eps": (1.0, 2.0, 3.0)}
 
     # ---- series tails ---------------------------------------------------
-    def _log_tail(self, log_x: float) -> float:
-        """log sum_{n >= x} r_n, x = exp(log_x), from the table's end out to any float log_x.
+    def _log_tail(self, log_x: np.ndarray) -> np.ndarray:
+        """log sum_{n >= x} r_n, x = exp(log_x), from the table's end out to any float log_x,
+        at every element of an array.
 
         The sum of 3 (n^-b - (n+1)^-b) telescopes to 3 x^-b; the rest, 2 sum_{n >= x} f(n)
         with f(u) = (1 - exp(-4 u^-a)) (u^-b - (u+1)^-b), is Euler-Maclaurin's
         I + f(x)/2 - f'(x)/12, I = integral_x^inf f.  With x^-b factored out of every term
         this is -b log_x + log(3 - 2 (I + f/2 - f'/12) x^b).  I x^b expands (u+1)^-b in
         powers of 1/u; term j reduces by m = 4 u^-a to b c_j / a * x^-j * S((b + j)/a,
-        4 x^-a) (``_gamma_series``) and is summed only while x^-j >= 1e-17.
+        4 x^-a) (``_gamma_series``) and is summed where x^-j >= 1e-17.
         """
         a, b = self.a, self.b
-        inv_x = math.exp(-log_x)
-        m = 4.0 * math.exp(-a * log_x)
-        e4, one_minus_e4 = math.exp(-m), -math.expm1(-m)
-        k = -math.expm1(-b * math.log1p(inv_x))  # (x^-b - (x+1)^-b) x^b
+        inv_x = np.exp(-log_x)
+        m = 4.0 * np.exp(-a * log_x)
+        e4, one_minus_e4 = np.exp(-m), -np.expm1(-m)
+        k = -np.expm1(-b * np.log1p(inv_x))  # (x^-b - (x+1)^-b) x^b
         f = one_minus_e4 * k
         fprime = inv_x * (-e4 * a * m * k
-                          + one_minus_e4 * b * math.expm1(-(b + 1.0) * math.log1p(inv_x)))
+                          + one_minus_e4 * b * np.expm1(-(b + 1.0) * np.log1p(inv_x)))
         coeff = (1.0, -(b + 1.0) / 2.0, (b + 1.0) * (b + 2.0) / 6.0,
                  -(b + 1.0) * (b + 2.0) * (b + 3.0) / 24.0)
-        integral = 0.0
+        integral = np.zeros(np.shape(log_x))
         for j, c in enumerate(coeff):
             x_j = inv_x**j
-            if x_j < 1e-17:
+            on = x_j >= 1e-17  # x^-j falls with j: a term left out leaves out all after it
+            if not on.any():
                 break
-            integral += b * c / a * x_j * _gamma_series((b + j) / a, m)
-        return -b * log_x + math.log(3.0 - 2.0 * (integral + f / 2.0 - fprime / 12.0))
+            integral[on] += b * c / a * x_j[on] * _gamma_series((b + j) / a, m[on])
+        return -b * log_x + np.log(3.0 - 2.0 * (integral + f / 2.0 - fprime / 12.0))
 
     @property
     def r(self) -> float:
         """The series normalizer r = sum_n y_n (n^-b - (n+1)^-b)."""
         return float(_discrete_table(self.a, self.b)[0])
 
-    def log_ti_cdf(self, x: float) -> float:
-        if x <= 0.0:
-            return -math.inf
-        if x >= 1.0:
-            return 0.0
+    def _log_ti_cdf(self, x):
+        out = np.where(x > 0.0, 0.0, -math.inf)
+        inside = (x > 0.0) & (x < 1.0)
         # the atoms n >= m0 = x^(-1/a) lie at or below x; m0 overflows for small x and a
-        log_m0 = -math.log(x) / self.a
-        if log_m0 >= 53.0 * math.log(2.0):  # no exact ceil(m0): m0 itself, off by O(b/m0)
-            return self._log_tail(log_m0) - math.log(self.r)
-        m = math.ceil(x ** (-1.0 / self.a)) - 1
-        if m <= self._N_TABLE:
-            return math.log(_discrete_table(self.a, self.b)[m]) - math.log(self.r)
-        return self._log_tail(math.log(m + 1)) - math.log(self.r)
+        log_m0 = -np.log(x[inside]) / self.a
+        far = log_m0 >= 53.0 * math.log(2.0)  # no exact ceil(m0): m0 itself, off by O(b/m0)
+        with np.errstate(over="ignore"):
+            m = np.ceil(x[inside] ** (-1.0 / self.a)) - 1.0
+        table = ~far & (m <= self._N_TABLE)
+        log_tail = np.empty(log_m0.shape)
+        log_tail[table] = np.log(_discrete_table(self.a, self.b)[m[table].astype(int)])
+        log_tail[~table] = self._log_tail(np.where(far, log_m0, np.log(m + 1.0))[~table])
+        out[inside] = log_tail - math.log(self.r)
+        return out
 
     # ---- exact step section function -------------------------------------
     def _atom_bound(self, z: float, s: np.ndarray) -> np.ndarray:
@@ -665,20 +673,28 @@ class DiscretePrior(Prior):
         return out
 
 
-def _gamma_series(p: float, m: float) -> float:
-    """S(p, m) = -sum_{k>=1} (-m)^k / (k! (p + k)), summed to convergence.
+def _gamma_series(p: float, m: np.ndarray) -> np.ndarray:
+    """S(p, m) = -sum_{k>=1} (-m)^k / (k! (p + k)) at every m of a 1-d array, each summed
+    until its term falls to 1e-17 of its sum.
 
     Equals m^-p * integral_0^m t^(p-1) (1 - e^-t) dt, so it is positive and
     stays in float range for every p > 0, where Gamma(p) alone overflows.
+    Each element adds its terms in the order, and stops at the term, that it would alone.
     """
-    series, power, k = 0.0, 1.0, 0
-    while True:
+    out = np.empty(m.shape)
+    live, m_live = np.arange(m.size), m
+    series, power, k = np.zeros(m.size), np.ones(m.size), 0
+    while live.size:
         k += 1
-        power *= -m / k
+        power *= -m_live / k
         term = power / (p + k)
         series -= term
-        if abs(term) <= 1e-17 * abs(series):
-            return series
+        done = np.abs(term) <= 1e-17 * np.abs(series)
+        if done.any():
+            out[live[done]] = series[done]
+            keep = ~done
+            live, m_live, series, power = live[keep], m_live[keep], series[keep], power[keep]
+    return out
 
 
 @functools.lru_cache(maxsize=4)
@@ -687,7 +703,7 @@ def _discrete_table(a: float, b: float) -> np.ndarray:
     n = np.arange(1, DiscretePrior._N_TABLE + 1, dtype=float)
     rn = (1.0 + 2.0 * np.exp(-4.0 * n**-a)) * (n**-b - (n + 1) ** -b)
     suffix = np.empty(n.size + 1)
-    suffix[-1] = math.exp(DiscretePrior(a, b)._log_tail(math.log(n.size + 1.0)))
+    suffix[-1] = math.exp(DiscretePrior(a, b)._log_tail(np.array([math.log(n.size + 1.0)]))[0])
     suffix[:-1] = suffix[-1] + np.cumsum(rn[::-1])[::-1]
     suffix.flags.writeable = False
     return suffix

@@ -379,7 +379,7 @@ def check_condition2(spec: Prior, t: float) -> Condition2Result:
     Works in log scale throughout; reports "inconclusive" when log Q_n is
     not finite on part of the grid (e.g. Ti bounded away from 0).
     """
-    log_q = np.array([spec.log_q_n(t, int(n)) for n in _N_GRID])
+    log_q = spec.log_q_n(t, _N_GRID)
     if not np.all(np.isfinite(log_q)):
         return Condition2Result("inconclusive", None)
     slope = float(np.polyfit(np.log(_N_GRID), log_q, 1)[0])

@@ -24,7 +24,7 @@ from starparadox.model import (
 )
 from starparadox.moments import TailParams, _frac
 from starparadox.posterior import DegenerateEstimate, _chunk_rng, _run_chunks, kernel_log_values
-from starparadox.priors import PowerPrior, QuadratureError, TamePrior, h_aux
+from starparadox.priors import PowerPrior, QuadratureError, TamePrior, _discrete_table, h_aux
 
 
 def band_event_probability(n: int, t: float, c: float) -> float:
@@ -299,6 +299,72 @@ def h_quad(prior, z: float, s):
 
 
 # ---------------------------------------------------------------------------
+# the discrete tail one float at a time: the package's route before it summed
+# the series over arrays, kept as the reference for the array route
+# ---------------------------------------------------------------------------
+
+def gamma_series(p: float, m: float) -> float:
+    """S(p, m) = -sum_{k>=1} (-m)^k / (k! (p + k)), summed to convergence.
+
+    Equals m^-p * integral_0^m t^(p-1) (1 - e^-t) dt, so it is positive and
+    stays in float range for every p > 0, where Gamma(p) alone overflows.
+    """
+    series, power, k = 0.0, 1.0, 0
+    while True:
+        k += 1
+        power *= -m / k
+        term = power / (p + k)
+        series -= term
+        if abs(term) <= 1e-17 * abs(series):
+            return series
+
+
+def discrete_log_tail(prior, log_x: float, lib=math) -> float:
+    """``DiscretePrior._log_tail`` at one float log_x, one term at a time.
+
+    ``lib`` supplies exp, expm1, log and log1p: ``math`` (the C library's) by default,
+    or ``numpy``, whose vectorized routines can differ from the C library's in the
+    last bit.
+    """
+    a, b = prior.a, prior.b
+    inv_x = lib.exp(-log_x)
+    m = 4.0 * lib.exp(-a * log_x)
+    e4, one_minus_e4 = lib.exp(-m), -lib.expm1(-m)
+    k = -lib.expm1(-b * lib.log1p(inv_x))  # (x^-b - (x+1)^-b) x^b
+    f = one_minus_e4 * k
+    fprime = inv_x * (-e4 * a * m * k
+                      + one_minus_e4 * b * lib.expm1(-(b + 1.0) * lib.log1p(inv_x)))
+    coeff = (1.0, -(b + 1.0) / 2.0, (b + 1.0) * (b + 2.0) / 6.0,
+             -(b + 1.0) * (b + 2.0) * (b + 3.0) / 24.0)
+    integral = 0.0
+    for j, c in enumerate(coeff):
+        x_j = inv_x**j
+        if x_j < 1e-17:
+            break
+        integral += b * c / a * x_j * gamma_series((b + j) / a, m)
+    return -b * log_x + lib.log(3.0 - 2.0 * (integral + f / 2.0 - fprime / 12.0))
+
+
+def discrete_log_ti_cdf(prior, x: float, lib=math) -> float:
+    """``DiscretePrior.log_ti_cdf`` at one float x, by its three routes one value at a time.
+
+    With ``lib`` = ``numpy`` pass x as ``numpy.float64``; ``lib`` also supplies pow.
+    """
+    if x <= 0.0:
+        return -math.inf
+    if x >= 1.0:
+        return 0.0
+    # the atoms n >= m0 = x^(-1/a) lie at or below x; m0 overflows for small x and a
+    log_m0 = -lib.log(x) / prior.a
+    if log_m0 >= 53.0 * math.log(2.0):  # no exact ceil(m0): m0 itself, off by O(b/m0)
+        return discrete_log_tail(prior, log_m0, lib) - math.log(prior.r)
+    m = math.ceil(lib.pow(x, -1.0 / prior.a)) - 1
+    if m <= prior._N_TABLE:
+        return lib.log(_discrete_table(prior.a, prior.b)[m]) - math.log(prior.r)
+    return discrete_log_tail(prior, lib.log(m + 1), lib) - math.log(prior.r)
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo log E[K_i]: the estimator ``tree_posterior`` used before it
 # integrated deterministically, with the same substreams (seed, 1, chunk
 # index), chunk size and merge order, so it reproduces that code's numbers
@@ -479,7 +545,7 @@ def dense_log_expected_kernel(prior, n0: int, ni: int, m: int) -> float:
     t = ((breaks[:-1] + half)[:, None] + half[:, None] * nodes).ravel()
     wt = (half[:, None] * weights).ravel()
     _, df = _se_integrals(n0, ni, m, t, c, scale)
-    cdf = np.exp([prior.log_ti_cdf(float(v)) for v in t])
+    cdf = np.exp(prior.log_ti_cdf(t))
     cdf_c = math.exp(prior.log_ti_cdf(centre))
     f0, f_end = _se_integrals(n0, ni, m, np.array([0.0, end]), c, scale)[0]
     below = t < centre

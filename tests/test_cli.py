@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -1093,6 +1094,21 @@ class TestMomentsZetaDist:
         assert [str(w.message) for w in caught] == []
         rows = read_csv(tmp_path / "moments.csv")[1:]
         assert len(rows) == 4 and all(0.0 < float(r[2]) < float(r[1]) for r in rows)
+
+    @pytest.mark.parametrize("z, estimate", [("1.9", 3.8e-10), ("1.5", 3.0e-8), ("0.7", 5.1e-4)])
+    def test_discrete_beyond_the_gate_exits_2(self, tmp_path, capsys, z, estimate):
+        # the rule's smooth panels straddle G's steps: at t = 0.5 its error estimate
+        # misses the 1e-9 M_t gate, a bound of the rule, not a fault of the run
+        argv = ["moments", "--dist", "zeta", "--spec", "discrete:0.1,0.5", "--z", z,
+                "--alpha", "0.5", "--t-lo", "0.5", "--t-hi", "500", "--per-decade", "1",
+                "--out", str(tmp_path)]
+        assert run_main(*argv) == 2
+        err = capsys.readouterr().err
+        assert "moment rule did not converge for M_t at t=0.5" in err
+        assert "exceeds the gate 1e-9·M_t" in err
+        named = float(re.search(r"error estimate=([0-9.e+-]+)\)", err).group(1))
+        assert named == pytest.approx(estimate, rel=0.05)
+        assert not (tmp_path / "moments.csv").exists()
 
     def test_zeta_requires_z(self, tmp_path):
         r = run_cli("moments", "--dist", "zeta", "--spec", "uniform:1.0",

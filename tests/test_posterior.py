@@ -200,7 +200,7 @@ class _DegeneratePrior(Prior):
         return np.zeros(size), np.zeros(size)
 
     def log_ti_cdf(self, x):
-        return 0.0 if x >= 0.0 else -math.inf
+        return np.where(np.asarray(x) >= 0.0, 0.0, -math.inf)
 
 
 class TestExpectedKernel:

@@ -7,7 +7,9 @@ from concurrent.futures import ProcessPoolExecutor
 import mpmath as mp
 import numpy as np
 import pytest
-from oracles import _quad, h_quad
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import _quad, discrete_log_tail, discrete_log_ti_cdf, gamma_series, h_quad
 
 from starparadox.priors import _running_rule
 from starparadox.tempering import default_s_grid, default_z_grid
@@ -23,6 +25,7 @@ from starparadox.priors import (
     TLogPrior,
     UniformPrior,
     _discrete_table,
+    _gamma_series,
     h_aux,
     parse_prior,
     prior_from_json,
@@ -581,6 +584,70 @@ class TestCornerProbability:
             UniformPrior(1.0).log_q_n(-0.1, 4)
 
 
+def _discrete_points(a: float) -> np.ndarray:
+    """x at 0, 5e-324, the table's last index m = 2^20 and each side of it, each side of the
+    switch to m0 = 2^53, 1 - 2^-53, 1 and 2 (m = ceil(m0) - 1, m0 = x^(-1/a))."""
+    table = [(m + 0.5) ** -a for m in (2**20 - 1, 2**20, 2**20 + 1)]
+    switch = 2.0 ** (-53.0 * a)
+    return np.array([0.0, 5e-324, *table, np.nextafter(switch, 0.0), switch,
+                     np.nextafter(switch, 1.0), 1.0 - 2.0**-53, 1.0, 2.0])
+
+
+# (a, b) over the constructor's domain: 0 < a, 3a < min(1, b), b/a <= 50
+_DISCRETE_AB = st.floats(1e-9, 1.0 / 3.0, exclude_max=True).flatmap(
+    lambda a: st.tuples(st.just(a), st.floats(3.0, 50.0, exclude_min=True).map(lambda r: r * a)
+                        .filter(lambda b: 3.0 * a < b and b / a <= 50.0)))
+
+
+class TestArrayCdf:
+    """log_ti_cdf reads an array in one pass, and the discrete tail sums its series over arrays.
+
+    The scalar routes in ``oracles`` are the package's former float-at-a-time code.  Read
+    with numpy's exp, expm1, log, log1p and pow, they give the array routes' values bit for
+    bit.  With the C library's (``math``) they differ where numpy's vectorized routines
+    round differently: in the last bit of each, which the alternating series S(p, m)
+    amplifies by up to e^m ~ 55 (m <= 4); over 40,000 sampled points the two stay within
+    1.1e-14 of each other, relative to max(1, |value|).
+    """
+
+    @pytest.mark.parametrize("spec", ALL_PRIORS, ids=lambda s: s.kind)
+    def test_array_matches_float_calls(self, spec):
+        xs = np.concatenate([[-1.0, 0.0, 5e-324], np.geomspace(1e-300, 2.0, 600),
+                             [1.0 - 2.0**-53, 1.0, math.inf]])
+        got = spec.log_ti_cdf(xs)
+        singles = [spec.log_ti_cdf(float(x)) for x in xs]
+        assert all(type(v) is float for v in singles)
+        assert got.shape == xs.shape and np.array_equal(got, singles)
+        assert got[0] == got[1] == -math.inf and got[-1] == 0.0
+        assert np.array_equal(spec.log_ti_cdf(xs[3:603].reshape(20, 30)), got[3:603].reshape(20, 30))
+
+    @settings(max_examples=30, deadline=None)
+    @given(ab=_DISCRETE_AB, drawn=st.lists(st.floats(1e-300, 1.0), max_size=20))
+    def test_discrete_matches_scalar_route(self, ab, drawn):
+        prior = DiscretePrior(*ab)
+        xs = np.concatenate([_discrete_points(prior.a), drawn])
+        got = prior.log_ti_cdf(xs)
+        assert np.array_equal(got, [discrete_log_ti_cdf(prior, np.float64(x), np) for x in xs])
+        np.testing.assert_allclose(got, [discrete_log_ti_cdf(prior, float(x)) for x in xs],
+                                   rtol=2e-14, atol=2e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ab=_DISCRETE_AB,
+           log_x=st.lists(st.floats(math.log(2.0**20 + 1.0), 1e12), min_size=1, max_size=30))
+    def test_log_tail_matches_scalar_route(self, ab, log_x):
+        prior = DiscretePrior(*ab)
+        got = prior._log_tail(np.array(log_x))
+        assert got.tolist() == [discrete_log_tail(prior, np.float64(v), np) for v in log_x]
+        np.testing.assert_allclose(got, [discrete_log_tail(prior, v) for v in log_x],
+                                   rtol=2e-14, atol=2e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(1e-3, 1e10), m=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=30))
+    def test_gamma_series_stops_per_element(self, p, m):
+        # each element stops at the term the lone loop stops at, so every bit agrees
+        assert _gamma_series(p, np.array(m)).tolist() == [gamma_series(p, v) for v in m]
+
+
 class TestSmallADiscrete:
     """The discrete tail machinery stays in float range for small a (large (b + j)/a)."""
 
@@ -604,7 +671,7 @@ class TestSmallADiscrete:
                 f = lambda u: (1 - mp.exp(-4 * u**-a)) * (u**-bb - (u + 1) ** -bb)
                 tail = 3 * x**-bb - 2 * (integral + f(x) / 2 - mp.diff(f, x) / 12)
                 ref = float(mp.log(tail))
-            got = DiscretePrior(a, b)._log_tail(log_x)
+            got = DiscretePrior(a, b)._log_tail(np.array([log_x]))[0]
             # 1e-15 relative in the log; 2e-15 relative in the tail itself, where
             # 3 - 2 (I + ...) x^b cancels about threefold for small a at the table's end
             assert got == pytest.approx(ref, rel=1e-15, abs=2e-15), log_x

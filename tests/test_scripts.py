@@ -221,24 +221,34 @@ def test_scipy_import_check_sees_every_form(tmp_path):
     ]
 
 
-def _prior_reads(path: Path) -> tuple[list[int], set[str]]:
-    """Lines of the calls ``<x>.log_ti_cdf(...)``, and the attributes read from a name ``prior``."""
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _prior_reads(path: Path) -> tuple[list[tuple[int, bool]], set[str]]:
+    """The calls ``<x>.log_ti_cdf(...)``, each as (line, whether a loop or a comprehension
+    encloses it), and the attributes read from a name ``prior``."""
+    tree = _parse(path)
+    looped = {id(inner) for loop in ast.walk(tree) if isinstance(loop, _LOOPS)
+              for inner in ast.walk(loop) if inner is not loop}
     sites, attrs = [], set()
-    for node in ast.walk(_parse(path)):
+    for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "log_ti_cdf"):
-            sites.append(node.lineno)
+            sites.append((node.lineno, id(node) in looped))
         if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id == "prior"):
             attrs.add(node.attr)
-    return sites, attrs
+    return sorted(sites), attrs
 
 
 def test_posterior_reads_the_prior_through_one_cdf_site():
     # the deterministic rule reads the Ti law only through exact CDF values at its
-    # nodes, and the Te law through rate_e; the scan draws with sample
+    # nodes, all of a rule's nodes in one call, and the Te law through rate_e; the
+    # scan draws with sample
     sites, attrs = _prior_reads(PACKAGE / "posterior.py")
     assert len(sites) == 1, sites
+    assert not sites[0][1], f"line {sites[0][0]} reads the CDF inside a loop or a comprehension"
     assert attrs <= {"rate_e", "ti_max", "log_ti_cdf", "sample"}, attrs
 
 
@@ -248,10 +258,15 @@ def test_prior_read_check_sees_every_site(tmp_path):
         "def f(prior, other, v):\n"
         "    a = prior.log_ti_cdf(v)\n"
         "    b = [other.log_ti_cdf(t) for t in v]\n"
+        "    for t in v:\n"
+        "        a += prior.log_ti_cdf(t)\n"
+        "    while a:\n"
+        "        a = sum(prior.log_ti_cdf(t) for t in b)\n"
         "    return prior.theta * prior.rate_e\n",
         encoding="utf-8",
     )
-    assert _prior_reads(module) == ([2, 3], {"log_ti_cdf", "theta", "rate_e"})
+    sites = [(2, False), (3, True), (5, True), (7, True)]
+    assert _prior_reads(module) == (sites, {"log_ti_cdf", "theta", "rate_e"})
 
 
 def _references(path: Path) -> dict[str, list[str]]:
