@@ -50,8 +50,8 @@ __all__ = [
 ]
 
 
-class EmptyStratum(RuntimeError):
-    """A conditioning stratum received no prior draws."""
+class EmptyStratum(ValueError):
+    """A conditioning stratum received no prior draws: too few --samples for the strata asked for."""
 
 
 def log_mu(t: float) -> float:
@@ -70,8 +70,9 @@ _DRAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _draw(prior: Prior, n_samples: int, seed: int):
     """Read-only (lp0, lp1, lp2, zval) of ``n_samples`` draws from ``default_rng(seed)``.
 
-    zval = 4 P0 - 1 per draw.  One entry per prior instance, held weakly, so
-    the arrays go with the prior and never travel with a pickled copy.
+    zval = 4 P0 - 1 per draw.  One entry per prior instance, held weakly and
+    outside it, so the arrays go with the prior, and a pickled copy, which
+    carries only the constructor arguments, never ships them.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples (--samples) must be >= 1, got {n_samples!r}")
@@ -149,9 +150,10 @@ def in_band_advantage(
     iv = band_interval(t)
     inside = (zval >= iv.lo) & (zval <= iv.hi)
     if not np.any(inside):
-        raise EmptyStratum("no draw fell in the band interval")
+        raise EmptyStratum(f"no draw of {n_samples} fell in the band interval I_t; use more --samples")
     if not np.any(~inside):
-        raise EmptyStratum("no draw fell outside the band interval")
+        raise EmptyStratum(f"no draw of {n_samples} fell outside the band interval I_t; "
+                           "use more --samples")
     n = counts.n
     q = star_probs(t)
     kap = 5.0 * math.exp(-4.0 * t) / q.p0
@@ -249,7 +251,7 @@ def conditional_ratio_scan(
     for k, stop in enumerate(np.cumsum(band_n)):
         if band_n[k] == 0:
             raise EmptyStratum(
-                f"z band {k} around {centers[k]:.4f} is empty: {block.shape[1]} of {n_samples} "
+                f"z band {k} around {centers[k]:.4g} is empty: {block.shape[1]} of {n_samples} "
                 "draws fall in I_t; use fewer --z-points or more --samples"
             )
         log_ratio[k], se_ratio[k] = _paired_log_ratio(block[:, stop - band_n[k]:stop])

@@ -146,22 +146,19 @@ class Prior:
 
     Te ~ Exp(rate_e), independent of Ti.  A catalog subclass declares its Ti
     law (``_sample_ti``, ``_log_ti_cdf``, ``_h``, and ``ti_max`` where Ti is not
-    bounded by 1) and its constructor arguments, stored under their own names
-    as the only instance attributes that are not caches (``params()``).
+    bounded by 1) and its constructor arguments, stored under their own names,
+    in constructor order, as the only instance attributes.  So ``params()`` is
+    the instance's ``vars``, a pickled copy carries exactly them, and a
+    replay's ``--spec`` is read off ``params().values()``.
     """
 
     kind: str = "abstract"
     rate_e: float = 4.0  # Te rate; at 4, Se = exp(-4 Te) is uniform on [0, 1]
     ti_max: float = 1.0  # top of the Ti support
-    _CACHES: tuple[str, ...] = ("_h_sat_memo",)  # per-instance memos, never pickled
 
     # ---- serialization ------------------------------------------------
     def params(self) -> dict:
-        return self.__getstate__()
-
-    def __getstate__(self):
-        # caches are cheap to rebuild; do not ship them to workers
-        return {k: v for k, v in self.__dict__.items() if k not in self._CACHES}
+        return dict(vars(self))
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": self.params()}
@@ -241,12 +238,8 @@ class Prior:
         raise NotImplementedError
 
     def h_sat(self, z: float) -> float:
-        """H(z, s_sat(z)), computed once per z and kept on the instance."""
-        z = _check_z(z)
-        memo = self.__dict__.setdefault("_h_sat_memo", {})
-        if z not in memo:
-            memo[z] = self.h(z, self.s_sat(z))
-        return memo[z]
+        """H(z, s_sat(z)), the normalizer of G(z, .)."""
+        return self.h(z, self.s_sat(z))
 
     def g(self, z: float, s):
         """Conditional CDF G(z, s) = H(z, min(s, s_sat)) / H(z, s_sat) in [0, 1].
@@ -256,7 +249,7 @@ class Prior:
         h = self.h(z, s)
         denom = self.h_sat(z)
         if denom <= 0.0:
-            raise ValueError(f"H(z, s_sat) underflows to 0 at z={z!r} for {self.to_dict()}: "
+            raise ValueError(f"H(z, s_sat) underflows to 0 at z={float(z)!r} for {self.to_dict()}: "
                              "G is not representable there")
         out = np.clip(np.asarray(h) / denom, 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
@@ -273,7 +266,7 @@ def _check_s(s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     bad = ~(np.isfinite(s) & (s >= 0.0))
     if bad.any():
-        raise ValueError(f"s must be finite and >= 0, got {s[bad].flat[0]!r}")
+        raise ValueError(f"s must be finite and >= 0, got {float(s[bad].flat[0])!r}")
     return s
 
 
@@ -616,13 +609,6 @@ class DiscretePrior(Prior):
         with np.errstate(divide="ignore"):
             return np.where(n <= 9e15, np.log(n), -np.log(self._atom_bound(z, s)) / self.a)
 
-    def _log_n_sat(self, z: float) -> float:
-        """log n(z, s_sat), computed once per z and kept on the instance."""
-        memo = self.__dict__.setdefault("_h_sat_memo", {})
-        if z not in memo:
-            memo[z] = float(self._log_n(z, np.array(self.s_sat(z))))
-        return memo[z]
-
     def s_sat(self, z: float) -> float:
         # at the base formula's s_sat, h_aux(s/z) = 1 only in theory; rounding can give index 2
         z = _check_z(z)
@@ -631,9 +617,6 @@ class DiscretePrior(Prior):
     def _h(self, z: float, s: np.ndarray) -> np.ndarray:
         return np.exp(-self.b * self._log_n(z, np.minimum(s, self.s_sat(z))))
 
-    def h_sat(self, z: float) -> float:
-        return math.exp(-self.b * self._log_n_sat(_check_z(z)))
-
     def g(self, z: float, s):
         """G(z, s) = (n(z, s) / n(z, s_sat))^-b, formed as exp(-b (log n - log n_sat)):
         neither power underflows on its own, so G is 0 only where it is below the float range.
@@ -641,8 +624,9 @@ class DiscretePrior(Prior):
         s may be an array; the result is then an array of its shape, else a float.
         """
         z = _check_z(z)
-        log_n = self._log_n(z, np.minimum(_check_s(s), self.s_sat(z)))
-        out = np.minimum(np.exp(-self.b * (log_n - self._log_n_sat(z))), 1.0)
+        s_sat = self.s_sat(z)
+        log_n = self._log_n(z, np.minimum(_check_s(s), s_sat))
+        out = np.minimum(np.exp(-self.b * (log_n - self._log_n(z, s_sat))), 1.0)
         return float(out) if out.ndim == 0 else out
 
     # ---- sampling ---------------------------------------------------------

@@ -62,6 +62,8 @@ _EPS = (0.0, 1.0, 2.0, 3.0)
 _ALPHA_SPAN = 0.5
 #: relative accuracy of every prior's G rows, the fit's noise tolerance
 _G_ACCURACY = 1e-12
+#: smallest s-grid points whose log-log slope starts the ladder fit's alpha search
+_SLOPE_POINTS = 15
 #: the doubling n-grid of condition 2, up to 2^16
 _N_GRID = 2 ** np.arange(6, 17)
 
@@ -147,9 +149,8 @@ def default_s_grid(t: float) -> np.ndarray:
 # condition 1: ladder fitting
 # ---------------------------------------------------------------------------
 
-def _leading_slope(x: np.ndarray, L: np.ndarray, count: int = 15) -> float:
-    sl = np.polyfit(x[:count], L[:count], 1)[0]
-    return float(sl)
+def _leading_slope(x: np.ndarray, L: np.ndarray) -> float:
+    return float(np.polyfit(x[:_SLOPE_POINTS], L[:_SLOPE_POINTS], 1)[0])
 
 
 def _ladder_fit(s: np.ndarray, G: np.ndarray, alpha0: float):
@@ -252,7 +253,6 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
     decades = math.log10(s_grid[-1] / s_grid[0])
     if decades < 4.0 - 1e-9:
         raise ValueError(f"s_grid spans {decades:.2f} decades; need >= 4")
-    tol = _G_ACCURACY
 
     G = np.array([spec.g(z, s_grid) for z in z_grid])
     tiny = np.finfo(float).tiny
@@ -268,7 +268,7 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
     for iz in range(len(z_grid)):
         alpha0 = _leading_slope(x, logG[iz])
         alpha, coef, resid = _ladder_fit(s_grid, G[iz], alpha0)
-        if not _guard_valid(s_grid, G[iz], alpha, alpha0, resid, tol):
+        if not _guard_valid(s_grid, G[iz], alpha, alpha0, resid):
             break
         fits.append((alpha, coef, resid))
     else:
@@ -276,7 +276,7 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
         coeffs = np.array([f[1][:-1] for f in fits])
         guards = np.array([f[1][-1] for f in fits])
         score = max(float(np.max(np.abs(f[2]))) for f in fits)
-        kappa = _kappa_bound(s_grid, G, alpha_per_z, coeffs, guards, tol, score)
+        kappa = _kappa_bound(s_grid, G, alpha_per_z, coeffs, guards, score)
         return TaylorModel(
             alpha=float(np.median(alpha_per_z)),
             z_grid=z_grid,
@@ -293,7 +293,7 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
     for iz in range(len(z_grid)):
         rms_pure, rms_log, p_log = _log_model_contest(x[win], logG[iz][win])
         # a log vote needs the pure misfit to stand clear of the data noise
-        if rms_log < rms_pure and rms_pure > 3.0 * tol:
+        if rms_log < rms_pure and rms_pure > 3.0 * _G_ACCURACY:
             votes_log += 1
             p_vals.append(p_log)
         details.append(f"z={z_grid[iz]:.3f}: rms_pure={rms_pure:.2e} rms_log={rms_log:.2e}")
@@ -320,7 +320,7 @@ _ALPHA_DRIFT_TOL = 3e-4    # allowed drift of the fitted exponent under capping
 _GROSS_MISFIT = 0.05       # a ladder that misses by >5% is no expansion at all
 
 
-def _guard_valid(s, G, alpha_full, alpha0, resid_full, tol) -> bool:
+def _guard_valid(s, G, alpha_full, alpha0, resid_full) -> bool:
     """Accept a ladder only if it behaves like a genuine power expansion.
 
     Two window-stability properties separate power series from log
@@ -339,14 +339,14 @@ def _guard_valid(s, G, alpha_full, alpha0, resid_full, tol) -> bool:
     alpha_cap, _, resid_cap = _ladder_fit(s[cap], G[cap], alpha0)
     if abs(alpha_cap - alpha_full) > _ALPHA_DRIFT_TOL:
         return False
-    floor = max(_NOISE_FACTOR * tol, _ABS_FLOOR)
+    floor = max(_NOISE_FACTOR * _G_ACCURACY, _ABS_FLOOR)
     if r_full <= floor:
         return True
     r_cap = float(np.max(np.abs(resid_cap)))
     return r_cap <= max(r_full / _SHRINK_GAIN, floor)
 
 
-def _kappa_bound(s, G, alpha_per_z, coeffs, guards, tol, full_resid) -> float:
+def _kappa_bound(s, G, alpha_per_z, coeffs, guards, full_resid) -> float:
     """Certified remainder constant for |G - sum_{i<k} F_i s^(alpha+eps_i)|.
 
     Measured as sup |r_k| / s^(alpha+eps_k) over the points where the guard
@@ -354,7 +354,7 @@ def _kappa_bound(s, G, alpha_per_z, coeffs, guards, tol, full_resid) -> float:
     points the bound kappa s^(alpha+eps_k) + noise-band is verified instead.
     """
     eps_arr = np.asarray(_EPS)
-    band = (100.0 * tol + 3.0 * full_resid)
+    band = 100.0 * _G_ACCURACY + 3.0 * full_resid
     x = np.log(s)
     worst = 0.0
     for iz in range(len(alpha_per_z)):

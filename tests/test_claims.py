@@ -270,7 +270,7 @@ class TestClaim2:
         with pytest.raises(EmptyStratum) as err:
             self._scan_on(monkeypatch, zval)
         message = str(err.value)
-        assert message.startswith(f"z band 1 around {centers[1]:.4f} is empty")
+        assert message.startswith(f"z band 1 around {centers[1]:.4g} is empty")
         assert "10 of 10 draws fall in I_t" in message
         assert "--z-points" in message and "--samples" in message
 

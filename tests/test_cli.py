@@ -827,6 +827,14 @@ class TestPriorBounds:
         exponent = cond1.get("alpha", cond1.get("leading_exponent"))
         assert exponent == pytest.approx(b / a, rel=0.02)
 
+    def test_underflow_names_z_as_a_float(self, tmp_path, capsys):
+        # a fast Te and a slow Ti put H(z, s_sat) below the float range at the top z
+        assert run_main("prior-check", "--spec", "tame:1000,0.001", "--t", "30",
+                        "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "H(z, s_sat) underflows to 0 at z=9.2011776884664e-54 for" in err
+        assert "np.float64" not in err
+
     def test_small_theta_power_moments_and_posterior(self, tmp_path):
         assert run_main("moments", "--dist", "zeta", "--spec", "power:1e-9", "--z", "2",
                         "--alpha", "0.5", "--t-lo", "0.5", "--t-hi", "500", "--per-decade", "1",
@@ -1052,22 +1060,28 @@ class TestClaims:
 
 
 class TestRuntimeFailures:
-    def test_empty_stratum_exits_3(self, tmp_path):
+    def test_empty_stratum_exits_2(self, tmp_path, capsys):
         # far too few draws for 48 conditioning bands: a band stays empty
         r = run_cli("claims", "--spec", "uniform:1.0", "--t", "0.1", "--c", "1.5",
                     "--n", "10000", "--samples", "60", "--z-points", "48",
                     "--seed", "1", "--out", str(tmp_path))
-        assert r.returncode == 3
-        assert "EmptyStratum" in r.stderr
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: z band ") and "--samples" in r.stderr
+        # at t = 50, I_t lies below 1e-86: no draw of 1000 falls in it (ROADMAP item 8a)
+        assert run_main("claims", "--spec", "uniform:1.0", "--t", "50", "--samples", "1000",
+                        "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "error: z band 0 around 5.19e-88 is empty: 0 of 1000 draws fall in I_t" in err
+        assert "--z-points" in err and "--samples" in err
 
     @pytest.mark.parametrize("seed,band,inside", [(1, 6, 1910), (2, 7, 1963)])
     def test_empty_stratum_names_remedy(self, tmp_path, capsys, seed, band, inside):
         # discrete:0.1,0.5 puts about 0.2% of its draws in I_t, too few for 8 bands
         assert run_main("claims", "--spec", "discrete:0.1,0.5", "--t", "0.1", "--c", "1.5",
                         "--n", "10000", "--samples", "1000000", "--seed", str(seed),
-                        "--out", str(tmp_path)) == 3
+                        "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
-        assert f"EmptyStratum: z band {band} around" in err
+        assert f"error: z band {band} around" in err
         assert f"{inside} of 1000000 draws fall in I_t" in err
         assert "--z-points" in err and "--samples" in err
 

@@ -26,7 +26,9 @@ from starparadox.posterior import (
     _log_weights,
     _losing_trees,
     _posterior_probs,
+    _romberg_groups,
     _shifted_exp,
+    _ti_rule,
     kernel_log_values,
     log_expected_kernel,
     paradox_scan,
@@ -318,6 +320,21 @@ class TestDenseReference:
             ref = dense_log_expected_kernel(prior, *counts)
             assert abs(value - ref) <= 1e-8 * abs(ref)
             assert abs(value - ref) <= error
+
+
+class TestTiRule:
+    def test_negative_extrapolation_falls_back_to_trapezoid(self):
+        # f = e_4 + 1e-3 e_3 on 8 bins, with CDF mass 0.5 in bins 2 and 5: one group of
+        # 8 bins whose Romberg sum overshoots to below 0, where the finest trapezoid sum,
+        # (1e-3 + 0)/2 * 0.5 from bin 2, is the rule's value
+        f = np.zeros(9)
+        f[4], f[3] = 1.0, 1e-3
+        cdf = np.array([0.0, 0.0, 0.0, 0.5, 0.5, 0.5, 1.0, 1.0, 1.0])
+        assert _romberg_groups(f, cdf, 4) == pytest.approx([-0.2219], abs=1e-4)
+        with np.errstate(divide="ignore"):
+            log_f = np.log(np.concatenate([[0.0, 0.0], f]))  # f at both tails' ends: 0
+        value, tail_error = _ti_rule(log_f, cdf, np.zeros(2), 4)
+        assert value == math.log(2.5e-4) and tail_error == 0.0
 
 
 class TestLimitFormula:

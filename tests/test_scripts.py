@@ -25,9 +25,11 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import sys
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -150,6 +152,27 @@ def test_traced_targets_resolve():
             missing.append(f"{kind}.sample(rng, size)")
     assert len(spans._FUNCTIONS) >= 10 and len(spans._METHODS) >= 5
     assert missing == []
+
+
+def test_benchmark_argv_parses(tmp_path, monkeypatch):
+    # a flag the benchmark passes and the CLI dropped would otherwise fail only in a benchmark run
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)  # builds argv; runs nothing
+    parser = importlib.import_module("starparadox.cli").build_parser()
+    jobs, rejected = 0, []
+    for workload in workloads.WORKLOADS:
+        for job in workloads.make_pass(workload, np.random.default_rng(0), 2):
+            jobs += 1
+            try:
+                args = parser.parse_args([*job.argv, "--out", str(tmp_path)])
+            except SystemExit:
+                rejected.append(" ".join(job.argv))
+                continue
+            assert args.command == job.command
+    assert rejected == [] and jobs == 21
 
 
 def _scipy_imports(path: Path) -> list[tuple[str | None, str]]:
