@@ -11,7 +11,7 @@ power-density Ti, a genuinely discrete Ti supported on n^(-a), and two
 log-weighted densities whose expansions pick up s^j log(s) terms and
 therefore fail condition (1).
 
-Run:  python demos/02_prior_catalog_temperedness.py   (~10 s)
+Run:  python demos/02_prior_catalog_temperedness.py   (about 1 s)
 """
 
 from starparadox import (

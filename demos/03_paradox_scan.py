@@ -7,7 +7,7 @@ near-certain support to a fixed resolution with a frequency that does not
 vanish as n grows.  One posterior is integrated deterministically; the
 scan still averages each trial's kernels over prior draws.
 
-Run:  python demos/03_paradox_scan.py   (~10 s)
+Run:  python demos/03_paradox_scan.py   (about 1 s)
 """
 
 from starparadox import (

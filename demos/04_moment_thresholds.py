@@ -7,7 +7,7 @@ the paradox argument V = zeta(U) is driven by the prior through the
 conditional CDF G, and the threshold is what converts the expansion of
 G into posterior dominance.
 
-Run:  python demos/04_moment_thresholds.py   (~30 s)
+Run:  python demos/04_moment_thresholds.py   (about 1 s)
 """
 
 import numpy as np

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -58,6 +59,17 @@ def log_mu(t: float) -> float:
     """log of q0^q0 q1^(3 q1), the per-site likelihood scale on the star tree."""
     q = star_probs(t)
     return q.p0 * math.log(q.p0) + 3.0 * q.p1 * math.log(q.p1)
+
+
+def _remedy(prior: Prior, t: float, n_samples: int, change: str) -> str:
+    """Advice for an empty stratum: ``change``, or where n_samples (sup I_t)^(rate_e/4) < 1,
+    that bound on P(4P0 - 1 in I_t), as 4P0 - 1 = Se Si >= Se and P(Se <= x) = x^(rate_e/4)."""
+    log10_bound = prior.rate_e / 4.0 * math.log10(band_interval(t).hi)  # underflows as a float
+    if math.log10(n_samples) + log10_bound >= 0.0:
+        return f"use {change}"
+    bound, limit = (Decimal(10) ** Decimal(x) for x in (log10_bound, -log10_bound))
+    return (f"{change} will not do: P(4P0 - 1 in I_t) <= {bound:.2g}, so --samples would "
+            f"have to exceed {limit:.2g}, or --t must be lower")
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +162,8 @@ def in_band_advantage(
     iv = band_interval(t)
     inside = (zval >= iv.lo) & (zval <= iv.hi)
     if not np.any(inside):
-        raise EmptyStratum(f"no draw of {n_samples} fell in the band interval I_t; use more --samples")
+        raise EmptyStratum(f"no draw of {n_samples} fell in the band interval I_t; "
+                           + _remedy(prior, t, n_samples, "more --samples"))
     if not np.any(~inside):
         raise EmptyStratum(f"no draw of {n_samples} fell outside the band interval I_t; "
                            "use more --samples")
@@ -250,9 +263,10 @@ def conditional_ratio_scan(
     se_ratio = np.empty(z_points)
     for k, stop in enumerate(np.cumsum(band_n)):
         if band_n[k] == 0:
+            remedy = _remedy(prior, t, n_samples, "fewer --z-points or more --samples")
             raise EmptyStratum(
                 f"z band {k} around {centers[k]:.4g} is empty: {block.shape[1]} of {n_samples} "
-                "draws fall in I_t; use fewer --z-points or more --samples"
+                f"draws fall in I_t; {remedy}"
             )
         log_ratio[k], se_ratio[k] = _paired_log_ratio(block[:, stop - band_n[k]:stop])
     gap = log_ratio - 2.0 * math.log(c)

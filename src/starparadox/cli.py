@@ -48,6 +48,7 @@ from .moments import (
     PointMassOneV,
     QuadraticV,
     UniformV,
+    _check_scan,
     geometric_grid,
     moment_curve,
     threshold_from_gap,
@@ -195,7 +196,7 @@ def _cmd_moments(args, out: Path) -> list[Path]:
             f"unknown distribution {args.dist!r}; known: "
             f"{sorted(_DISTS)} plus 'beta:<alpha>' and 'zeta'"
         )
-    grid = geometric_grid(args.t_lo, args.t_hi, args.per_decade)
+    grid = _check_scan(args.alpha, geometric_grid(args.t_lo, args.t_hi, args.per_decade))
     try:
         curve = moment_curve(dist, grid)
     except QuadratureError as exc:  # a measured bound of the rule, reported as one

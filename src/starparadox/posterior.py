@@ -471,7 +471,18 @@ def _refined_groups(groups, size, f, cdf, top, v, log_f_at, log_cdf_at):
     return sums.reshape(-1, size).sum(axis=1)
 
 
-def _log_expected_kernel(prior: Prior, n0: int, ni: int, m: int) -> tuple[float, float]:
+def log_expected_kernel(prior: Prior, n0: int, ni: int, m: int) -> tuple[float, float]:
+    """log E[P0^n0 P1^ni P2^m] under the prior (log E[K_i] at ni = n_i, m = n - n0 - n_i),
+    and an estimate of its absolute error; the counts are nonnegative integers, not all 0.
+
+    Deterministic: a product rule over (Se, Ti) placed around the kernel's
+    mode (see the comment above ``_WIDTH``).  The error estimate is the
+    difference from the rule with half the Se nodes and twice the Ti bin
+    width, plus a bound on the Ti mass outside the bins.  Raises
+    ``DegenerateEstimate`` when the kernel vanishes at every rule node.
+    """
+    if not all(int(k) == k >= 0 for k in (n0, ni, m)) or n0 + ni + m == 0:
+        raise ValueError(f"counts (n0, ni, m) must be nonnegative integers, not all 0: {n0, ni, m}")
     c = prior.rate_e / 4.0
     v, ceiling = _ti_edges(n0, ni, m, -math.expm1(-4.0 * prior.ti_max))
     ends = np.array([0.0, ceiling])
@@ -492,22 +503,6 @@ def _log_expected_kernel(prior: Prior, n0: int, ni: int, m: int) -> tuple[float,
     return fine, abs(fine - coarse) + tail_error
 
 
-def log_expected_kernel(prior: Prior, counts: PatternCounts, tree: int) -> tuple[float, float]:
-    """log E[K_tree] under the prior, and an estimate of its absolute error.
-
-    Deterministic: a product rule over (Se, Ti) placed around the kernel's
-    mode (see the comment above ``_WIDTH``).  The value depends on
-    (n0, n_tree, n - n0 - n_tree) only.  The error estimate is the
-    difference from the rule with half the Se nodes and twice the Ti bin
-    width, plus a bound on the Ti mass outside the bins.  Raises
-    ``DegenerateEstimate`` when the kernel vanishes at every rule node.
-    """
-    if tree not in (1, 2, 3):
-        raise ValueError("tree index must be 1, 2 or 3")
-    n_tree = int(counts.array[tree])
-    return _log_expected_kernel(prior, counts.n0, n_tree, counts.n - counts.n0 - n_tree)
-
-
 def tree_posterior(
     prior: Prior, counts: PatternCounts, tree_weights=(1.0, 1.0, 1.0)
 ) -> PosteriorEstimate:
@@ -519,7 +514,8 @@ def tree_posterior(
     permuting (n1, n2, n3) permutes the posterior exactly.
     """
     log_w = _log_weights(tree_weights)
-    rows = [log_expected_kernel(prior, counts, tree) for tree in (1, 2, 3)]
+    n0, n = counts.n0, counts.n
+    rows = [log_expected_kernel(prior, n0, ni, n - n0 - ni) for ni in counts.array[1:].tolist()]
     log_epi = np.array([value for value, _ in rows])
     error = np.array([err for _, err in rows])
     return PosteriorEstimate(log_epi, error, _posterior_probs(log_w, log_epi))

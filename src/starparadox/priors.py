@@ -194,17 +194,10 @@ class Prior:
     def _log_ti_cdf(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def log_te_band(self, t: float, width):
-        """log P(t <= Te <= t + width) for Te ~ Exp(rate_e).
-
-        width may be an array; the result is then an array of its shape, else a float.
-        """
-        out = -self.rate_e * t + np.log(-np.expm1(-self.rate_e * np.asarray(width, dtype=float)))
-        return float(out) if out.ndim == 0 else out
-
     def log_q_n(self, t: float, n):
-        """log P(Ti <= 1/n, t <= Te <= t + 1/n) for the independent catalog.
+        """log P(Ti <= 1/n, t <= Te <= t + 1/n) for the independent catalog, Te ~ Exp(rate_e).
 
+        Summed as log P(Ti <= 1/n) + (-rate_e t + log(1 - exp(-rate_e (1/n)))), in that order.
         n may be an array; the result is then an array of its shape, else a float.
         """
         n = np.asarray(n, dtype=float)
@@ -212,7 +205,9 @@ class Prior:
             raise ValueError("n must be >= 1")
         if t <= 0.0:
             raise ValueError("t must be > 0")
-        return self.log_ti_cdf(1.0 / n) + self.log_te_band(t, 1.0 / n)
+        width = 1.0 / n
+        out = self.log_ti_cdf(width) + (-self.rate_e * t + np.log(-np.expm1(-self.rate_e * width)))
+        return float(out) if out.ndim == 0 else out
 
     # ---- section integral H and conditional CDF G ----------------------
     @property

@@ -87,7 +87,6 @@ class ExpansionViolation:
 
     diagnostic: str
     leading_exponent: float
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -289,26 +288,18 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
 
     # the ladder failed: run the model contest on the small end for a diagnostic
     win = s_grid <= s_grid[0] * 10.0**2.5
-    votes_log, p_vals, details = 0, [], []
+    p_vals = []  # the log term's exponent at each z that votes for one
     for iz in range(len(z_grid)):
         rms_pure, rms_log, p_log = _log_model_contest(x[win], logG[iz][win])
         # a log vote needs the pure misfit to stand clear of the data noise
         if rms_log < rms_pure and rms_pure > 3.0 * _G_ACCURACY:
-            votes_log += 1
             p_vals.append(p_log)
-        details.append(f"z={z_grid[iz]:.3f}: rms_pure={rms_pure:.2e} rms_log={rms_log:.2e}")
-    if votes_log >= max(1, len(z_grid) // 2 + 1):
+    if len(p_vals) >= max(1, len(z_grid) // 2 + 1):
         p = float(np.median(p_vals))
-        return ExpansionViolation(
-            diagnostic=_log_diagnostic(p),
-            leading_exponent=p,
-            detail="; ".join(details),
-        )
+        return ExpansionViolation(diagnostic=_log_diagnostic(p), leading_exponent=p)
     slope = float(np.median([_leading_slope(x, logG[iz]) for iz in range(len(z_grid))]))
     return ExpansionViolation(
-        diagnostic="non-power structure (no log term identified)",
-        leading_exponent=slope,
-        detail="; ".join(details),
+        diagnostic="non-power structure (no log term identified)", leading_exponent=slope
     )
 
 

@@ -835,12 +835,18 @@ class TestPriorBounds:
         assert "H(z, s_sat) underflows to 0 at z=9.2011776884664e-54 for" in err
         assert "np.float64" not in err
 
-    def test_small_theta_power_moments_and_posterior(self, tmp_path):
+    def test_small_theta_power_moments_fail_the_d_t_gate(self, tmp_path, capsys):
+        # D_t = 5.5e-10 at t = 0.5 while M_t is near 1: D_t's error estimate passes the
+        # 1e-9·M_t gate but is 2.7e-6 of D_t, so R_t would be reported below its accuracy
         assert run_main("moments", "--dist", "zeta", "--spec", "power:1e-9", "--z", "2",
                         "--alpha", "0.5", "--t-lo", "0.5", "--t-hi", "500", "--per-decade", "1",
-                        "--out", str(tmp_path / "moments")) == 0
-        assert run_main(*self.POSTERIOR, "--spec", "power:1e-9",
-                        "--out", str(tmp_path / "post")) == 0
+                        "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert "did not converge for D_t at t=0.5" in err and "the gate 1e-9·D_t" in err
+        assert not (tmp_path / "moments.csv").exists()
+
+    def test_small_theta_power_posterior(self, tmp_path):
+        assert run_main(*self.POSTERIOR, "--spec", "power:1e-9", "--out", str(tmp_path)) == 0
 
     def test_power_0_01_stays_tempered(self, tmp_path):
         assert run_main("prior-check", "--spec", "power:0.01", "--t", "0.1",
@@ -969,7 +975,7 @@ class TestMoments:
         (("--alpha", "-1"), "alpha must be finite and > 0, got -1.0"),
     ], ids=["short-span", "alpha-negative"])
     def test_short_span_or_negative_alpha_rejected(self, tmp_path, capsys, flags, named):
-        # threshold_from_gap checks both after the curve, which costs milliseconds
+        # both are checked before the curve is computed
         from starparadox import cli
 
         assert cli.main(["moments", "--dist", "quadratic", *flags, "--out", str(tmp_path)]) == 2
@@ -1073,6 +1079,9 @@ class TestRuntimeFailures:
         err = capsys.readouterr().err
         assert "error: z band 0 around 5.19e-88 is empty: 0 of 1000 draws fall in I_t" in err
         assert "--z-points" in err and "--samples" in err
+        # Z = Se Si >= Se bounds P(Z in I_t) by (sup I_t)^(rate_e/4): no --samples can do
+        assert ("P(4P0 - 1 in I_t) <= 8.3e-87, so --samples would have to exceed 1.2e+86, "
+                "or --t must be lower") in err
 
     @pytest.mark.parametrize("seed,band,inside", [(1, 6, 1910), (2, 7, 1963)])
     def test_empty_stratum_names_remedy(self, tmp_path, capsys, seed, band, inside):
@@ -1123,6 +1132,15 @@ class TestMomentsZetaDist:
         named = float(re.search(r"error estimate=([0-9.e+-]+)\)", err).group(1))
         assert named == pytest.approx(estimate, rel=0.05)
         assert not (tmp_path / "moments.csv").exists()
+
+    def test_alpha_checked_before_the_curve(self, tmp_path, capsys):
+        # at z = 1.9 the curve itself misses its gate (above): a bad --alpha is named first
+        argv = ["moments", "--dist", "zeta", "--spec", "discrete:0.1,0.5", "--z", "1.9",
+                "--alpha", "nan", "--t-lo", "0.5", "--t-hi", "500", "--per-decade", "1",
+                "--out", str(tmp_path)]
+        assert run_main(*argv) == 2
+        err = capsys.readouterr().err
+        assert "alpha must be finite and > 0, got nan" in err and "gate" not in err
 
     def test_zeta_requires_z(self, tmp_path):
         r = run_cli("moments", "--dist", "zeta", "--spec", "uniform:1.0",

@@ -411,6 +411,13 @@ class TestTailParamsValidation:
         with pytest.raises(ValueError):
             TailParams(-1.0, (0.0, 1.5), (1.0, 0.1))
 
+    def test_beta_outside_its_range_is_a_value_error(self):
+        # construction accepts eps_n = 3 (certified curves do not read beta); the chi check
+        # reads beta = min(eps_n, 1 + eps_1) = 3 and names the range it left
+        params = TailParams(1.0, (0.0, 3.0), (1.0, 0.2))
+        with pytest.raises(ValueError, match=r"min\(eps_n, 1 \+ eps_1\) = 3.0 must lie in \(1, 2\]"):
+            lemma_chi_check(params, geometric_grid(1.0, 1e4, 8))
+
     def test_expansion_tail_must_be_monotone(self):
         with pytest.raises(ValueError):
             ExpansionTailV(TailParams(1.0, (0.0, 1.0, 1.5), (2.0, -1.5, 0.0)))

@@ -239,11 +239,15 @@ class TestExpectedKernel:
 
     def test_value_depends_on_tree_counts_only(self):
         prior = DiscretePrior(0.1, 0.5)
-        a = log_expected_kernel(prior, PatternCounts(700, 150, 90, 60), 1)
-        b = log_expected_kernel(prior, PatternCounts(700, 30, 150, 120), 2)  # same (n0, n_i, rest)
-        assert a == b
-        with pytest.raises(ValueError):
-            log_expected_kernel(prior, PatternCounts(7, 1, 1, 1), 4)
+        a = tree_posterior(prior, PatternCounts(700, 150, 90, 60))
+        b = tree_posterior(prior, PatternCounts(700, 30, 150, 120))  # tree 2: a's tree-1 counts
+        assert (a.log_epi[0], a.error[0]) == (b.log_epi[1], b.error[1])
+        assert (a.log_epi[0], a.error[0]) == log_expected_kernel(prior, 700, 150, 150)
+
+    @pytest.mark.parametrize("counts", [(-1, 5, 5), (5, -1, 5), (5, 5, -1), (0, 0, 0), (1.5, 2, 3)])
+    def test_invalid_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="nonnegative integers, not all 0"):
+            log_expected_kernel(DiscretePrior(0.1, 0.5), *counts)
 
     def test_draws_nothing(self, monkeypatch):
         def no_draw(*args, **kwargs):
@@ -283,9 +287,10 @@ class TestDenseReference:
         for k, n in enumerate((10**2, 10**3, 10**4, 10**5, 10**6)):
             counts = simulate_counts(0.1, n, 40 + k)
             for tree in (1, 2, 3):
-                value, error = log_expected_kernel(prior, counts, tree)
                 n_tree = int(counts.array[tree])
-                ref = dense_log_expected_kernel(prior, counts.n0, n_tree, n - counts.n0 - n_tree)
+                tree_counts = (counts.n0, n_tree, n - counts.n0 - n_tree)
+                value, error = log_expected_kernel(prior, *tree_counts)
+                ref = dense_log_expected_kernel(prior, *tree_counts)
                 off = abs(value - ref)
                 assert off <= 1e-8 * abs(ref), (n, tree, value, ref)
                 # the error estimate covers the actual error (the reference is good to ~1e-12)
@@ -298,7 +303,7 @@ class TestDenseReference:
         prior = parse_prior(spec)
         tol = 1e-7 if prior.kind == "discrete" else 1e-8
         for n in (500, 2000, 2706, 10**4):
-            value, error = log_expected_kernel(prior, PatternCounts(0, n, 0, 0), 1)
+            value, error = log_expected_kernel(prior, 0, n, 0)
             ref = dense_log_expected_kernel(prior, 0, n, 0)
             assert math.isfinite(value) and math.isfinite(error), (n, value, error)
             assert abs(value - ref) <= tol * abs(ref), (n, value, ref)
@@ -308,15 +313,14 @@ class TestDenseReference:
     def test_ti_mode_above_the_support_is_not_degenerate(self, spec):
         prior = parse_prior(spec)
         for n in (100, 500, 2000, 2500, 2706, 10**4):
-            value, error = log_expected_kernel(prior, PatternCounts(0, n, 0, 0), 1)
+            value, error = log_expected_kernel(prior, 0, n, 0)
             assert math.isfinite(value) and math.isfinite(error), (n, value, error)
 
     def test_discrete_atoms_few_to_a_bin(self):
         # n = 100: the kernel still sees the sparse atoms n^-0.1 near Ti = 1
         prior = DiscretePrior(0.1, 0.5)
         for counts in ((68, 15, 17), (81, 5, 14), (81, 9, 10)):
-            n0, n1, rest = counts
-            value, error = log_expected_kernel(prior, PatternCounts(n0, n1, 0, rest), 1)
+            value, error = log_expected_kernel(prior, *counts)
             ref = dense_log_expected_kernel(prior, *counts)
             assert abs(value - ref) <= 1e-8 * abs(ref)
             assert abs(value - ref) <= error

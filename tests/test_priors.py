@@ -141,7 +141,7 @@ class TestSharedTeLaw:
 
     def test_catalog_declares_only_its_ti_law(self):
         for cls in PRIOR_KINDS.values():
-            for name in ("sample", "log_te_band", "params", "y_min"):
+            for name in ("sample", "log_q_n", "params", "y_min"):
                 assert getattr(cls, name) is getattr(Prior, name), (cls.kind, name)
         own_ti_max = {cls.kind for cls in PRIOR_KINDS.values() if cls.ti_max is not Prior.ti_max}
         assert own_ti_max == {"uniform", "tame"}

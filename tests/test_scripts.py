@@ -1,8 +1,8 @@
 """The demos, tools and benchmark use only names that ``starparadox`` defines.
 
-The scripts are parsed, not run: some take minutes (demo 04 alone runs for
-about two), so a renamed or deleted library name, or a removed parameter,
-would otherwise go unnoticed until someone ran them by hand.  The traced
+The scripts are parsed, so a renamed or deleted library name, or a removed
+parameter, shows here without running them; the demos, about 2 s together,
+are also run, so a changed result type shows as well.  The traced
 benchmark run (``perfbench/run.py --trace 1``) wraps the functions and
 methods listed in ``perfbench/spans.py``; a rename would crash it, so those
 targets are resolved here too.
@@ -25,6 +25,8 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -112,6 +114,15 @@ def test_starparadox_imports_exist(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_starparadox_calls_bind(path):
     assert _unbound_calls(path) == []
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("demos/*.py")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_demo_runs(path, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    r = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                       capture_output=True, text=True, timeout=300)
+    assert r.returncode == 0, r.stderr
 
 
 def test_call_check_catches_a_removed_parameter(tmp_path):
