@@ -74,4 +74,4 @@ from .moments import (
     threshold_scan,
 )
 
-__version__ = "0.3.4"
+__version__ = "0.3.5"

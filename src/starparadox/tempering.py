@@ -16,7 +16,8 @@ A prior is *tempered* when two things hold:
 
 Condition 1 is checked by fitting the one ladder eps = (0, 1, 2, 3) (every
 catalog prior has G = s^alpha times a power series in s, or log terms no
-ladder fits) to G sampled on a geometric s-grid below saturation, and by
+ladder fits) to G sampled on a geometric s-grid below saturation, in two
+linear solves (alpha is the log s coefficient of a fit of log G), and by
 demanding window stability: refitting with the grid top reduced must leave
 the fitted leading exponent unchanged and shrink the residual like a
 beyond-guard power.  Log-contaminated expansions (terms like s^j * log s)
@@ -58,11 +59,9 @@ _T_MAX = 85.0
 
 #: the one exponent ladder eps_0..eps_k; its last entry is the guard order
 _EPS = (0.0, 1.0, 2.0, 3.0)
-#: the fitted alpha stays within half a ladder step of the log-slope, and above half of it
-_ALPHA_SPAN = 0.5
 #: relative accuracy of every prior's G rows, the fit's noise tolerance
 _G_ACCURACY = 1e-12
-#: smallest s-grid points whose log-log slope starts the ladder fit's alpha search
+#: smallest s-grid points whose log-log slope is a failed ladder's leading exponent
 _SLOPE_POINTS = 15
 #: the doubling n-grid of condition 2, up to 2^16
 _N_GRID = 2 ** np.arange(6, 17)
@@ -152,39 +151,23 @@ def _leading_slope(x: np.ndarray, L: np.ndarray) -> float:
     return float(np.polyfit(x[:_SLOPE_POINTS], L[:_SLOPE_POINTS], 1)[0])
 
 
-def _ladder_fit(s: np.ndarray, G: np.ndarray, alpha0: float):
+def _ladder_fit(s: np.ndarray, G: np.ndarray):
     """Least squares fit of G ~ sum_i F_i s^(alpha+eps_i) in relative units.
 
-    The basis includes the guard order; alpha is refined by a bounded
-    scalar minimization over alpha0 +- _ALPHA_SPAN and above alpha0 / 2, which
-    keeps alpha positive at any scale of alpha0.  Returns (alpha,
-    coeffs, rel_residuals) where rel_residuals = (G - model)/G.
+    With G = s^alpha sum_i F_i s^i, log G = log F_0 + alpha log s + a power
+    series in s, so alpha is the log s coefficient of one linear fit of log G
+    on [1, log s, w^eps for eps in _EPS[1:]], w = s / s_top: exact to the
+    guard order.  The F_i, guard order included, are then a second linear fit
+    at that alpha.  Returns (alpha, coeffs, rel_residuals) where
+    rel_residuals = (G - model)/G.
     """
-    from scipy.optimize import minimize_scalar  # loaded only when a fit runs
-
-    eps_arr = np.asarray(_EPS)
-    target = np.ones_like(G)
-    x, log_g = np.log(s)[:, None], np.log(G)[:, None]
-
-    def solve(alpha: float):
-        # s^(alpha+eps_i) / G formed in logs: at alpha = 50 both powers underflow
-        return _lstsq(np.exp((alpha + eps_arr[None, :]) * x - log_g), target)
-
-    res = minimize_scalar(
-        lambda alpha: solve(alpha)[2],
-        bounds=(max(alpha0 / 2.0, alpha0 - _ALPHA_SPAN), alpha0 + _ALPHA_SPAN), method="bounded",
-        options={"xatol": 1e-13, "maxiter": 500},
-    )
-    alpha = float(res.x)
-    coef, resid, _ = solve(alpha)
-    return alpha, coef, resid
-
-
-def _lstsq(design: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Least-squares coefficients, the residual vector and its sum of squares."""
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    r = target - design @ coef
-    return coef, r, float(r @ r)
+    x, log_g, w = np.log(s), np.log(G), s / s[-1]
+    log_design = np.column_stack([np.ones_like(x), x] + [w**e for e in _EPS[1:]])
+    alpha = float(np.linalg.lstsq(log_design, log_g, rcond=None)[0][1])
+    # s^(alpha+eps_i) / G formed in logs: at alpha = 50 both powers underflow
+    rel = np.exp((alpha + np.asarray(_EPS)) * x[:, None] - log_g[:, None])
+    coef = np.linalg.lstsq(rel, np.ones_like(G), rcond=None)[0]
+    return alpha, coef, 1.0 - rel @ coef
 
 
 def _log_model_contest(x: np.ndarray, L: np.ndarray) -> tuple[float, float, float]:
@@ -239,8 +222,8 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
 
     z_grid must lie inside the band interval; s_grid must be geometric,
     span at least four decades and stay below saturation.  At each z the
-    integer ladder, guard term included in the basis, is fitted with alpha
-    within 0.5 of the log-slope; it must pass the stability tests of
+    integer ladder, guard term included in the basis, is fitted by
+    :func:`_ladder_fit`; it must pass the stability tests of
     :func:`_guard_valid` on every z, at G's relative accuracy ``_G_ACCURACY``.
     Otherwise a local model contest decides whether a log term is
     responsible and supplies the diagnostic.
@@ -265,9 +248,8 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
 
     fits = []
     for iz in range(len(z_grid)):
-        alpha0 = _leading_slope(x, logG[iz])
-        alpha, coef, resid = _ladder_fit(s_grid, G[iz], alpha0)
-        if not _guard_valid(s_grid, G[iz], alpha, alpha0, resid):
+        alpha, coef, resid = _ladder_fit(s_grid, G[iz])
+        if not _guard_valid(s_grid, G[iz], alpha, resid):
             break
         fits.append((alpha, coef, resid))
     else:
@@ -311,7 +293,7 @@ _ALPHA_DRIFT_TOL = 3e-4    # allowed drift of the fitted exponent under capping
 _GROSS_MISFIT = 0.05       # a ladder that misses by >5% is no expansion at all
 
 
-def _guard_valid(s, G, alpha_full, alpha0, resid_full) -> bool:
+def _guard_valid(s, G, alpha_full, resid_full) -> bool:
     """Accept a ladder only if it behaves like a genuine power expansion.
 
     Two window-stability properties separate power series from log
@@ -327,7 +309,7 @@ def _guard_valid(s, G, alpha_full, alpha0, resid_full) -> bool:
     cap = s <= s[-1] / _SHRINK_CAP
     if np.count_nonzero(cap) < len(_EPS) + 4:
         return False
-    alpha_cap, _, resid_cap = _ladder_fit(s[cap], G[cap], alpha0)
+    alpha_cap, _, resid_cap = _ladder_fit(s[cap], G[cap])
     if abs(alpha_cap - alpha_full) > _ALPHA_DRIFT_TOL:
         return False
     floor = max(_NOISE_FACTOR * _G_ACCURACY, _ABS_FLOOR)

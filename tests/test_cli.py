@@ -290,7 +290,7 @@ class TestPosteriorDeterministic:
 
     def test_manifest_of_0_2_0_replays_with_exit_3(self, tmp_path, capsys):
         manifest = fresh_manifest(self.FRESH, tmp_path / "fresh")
-        assert manifest["version"] == "0.3.4"
+        assert manifest["version"] == "0.3.5"
         manifest["version"] = "0.2.0"
         manifest["outputs"]["posterior.json"] = self.DIGEST_0_2_0
         path = tmp_path / "manifest.json"
@@ -1014,7 +1014,7 @@ class TestMoments:
 
 
 class TestNoScipyAtStartUp:
-    """Importing the CLI, and the commands that need no quadrature or fit, load no scipy.
+    """Importing the CLI loads no scipy, nor does any command here, a fitting ladder included.
 
     Run in a fresh interpreter: pytest's own process has scipy loaded already.
     """
@@ -1031,6 +1031,7 @@ runs = [
     ["posterior", "--spec", "uniform:1.0", "--counts", "753,130,59,58", "--samples", "4096",
      "--jobs", "2"],
     ["claims", "--spec", "uniform:1.0", "--t", "0.1", "--samples", "20000", "--z-points", "2"],
+    ["prior-check", "--spec", "uniform:1.0", "--t", "0.1"],
 ]
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 print("import", loaded)
@@ -1038,8 +1039,6 @@ for i, argv in enumerate(runs):
     code = main([*argv, "--out", f"{out}/{i}"])
     loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
     print(argv[0], code, loaded)
-print("prior-check", main(["prior-check", "--spec", "uniform:1.0", "--t", "0.1",
-                           "--out", f"{out}/check"]))
 """
 
     def test_fresh_interpreter(self, tmp_path):
@@ -1048,7 +1047,7 @@ print("prior-check", main(["prior-check", "--spec", "uniform:1.0", "--t", "0.1",
         assert r.returncode == 0, r.stderr
         assert r.stdout.splitlines() == [
             "import []", "simulate 0 []", "scan 0 []", "posterior 0 []", "claims 0 []",
-            "prior-check 0",
+            "prior-check 0 []",
         ], r.stdout + r.stderr
 
 
