@@ -22,7 +22,8 @@ demanding window stability: refitting with the grid top reduced must leave
 the fitted leading exponent unchanged and shrink the residual like a
 beyond-guard power.  Log-contaminated expansions (terms like s^j * log s)
 drag the exponent by ~1/log s instead and are reported with a diagnostic
-obtained from an explicit model contest.  Condition 2 is checked in log
+obtained from an explicit model contest, run on every z row at once with
+numpy's linear algebra and no optimizer.  Condition 2 is checked in log
 scale on a doubling n-grid, so nothing underflows.
 """
 
@@ -63,6 +64,12 @@ _EPS = (0.0, 1.0, 2.0, 3.0)
 _G_ACCURACY = 1e-12
 #: smallest s-grid points whose log-log slope is a failed ladder's leading exponent
 _SLOPE_POINTS = 15
+#: the log-model contest: the pure model's eps1 grid on [0.3, 3], with 0.5, 1 and 2 on it
+_PURE_EPS1 = np.arange(6, 61) / 20.0
+#: the log model's geometric grid of offsets x0 - x_max from 0.05, and its Newton-step cap
+_LOG_OFFSET_MIN = 0.05
+_LOG_OFFSET_POINTS = 64
+_NEWTON_STEPS = 20
 #: the doubling n-grid of condition 2, up to 2^16
 _N_GRID = 2 ** np.arange(6, 17)
 
@@ -170,45 +177,59 @@ def _ladder_fit(s: np.ndarray, G: np.ndarray):
     return alpha, coef, 1.0 - rel @ coef
 
 
-def _log_model_contest(x: np.ndarray, L: np.ndarray) -> tuple[float, float, float]:
-    """Compare pure-power vs log-contaminated local models on (x=ln s, L=ln G).
+def _log_model_contest(x: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compare pure-power vs log-contaminated local models on (x = ln s, L = ln G), all rows at once.
 
-    Pure:  L = c + a x + b exp(eps1 (x - x_max)),  eps1 optimized.
-    Log:   L = c + p x + ln(x0 - x),               offset x0 optimized.
-    Returns (rms_pure, rms_log, p_log) with p_log the log-model power.
+    Pure:  L = c + a x + b exp(eps1 (x - x_max)),  eps1 the best of the grid ``_PURE_EPS1``.
+    Log:   L = c + p x + ln(x0 - x),               x0 - x_max in [0.05, 80 + |x_max|].
+    L has one row per z.  Returns arrays over the rows (rms_pure, rms_log, p_log), with
+    p_log the log-model power.
 
-    Both models share the columns [1, x], factored once (QR): the log model's
-    residual is the projection of its target off them, and the pure model's
-    projects them off its one varying column too, then fits that in closed form.
+    Both models share the columns [1, x], factored once (QR), and every residual
+    is projected off them.  The pure model projects its grid columns off them too
+    and fits each in closed form.  The log model's x0 is the argmin over a
+    geometric grid of offsets, refined by Newton steps on the closed-form first and
+    second derivatives of RSS(x0), each row kept between the grid argmin's two
+    neighbours.  The best offset grows with the grid's scale (about |x_max| / 2 at
+    large t), and so does the top of the bracket.
     """
-    from scipy.optimize import minimize_scalar
-
     q, r_fixed = np.linalg.qr(np.column_stack([np.ones_like(x), x]))
 
     def off_fixed(v: np.ndarray) -> np.ndarray:
-        return v - q @ (q.T @ v)
+        return v - (v @ q) @ q.T
 
+    def log_target(x0: np.ndarray) -> np.ndarray:
+        return L - np.log(x0[..., None] - x)
+
+    x_max = x[-1]
     r_l = off_fixed(L)
+    c = off_fixed(np.exp(np.outer(_PURE_EPS1, x - x_max)))
+    r = r_l[:, None, :] - ((r_l @ c.T) / np.sum(c * c, axis=1))[:, :, None] * c
+    rss_pure = np.min(np.sum(r * r, axis=-1), axis=1)
 
-    def pure_rss(eps1: float) -> float:
-        c = off_fixed(np.exp(eps1 * (x - x[-1])))
-        r = r_l - (c @ r_l) / (c @ c) * c
-        return float(r @ r)
-
-    res_p = minimize_scalar(pure_rss, bounds=(0.3, 3.0), method="bounded",
-                            options={"xatol": 1e-6})
-    best_pure = min(float(res_p.fun), pure_rss(0.5), pure_rss(1.0), pure_rss(2.0))
-
-    def log_rss(x0: float) -> float:
-        r = off_fixed(L - np.log(x0 - x))
-        return float(r @ r)
-
-    res_l = minimize_scalar(log_rss, bounds=(x[-1] + 0.05, x[-1] + 80.0),
-                            method="bounded", options={"xatol": 1e-8})
-    x0 = float(res_l.x)
-    p_log = float(np.linalg.solve(r_fixed, q.T @ (L - np.log(x0 - x)))[1])
+    grid = x_max + np.geomspace(_LOG_OFFSET_MIN, 80.0 + abs(x_max), _LOG_OFFSET_POINTS)
+    r = off_fixed(log_target(grid[:, None]))
+    k = np.argmin(np.sum(r * r, axis=-1), axis=0)
+    lo, hi = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
+    x0 = grid[k]
+    for _ in range(_NEWTON_STEPS):
+        inv = 1.0 / (x0[:, None] - x)
+        r, v = off_fixed(log_target(x0)), off_fixed(inv)
+        # with u = x0 - x and v = 1/u off [1, x]: RSS' = -2 r.v and RSS'' = 2 v.v + 2 r.(1/u^2)
+        d1 = -np.sum(r * v, axis=1)
+        d2 = np.sum(v * v, axis=1) + np.sum(r * inv * inv, axis=1)
+        # a row with RSS'' <= 0 takes no step, so from the start it keeps its grid point
+        x0_next = np.clip(x0 - d1 / np.where(d2 > 0.0, d2, np.inf), lo, hi)
+        # the convergence is quadratic: after a step below 1e-8 of the offset, rounding dominates
+        done = np.all(np.abs(x0_next - x0) <= 1e-8 * (x0 - x_max))
+        x0 = x0_next
+        if done:
+            break
+    target = log_target(x0)
+    r = off_fixed(target)
+    p_log = np.linalg.solve(r_fixed, q.T @ target.T)[1]
     n = len(x)
-    return math.sqrt(best_pure / n), math.sqrt(log_rss(x0) / n), p_log
+    return np.sqrt(rss_pure / n), np.sqrt(np.sum(r * r, axis=1) / n), p_log
 
 
 def _log_diagnostic(p: float) -> str:
@@ -225,8 +246,9 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
     integer ladder, guard term included in the basis, is fitted by
     :func:`_ladder_fit`; it must pass the stability tests of
     :func:`_guard_valid` on every z, at G's relative accuracy ``_G_ACCURACY``.
-    Otherwise a local model contest decides whether a log term is
-    responsible and supplies the diagnostic.
+    Otherwise a local model contest, :func:`_log_model_contest` on all z rows
+    at once, decides whether a log term is responsible and supplies the
+    diagnostic.
     """
     z_grid = np.asarray(z_grid, dtype=float)
     s_grid = np.sort(np.asarray(s_grid, dtype=float))
@@ -270,14 +292,11 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
 
     # the ladder failed: run the model contest on the small end for a diagnostic
     win = s_grid <= s_grid[0] * 10.0**2.5
-    p_vals = []  # the log term's exponent at each z that votes for one
-    for iz in range(len(z_grid)):
-        rms_pure, rms_log, p_log = _log_model_contest(x[win], logG[iz][win])
-        # a log vote needs the pure misfit to stand clear of the data noise
-        if rms_log < rms_pure and rms_pure > 3.0 * _G_ACCURACY:
-            p_vals.append(p_log)
-    if len(p_vals) >= max(1, len(z_grid) // 2 + 1):
-        p = float(np.median(p_vals))
+    rms_pure, rms_log, p_log = _log_model_contest(x[win], logG[:, win])
+    # a log vote needs the pure misfit to stand clear of the data noise
+    votes = (rms_log < rms_pure) & (rms_pure > 3.0 * _G_ACCURACY)
+    if np.count_nonzero(votes) >= max(1, len(z_grid) // 2 + 1):
+        p = float(np.median(p_log[votes]))
         return ExpansionViolation(diagnostic=_log_diagnostic(p), leading_exponent=p)
     slope = float(np.median([_leading_slope(x, logG[iz]) for iz in range(len(z_grid))]))
     return ExpansionViolation(

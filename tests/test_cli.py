@@ -290,7 +290,7 @@ class TestPosteriorDeterministic:
 
     def test_manifest_of_0_2_0_replays_with_exit_3(self, tmp_path, capsys):
         manifest = fresh_manifest(self.FRESH, tmp_path / "fresh")
-        assert manifest["version"] == "0.3.5"
+        assert manifest["version"] == "0.3.6"
         manifest["version"] = "0.2.0"
         manifest["outputs"]["posterior.json"] = self.DIGEST_0_2_0
         path = tmp_path / "manifest.json"
@@ -1014,7 +1014,8 @@ class TestMoments:
 
 
 class TestNoScipyAtStartUp:
-    """Importing the CLI loads no scipy, nor does any command here, a fitting ladder included.
+    """Importing the CLI loads no scipy, nor does any command here, a failing ladder's log-model
+    contest included.
 
     Run in a fresh interpreter: pytest's own process has scipy loaded already.
     """
@@ -1032,6 +1033,7 @@ runs = [
      "--jobs", "2"],
     ["claims", "--spec", "uniform:1.0", "--t", "0.1", "--samples", "20000", "--z-points", "2"],
     ["prior-check", "--spec", "uniform:1.0", "--t", "0.1"],
+    ["prior-check", "--spec", "logti", "--t", "0.1"],
 ]
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 print("import", loaded)
@@ -1047,7 +1049,7 @@ for i, argv in enumerate(runs):
         assert r.returncode == 0, r.stderr
         assert r.stdout.splitlines() == [
             "import []", "simulate 0 []", "scan 0 []", "posterior 0 []", "claims 0 []",
-            "prior-check 0 []",
+            "prior-check 0 []", "prior-check 0 []",
         ], r.stdout + r.stderr
 
 

@@ -12,13 +12,14 @@ code other than the tests: another package module, a demo, a tool or the
 benchmark.  Code that only the tests call lives with the tests
 (``tests/oracles.py``), unless ``_TEST_ONLY`` names it with a reason.
 
-The package's own sources are parsed for more rules: ``scipy.integrate``
-is not imported at all (H and the moments come from fixed Gauss-Legendre
-rules; the adaptive reference lives in ``tests/oracles.py``), and no scipy
-module is imported when a module loads; the
-posterior rule reads the prior through a fixed interface, with one CDF call
-site; and Monte Carlo log-means are reduced in one place (``_exp_inplace``
-is used only by ``posterior._shifted_exp``).
+The package's own sources are parsed for more rules: no scipy module is
+imported at all (H and the moments come from fixed Gauss-Legendre rules and
+the fits from numpy's linear algebra; the adaptive reference lives in
+``tests/oracles.py``), and the narrower guards on ``scipy.integrate`` and on
+imports at module load stay; the posterior rule reads the prior through a
+fixed interface, with one CDF call site; and Monte Carlo log-means are
+reduced in one place (``_exp_inplace`` is used only by
+``posterior._shifted_exp``).
 """
 
 import ast
@@ -218,6 +219,11 @@ def _scipy_imports(path: Path) -> list[tuple[str | None, str]]:
 
 def _package_scipy_imports() -> list[tuple[str | None, str]]:
     return [imp for path in sorted(PACKAGE.glob("*.py")) for imp in _scipy_imports(path)]
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test-only dependency: the package's own code never imports it
+    assert _package_scipy_imports() == []
 
 
 def test_no_scipy_import_at_module_level():

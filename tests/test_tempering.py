@@ -16,6 +16,7 @@ from starparadox.priors import (
 from starparadox.tempering import (
     ExpansionViolation,
     TaylorModel,
+    _log_model_contest,
     check_condition2,
     check_tempered,
     default_s_grid,
@@ -135,6 +136,44 @@ class TestFitTaylor:
             fit_taylor(spec, default_z_grid(0.1), np.geomspace(1e-3, 1e-2, 30))
         with pytest.raises(ValueError, match="short"):
             fit_taylor(spec, default_z_grid(0.1), np.geomspace(1e-6, 1e-1, 10))
+
+
+def _contest_window() -> np.ndarray:
+    """x = ln s on the contest's window of check_tempered's s-grid for logti at t = 0.1."""
+    spec, z_grid, s_grid = LogPrior(), default_z_grid(0.1), default_s_grid(0.1)
+    s = min(1.0, 0.5 * min(spec.s_sat(z) for z in z_grid) / s_grid[-1]) * s_grid
+    return np.log(s[s <= s[0] * 10.0**2.5])
+
+
+class TestLogModelContest:
+    """The contest on synthetic rows of L = ln G, all rows in one call."""
+
+    def test_log_rows_vote_log_and_recover_power(self):
+        x = _contest_window()
+        cases = [(1.0, 0.06), (1.0, 2.0), (2.0, 8.0), (0.5, 40.0), (3.0, 75.0)]  # (p, x0 - x_max)
+        L = np.array([0.3 + p * x + np.log(x[-1] + offset - x) for p, offset in cases])
+        rms_pure, rms_log, p_log = _log_model_contest(x, L)
+        assert np.all(rms_log < rms_pure) and np.all(rms_pure > 1e-9)
+        np.testing.assert_allclose(p_log, [p for p, _ in cases], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("eps1", [0.3, 0.5, 0.7123, 1.0, 2.0, 2.71, 3.0])
+    def test_pure_rows_vote_pure(self, eps1):
+        x = _contest_window()
+        L = np.array([-1.0 + a * x + b * np.exp(eps1 * (x - x[-1]))
+                      for a, b in [(1.0, 1e-3), (1.0, 0.1), (2.0, 1.0), (0.5, -0.5)]])
+        rms_pure, rms_log, _ = _log_model_contest(x, L)
+        assert np.all(rms_pure < rms_log)
+
+    @pytest.mark.parametrize("spec, power", [(LogPrior(), 1.0), (TLogPrior(), 2.0)],
+                             ids=["logti", "tlogti"])
+    @pytest.mark.parametrize("t", [10.0, 30.0, 60.0, 85.0])
+    def test_log_diagnostic_kept_at_large_t(self, spec, power, t):
+        # the best offset x0 - x_max is about 124, 247 and 347 at t = 30, 60 and 85:
+        # the bracket's top grows with |x_max| to reach it
+        v = check_tempered(spec, t)
+        assert not v.tempered
+        assert v.condition1.diagnostic == spec.declared_tempering()["diagnostic"]
+        assert v.condition1.leading_exponent == pytest.approx(power, abs=1e-10)
 
 
 class TestPowerCoefficients:
