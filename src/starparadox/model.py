@@ -231,10 +231,10 @@ def delta_stats(counts: PatternCounts, t: float) -> DeltaStats:
     n = counts.n
     rn = math.sqrt(n)
     d0 = (counts.n0 - q.p0 * n) / rn
-    base = (n - counts.n0) / 3.0
-    d1 = (counts.n1 - base) / rn
-    d2 = (counts.n2 - base) / rn
-    d3 = (counts.n3 - base) / rn
+    # d_i from the exact integer 3 n_i - (n - n0): (n - n0) / 3 rounds at n ~ 1e17, and
+    # d1 + d2 + d3 then misses zero
+    rest, scale = n - counts.n0, 3.0 * rn
+    d1, d2, d3 = ((3 * ni - rest) / scale for ni in (counts.n1, counts.n2, counts.n3))
     return DeltaStats(d0, d1, d2, d3)
 
 

@@ -22,8 +22,9 @@ demanding window stability: refitting with the grid top reduced must leave
 the fitted leading exponent unchanged and shrink the residual like a
 beyond-guard power.  Log-contaminated expansions (terms like s^j * log s)
 drag the exponent by ~1/log s instead and are reported with a diagnostic
-obtained from an explicit model contest, run on every z row at once with
-numpy's linear algebra and no optimizer.  Condition 2 is checked in log
+obtained from an explicit model contest.  Fit, stability test, remainder
+bound and contest each take every z row at once, with numpy's linear
+algebra and no optimizer.  Condition 2 is checked in log
 scale on a doubling n-grid, so nothing underflows.
 """
 
@@ -154,68 +155,70 @@ def default_s_grid(t: float) -> np.ndarray:
 # condition 1: ladder fitting
 # ---------------------------------------------------------------------------
 
-def _leading_slope(x: np.ndarray, L: np.ndarray) -> float:
-    return float(np.polyfit(x[:_SLOPE_POINTS], L[:_SLOPE_POINTS], 1)[0])
+def _ladder_fit(x: np.ndarray, L: np.ndarray):
+    """Least squares fit of G ~ sum_i F_i s^(alpha+eps_i) in relative units, all rows at once.
 
-
-def _ladder_fit(s: np.ndarray, G: np.ndarray):
-    """Least squares fit of G ~ sum_i F_i s^(alpha+eps_i) in relative units.
-
-    With G = s^alpha sum_i F_i s^i, log G = log F_0 + alpha log s + a power
-    series in s, so alpha is the log s coefficient of one linear fit of log G
-    on [1, log s, w^eps for eps in _EPS[1:]], w = s / s_top: exact to the
-    guard order.  The F_i, guard order included, are then a second linear fit
-    at that alpha.  Returns (alpha, coeffs, rel_residuals) where
-    rel_residuals = (G - model)/G.
+    x = ln s has shape (n,) and L = ln G shape (Z, n), one row per z.  With
+    G = s^alpha sum_i F_i s^i, ln G = ln F_0 + alpha ln s + a power series in
+    s, so alpha is the ln s coefficient of one linear fit of ln G on
+    [1, ln s, w^eps for eps in _EPS[1:]], w = s / s_top: exact to the guard
+    order.  The design is shared, so one solve takes every row.  The F_i,
+    guard order included, are then a second linear fit of each row at its
+    alpha, on the relative design rel = s^(alpha+eps_i) / G.  Returns
+    (alpha, coef, rel, resid) of shapes (Z,), (Z, k), (Z, n, k) and (Z, n),
+    with resid = (G - model) / G.
     """
-    x, log_g, w = np.log(s), np.log(G), s / s[-1]
+    w = np.exp(x - x[-1])
     log_design = np.column_stack([np.ones_like(x), x] + [w**e for e in _EPS[1:]])
-    alpha = float(np.linalg.lstsq(log_design, log_g, rcond=None)[0][1])
+    alpha = np.linalg.lstsq(log_design, L.T, rcond=None)[0][1]
     # s^(alpha+eps_i) / G formed in logs: at alpha = 50 both powers underflow
-    rel = np.exp((alpha + np.asarray(_EPS)) * x[:, None] - log_g[:, None])
-    coef = np.linalg.lstsq(rel, np.ones_like(G), rcond=None)[0]
-    return alpha, coef, 1.0 - rel @ coef
+    rel = np.exp((alpha[:, None, None] + np.asarray(_EPS)) * x[:, None] - L[:, :, None])
+    coef = np.array([np.linalg.lstsq(r, np.ones_like(x), rcond=None)[0] for r in rel])
+    return alpha, coef, rel, 1.0 - np.einsum("znk,zk->zn", rel, coef)
 
 
 def _log_model_contest(x: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Compare pure-power vs log-contaminated local models on (x = ln s, L = ln G), all rows at once.
 
-    Pure:  L = c + a x + b exp(eps1 (x - x_max)),  eps1 the best of the grid ``_PURE_EPS1``.
-    Log:   L = c + p x + ln(x0 - x),               x0 - x_max in [0.05, 80 + |x_max|].
+    Pure:  L = c + a x + b exp(eps1 (x - x_max)),        eps1 the best of the grid ``_PURE_EPS1``.
+    Log:   L = c + p x + b exp(x - x_max) + ln(x0 - x),  x0 - x_max in [0.05, 80 + |x_max|].
     L has one row per z.  Returns arrays over the rows (rms_pure, rms_log, p_log), with
     p_log the log-model power.
 
-    Both models share the columns [1, x], factored once (QR), and every residual
-    is projected off them.  The pure model projects its grid columns off them too
-    and fits each in closed form.  The log model's x0 is the argmin over a
-    geometric grid of offsets, refined by Newton steps on the closed-form first and
-    second derivatives of RSS(x0), each row kept between the grid argmin's two
-    neighbours.  The best offset grows with the grid's scale (about |x_max| / 2 at
-    large t), and so does the top of the bracket.
+    Each model's linear columns are factored once (QR): [1, x] for the pure model,
+    [1, x, exp(x - x_max)] for the log model, whose next-order term keeps the rest of
+    the expansion out of p.  Every residual is projected off its model's columns.
+    The pure model projects its grid columns off them too and fits each in closed
+    form.  The log model's x0 is the argmin over a geometric grid of offsets, refined
+    by Newton steps on the closed-form first and second derivatives of RSS(x0), each
+    row kept between the grid argmin's two neighbours.  The best offset grows with
+    the grid's scale (about |x_max| / 2 at large t), and so does the top of the bracket.
     """
-    q, r_fixed = np.linalg.qr(np.column_stack([np.ones_like(x), x]))
+    x_max = x[-1]
+    ones = np.ones_like(x)
+    q_pure = np.linalg.qr(np.column_stack([ones, x]))[0]
+    q_log, r_log = np.linalg.qr(np.column_stack([ones, x, np.exp(x - x_max)]))
 
-    def off_fixed(v: np.ndarray) -> np.ndarray:
+    def off(q: np.ndarray, v: np.ndarray) -> np.ndarray:
         return v - (v @ q) @ q.T
 
     def log_target(x0: np.ndarray) -> np.ndarray:
         return L - np.log(x0[..., None] - x)
 
-    x_max = x[-1]
-    r_l = off_fixed(L)
-    c = off_fixed(np.exp(np.outer(_PURE_EPS1, x - x_max)))
+    r_l = off(q_pure, L)
+    c = off(q_pure, np.exp(np.outer(_PURE_EPS1, x - x_max)))
     r = r_l[:, None, :] - ((r_l @ c.T) / np.sum(c * c, axis=1))[:, :, None] * c
     rss_pure = np.min(np.sum(r * r, axis=-1), axis=1)
 
     grid = x_max + np.geomspace(_LOG_OFFSET_MIN, 80.0 + abs(x_max), _LOG_OFFSET_POINTS)
-    r = off_fixed(log_target(grid[:, None]))
+    r = off(q_log, log_target(grid[:, None]))
     k = np.argmin(np.sum(r * r, axis=-1), axis=0)
     lo, hi = grid[np.maximum(k - 1, 0)], grid[np.minimum(k + 1, grid.size - 1)]
     x0 = grid[k]
     for _ in range(_NEWTON_STEPS):
         inv = 1.0 / (x0[:, None] - x)
-        r, v = off_fixed(log_target(x0)), off_fixed(inv)
-        # with u = x0 - x and v = 1/u off [1, x]: RSS' = -2 r.v and RSS'' = 2 v.v + 2 r.(1/u^2)
+        r, v = off(q_log, log_target(x0)), off(q_log, inv)
+        # with u = x0 - x and v = 1/u off the columns: RSS' = -2 r.v and RSS'' = 2 v.v + 2 r.(1/u^2)
         d1 = -np.sum(r * v, axis=1)
         d2 = np.sum(v * v, axis=1) + np.sum(r * inv * inv, axis=1)
         # a row with RSS'' <= 0 takes no step, so from the start it keeps its grid point
@@ -226,8 +229,8 @@ def _log_model_contest(x: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.nda
         if done:
             break
     target = log_target(x0)
-    r = off_fixed(target)
-    p_log = np.linalg.solve(r_fixed, q.T @ target.T)[1]
+    r = off(q_log, target)
+    p_log = np.linalg.solve(r_log, q_log.T @ target.T)[1]
     n = len(x)
     return np.sqrt(rss_pure / n), np.sqrt(np.sum(r * r, axis=1) / n), p_log
 
@@ -242,11 +245,12 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
     """Fit the small-s expansion of G(z, .) or report why none exists.
 
     z_grid must lie inside the band interval; s_grid must be geometric,
-    span at least four decades and stay below saturation.  At each z the
-    integer ladder, guard term included in the basis, is fitted by
-    :func:`_ladder_fit`; it must pass the stability tests of
-    :func:`_guard_valid` on every z, at G's relative accuracy ``_G_ACCURACY``.
-    Otherwise a local model contest, :func:`_log_model_contest` on all z rows
+    span at least four decades and stay below saturation.  x = ln s and
+    L = ln G, one row per z, are formed once.  The integer ladder, guard
+    term included in the basis, is fitted on every row at once by
+    :func:`_ladder_fit`; every row must pass the stability tests of
+    :func:`_guard_valid`, at G's relative accuracy ``_G_ACCURACY``.
+    Otherwise a local model contest, :func:`_log_model_contest` on all rows
     at once, decides whether a log term is responsible and supplies the
     diagnostic.
     """
@@ -266,41 +270,34 @@ def fit_taylor(spec: Prior, z_grid: np.ndarray, s_grid: np.ndarray) -> TaylorMod
                          f"G(z={z_grid[iz]:.6g}, s={s_grid[i]:.6g}) = {G[iz, i]:.3g}; "
                          "the fit needs every G at or above it")
     x = np.log(s_grid)
-    logG = np.log(G)
+    L = np.log(G)
 
-    fits = []
-    for iz in range(len(z_grid)):
-        alpha, coef, resid = _ladder_fit(s_grid, G[iz])
-        if not _guard_valid(s_grid, G[iz], alpha, resid):
-            break
-        fits.append((alpha, coef, resid))
-    else:
-        alpha_per_z = np.array([f[0] for f in fits])
-        coeffs = np.array([f[1][:-1] for f in fits])
-        guards = np.array([f[1][-1] for f in fits])
-        score = max(float(np.max(np.abs(f[2]))) for f in fits)
-        kappa = _kappa_bound(s_grid, G, alpha_per_z, coeffs, guards, score)
+    alpha, coef, rel, resid = _ladder_fit(x, L)
+    if np.all(_guard_valid(x, L, alpha, resid)):
+        score = float(np.max(np.abs(resid)))
         return TaylorModel(
-            alpha=float(np.median(alpha_per_z)),
+            alpha=float(np.median(alpha)),
             z_grid=z_grid,
-            coeffs=coeffs,
-            guard_coeffs=guards,
-            kappa=kappa,
-            alpha_per_z=alpha_per_z,
+            coeffs=coef[:, :-1],
+            guard_coeffs=coef[:, -1],
+            kappa=_kappa_bound(rel, coef, score),
+            alpha_per_z=alpha,
             max_rel_residual=score,
         )
 
     # the ladder failed: run the model contest on the small end for a diagnostic
     win = s_grid <= s_grid[0] * 10.0**2.5
-    rms_pure, rms_log, p_log = _log_model_contest(x[win], logG[:, win])
+    rms_pure, rms_log, p_log = _log_model_contest(x[win], L[:, win])
     # a log vote needs the pure misfit to stand clear of the data noise
     votes = (rms_log < rms_pure) & (rms_pure > 3.0 * _G_ACCURACY)
     if np.count_nonzero(votes) >= max(1, len(z_grid) // 2 + 1):
         p = float(np.median(p_log[votes]))
         return ExpansionViolation(diagnostic=_log_diagnostic(p), leading_exponent=p)
-    slope = float(np.median([_leading_slope(x, logG[iz]) for iz in range(len(z_grid))]))
+    # the leading exponent of a failed ladder: the log-log slope at the smallest s
+    slope = np.polyfit(x[:_SLOPE_POINTS], L[:, :_SLOPE_POINTS].T, 1)[0]
     return ExpansionViolation(
-        diagnostic="non-power structure (no log term identified)", leading_exponent=slope
+        diagnostic="non-power structure (no log term identified)",
+        leading_exponent=float(np.median(slope)),
     )
 
 
@@ -312,53 +309,45 @@ _ALPHA_DRIFT_TOL = 3e-4    # allowed drift of the fitted exponent under capping
 _GROSS_MISFIT = 0.05       # a ladder that misses by >5% is no expansion at all
 
 
-def _guard_valid(s, G, alpha_full, resid_full) -> bool:
-    """Accept a ladder only if it behaves like a genuine power expansion.
+def _guard_valid(x, L, alpha_full, resid_full) -> np.ndarray:
+    """Per row of L, whether the ladder behaves like a genuine power expansion.
 
     Two window-stability properties separate power series from log
     contamination by several orders of magnitude: refitting on
     s <= s_top / M must (a) leave the fitted leading exponent essentially
     unchanged (a log term drags it by ~1/log s, observed >= 1e-2, versus
     <= 1e-5 for true ladders), and (b) shrink the residual like the next
-    power order unless it already sits at the noise floor.
+    power order unless it already sits at the noise floor.  One capped
+    refit takes every row.
     """
-    r_full = float(np.max(np.abs(resid_full)))
-    if r_full > _GROSS_MISFIT:
-        return False
-    cap = s <= s[-1] / _SHRINK_CAP
+    r_full = np.max(np.abs(resid_full), axis=1)
+    cap = x <= x[-1] - math.log(_SHRINK_CAP)
     if np.count_nonzero(cap) < len(_EPS) + 4:
-        return False
-    alpha_cap, _, resid_cap = _ladder_fit(s[cap], G[cap])
-    if abs(alpha_cap - alpha_full) > _ALPHA_DRIFT_TOL:
-        return False
+        return np.zeros(len(L), dtype=bool)
+    alpha_cap, _, _, resid_cap = _ladder_fit(x[cap], L[:, cap])
     floor = max(_NOISE_FACTOR * _G_ACCURACY, _ABS_FLOOR)
-    if r_full <= floor:
-        return True
-    r_cap = float(np.max(np.abs(resid_cap)))
-    return r_cap <= max(r_full / _SHRINK_GAIN, floor)
+    r_cap = np.max(np.abs(resid_cap), axis=1)
+    return ((r_full <= _GROSS_MISFIT)
+            & (np.abs(alpha_cap - alpha_full) <= _ALPHA_DRIFT_TOL)
+            & ((r_full <= floor) | (r_cap <= np.maximum(r_full / _SHRINK_GAIN, floor))))
 
 
-def _kappa_bound(s, G, alpha_per_z, coeffs, guards, full_resid) -> float:
+def _kappa_bound(rel, coef, full_resid) -> float:
     """Certified remainder constant for |G - sum_{i<k} F_i s^(alpha+eps_i)|.
 
-    Measured as sup |r_k| / s^(alpha+eps_k) over the points where the guard
-    term stands above the fit-noise floor; at the remaining (small-s)
-    points the bound kappa s^(alpha+eps_k) + noise-band is verified instead.
+    Reads the fit's relative design rel = s^(alpha+eps_i) / G and
+    coefficients coef, of shapes (Z, n, k) and (Z, k).  Measured as
+    sup |r_k| / s^(alpha+eps_k) over the points where the guard term stands
+    above the fit-noise floor; at the remaining (small-s) points the bound
+    kappa s^(alpha+eps_k) + noise-band is verified instead.
     """
-    eps_arr = np.asarray(_EPS)
     band = 100.0 * _G_ACCURACY + 3.0 * full_resid
-    x = np.log(s)
-    worst = 0.0
-    for iz in range(len(alpha_per_z)):
-        # every power of s relative to G, formed in logs as in _ladder_fit
-        rel = np.exp((alpha_per_z[iz] + eps_arr[None, :]) * x[:, None] - np.log(G[iz])[:, None])
-        r = np.abs(1.0 - rel[:, :-1] @ coeffs[iz])     # |G - model_k| / G
-        guard_scale = rel[:, -1]                        # s^(alpha + eps_k) / G
-        trusted = abs(guards[iz]) * guard_scale >= band
-        if np.any(trusted):
-            worst = max(worst, float(np.max(r[trusted] / guard_scale[trusted])))
-        worst = max(worst, abs(float(guards[iz])))
-    return worst
+    guards = coef[:, -1]
+    r = np.abs(1.0 - np.einsum("znk,zk->zn", rel[..., :-1], coef[:, :-1]))  # |G - model_k| / G
+    guard_scale = rel[..., -1]                                               # s^(alpha + eps_k) / G
+    trusted = np.abs(guards)[:, None] * guard_scale >= band
+    return max(float(np.max(r[trusted] / guard_scale[trusted], initial=0.0)),
+               float(np.max(np.abs(guards))))
 
 
 # ---------------------------------------------------------------------------

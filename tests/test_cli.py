@@ -290,7 +290,7 @@ class TestPosteriorDeterministic:
 
     def test_manifest_of_0_2_0_replays_with_exit_3(self, tmp_path, capsys):
         manifest = fresh_manifest(self.FRESH, tmp_path / "fresh")
-        assert manifest["version"] == "0.3.6"
+        assert manifest["version"] == "0.3.7"
         manifest["version"] = "0.2.0"
         manifest["outputs"]["posterior.json"] = self.DIGEST_0_2_0
         path = tmp_path / "manifest.json"
@@ -1064,6 +1064,13 @@ class TestClaims:
             assert d["band_advantage"][j]["log_ratio"] > 0
             assert d["band_advantage"][j]["samplewise_upper_ok"] is True
             assert d["conditional_dominance"][j]["min_log_gap"] > 0
+
+
+    def test_huge_n(self, tmp_path):
+        # (n - n0) / 3 rounds at n = 10^17: the band counts' d1 + d2 + d3 must still vanish
+        assert run_main("claims", "--spec", "uniform:1.0", "--t", "0.1",
+                        "--n", "100000000000000000", "--samples", "1000", "--z-points", "2",
+                        "--out", str(tmp_path)) == 0
 
 
 class TestRuntimeFailures:

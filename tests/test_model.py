@@ -208,6 +208,15 @@ class TestBandEvent:
             return
         assert counts.n2 == counts.n3 and counts.n == n and in_band_fc(counts, c, t)
 
+    @pytest.mark.parametrize("n", [10**16, 10**17, 10**18, 2**62, 2**63 - 1])
+    @pytest.mark.parametrize("c", [1.5, 3.0, 6.0])
+    def test_huge_n_keeps_the_sum_identity(self, n, c):
+        # (n - n0) / 3 rounds at n ~ 1e17: each d_i is read off the exact integer 3 n_i - (n - n0)
+        counts = counts_in_band(n, 0.1, c)
+        d = delta_stats(counts, 0.1)
+        assert counts.n == n and abs(d.d1 + d.d2 + d.d3) < 1e-9
+        assert 2 * c <= d.d1 <= 4 * c
+
     def test_typical_counts_outside(self):
         counts = PatternCounts(7527, 825, 824, 824)
         assert not in_band_fc(counts, 1.5, 0.1)

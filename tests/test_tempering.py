@@ -176,6 +176,40 @@ class TestLogModelContest:
         assert v.condition1.leading_exponent == pytest.approx(power, abs=1e-10)
 
 
+_TEMPERED_CATALOG = ("tame", "uniform:1.0", "power:0.5", "discrete:0.1,0.5")
+
+
+def _check_grids(spec: Prior, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The z-grid and the scaled s-grid that check_tempered fits at t."""
+    z_grid, s_grid = default_z_grid(t), default_s_grid(t)
+    return z_grid, min(1.0, 0.5 * min(spec.s_sat(z) for z in z_grid) / s_grid[-1]) * s_grid
+
+
+class TestLadderArrayPass:
+    """The ladder fits every z row in one pass; the rows must not mix."""
+
+    @pytest.mark.parametrize("spec", _TEMPERED_CATALOG)
+    def test_rows_match_one_z_fits(self, spec):
+        prior = parse_prior(spec)
+        z_grid, s_grid = _check_grids(prior, 0.1)
+        model = fit_taylor(prior, z_grid, s_grid)
+        assert isinstance(model, TaylorModel)
+        for i, z in enumerate(z_grid):
+            one = fit_taylor(prior, z_grid[i:i + 1], s_grid)
+            assert one.alpha_per_z[0] == pytest.approx(model.alpha_per_z[i], rel=1e-14, abs=0.0)
+            np.testing.assert_allclose(one.coeffs[0], model.coeffs[i], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("spec", _TEMPERED_CATALOG)
+    def test_kappa_stable_under_one_ulp_of_g(self, spec, monkeypatch):
+        prior = parse_prior(spec)
+        z_grid, s_grid = _check_grids(prior, 0.1)
+        kappa = fit_taylor(prior, z_grid, s_grid).kappa
+        real = prior.g
+        for factor in (1.0 + 2.0**-52, 1.0 - 2.0**-52):
+            monkeypatch.setattr(prior, "g", lambda z, s, f=factor: real(z, s) * f)
+            assert fit_taylor(prior, z_grid, s_grid).kappa == pytest.approx(kappa, rel=1e-8, abs=0.0)
+
+
 class TestPowerCoefficients:
     def test_theta_half_h_coefficients(self):
         # fitted H coefficients vs 4/sqrt(3z), 5/(3z)^(3/2), 9 sqrt(3)/(40 z^(5/2))
@@ -297,6 +331,9 @@ class TestDeclaredMetadata:
             assert v.condition1.alpha == pytest.approx(declared["alpha"], rel=1e-5)
         else:
             assert v.condition1.diagnostic == declared["diagnostic"]
+            # the log model's next-order column keeps the expansion's rest out of the power
+            power = {"s·log s": 1.0, "s^2·log s": 2.0}[declared["diagnostic"]]
+            assert v.condition1.leading_exponent == pytest.approx(power, rel=0.0, abs=1e-5)
 
     def test_base_class_declares_nothing(self):
         from starparadox.priors import Prior
